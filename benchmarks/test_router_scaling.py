@@ -135,7 +135,6 @@ def _router(points, ids, codec, shards, caches=True, **kw):
     config = RouterConfig(
         num_shards=shards,
         merge_cache_entries=32 if caches else 0,
-        result_cache_entries=256 if caches else 0,
     )
     return ShardedSkylineService(
         "ds", points.copy(), ids=ids.copy(), codec=codec, config=config,

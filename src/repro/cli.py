@@ -743,15 +743,12 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                     )
                 )
             )
-    if router_stats is not None:
-        for cache_name in ("merge_cache", "result_cache"):
-            cache_stats = router_stats.get(cache_name)
-            if cache_stats:
-                parts = " ".join(
-                    f"{key}={value}"
-                    for key, value in sorted(cache_stats.items())
-                )
-                print(f"{cache_name:20s}: {parts}")
+    if router_stats is not None and router_stats["merge_cache"]:
+        parts = " ".join(
+            f"{key}={value}"
+            for key, value in sorted(router_stats["merge_cache"].items())
+        )
+        print(f"{'merge_cache':20s}: {parts}")
     if rebuild_states is not None:
         for sid, status in sorted(rebuild_states.items()):
             print(

@@ -35,7 +35,7 @@ from repro.serving.admission import (
     AdmissionController,
     Ticket,
 )
-from repro.serving.cache import MergeCache, MergedSkyline, ResultCache
+from repro.serving.cache import MergeCache, ResultCache
 from repro.serving.client import (
     ReplayReport,
     SkylineClient,
@@ -83,7 +83,6 @@ __all__ = [
     "DriftPolicy",
     "HealthMonitor",
     "MergeCache",
-    "MergedSkyline",
     "Mutation",
     "MutationResult",
     "MutationWAL",

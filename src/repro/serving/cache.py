@@ -31,12 +31,9 @@ import dataclasses
 import threading
 import zlib
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.zorder.zbtree import ZBTree
 
 from repro.core.exceptions import ConfigurationError
 from repro.observability.metrics import MetricsRegistry
@@ -232,181 +229,63 @@ class ResultCache:
         )
 
 
-#: merge-cache key: (sorted (shard, version) pairs, sorted lost shards)
-MergeKey = Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]
-
-
-@dataclasses.dataclass
-class MergedSkyline:
-    """One coordinator-side merged skyline, pinned to a version vector.
-
-    ``points`` / ``ids`` are the canonical id-sorted merged skyline with
-    lost shards' uncertain rows already masked out (write-protected, so
-    sharing the same arrays across readers is safe); ``masked`` is how
-    many rows the lost-shard floor mask removed.  ``union_points`` /
-    ``union_ids`` lazily cache the id-sorted alive union for the same
-    vector (top-k dominance/representative scoring needs it); they are
-    filled in by the first query that asks and shared afterwards.
-    """
-
-    vector: Dict[int, int]
-    lost: Tuple[int, ...]
-    points: np.ndarray
-    ids: np.ndarray
-    masked: int = 0
-    union_points: Optional[np.ndarray] = None
-    union_ids: Optional[np.ndarray] = None
-
-    @property
-    def size(self) -> int:
-        return int(self.ids.shape[0])
-
-
 class MergeCache:
-    """Version-vector-keyed LRU of coordinator merged skylines.
+    """The shard router's answer cache: a :class:`ResultCache` keyed by
+    the pinned version vector.
 
-    The shard router pays one ``zmerge_all`` fold per *version vector*
-    instead of one per query: an entry is keyed by the exact
-    ``{shard: version}`` mapping it was merged from (plus the sorted
-    lost-shard set, so certified partial answers are cached under their
-    own degraded key).  Publishing on any shard changes that shard's
-    version, so every later pin produces a new key and simply misses —
-    publish *is* the invalidation, exactly like :class:`ResultCache` —
-    while a reader pinned to the old vector keeps hitting the old entry
-    and can never observe a newer merge.
-
-    The cache also retains each shard's latest skyline tree (the
-    snapshot-owned ZB-tree, never mutated — folds clone it via
-    ``zmerge_all(..., consume=False)``).  When only ``k`` of ``N``
-    shards changed versions since the last merge, the router folds the
-    ``k`` fresh trees with the ``N - k`` retained ones instead of
-    re-encoding every shard's candidates from scratch; ``incremental``
-    vs ``full_merges`` in :meth:`stats` counts how often that fast path
-    applied.
+    The key is the exact ``{shard: version}`` mapping an answer was
+    computed from (the full vector, not just its sum — vectors with
+    equal sums but different shard states must never collide), the
+    sorted lost-shard set (certified partial answers live under their
+    own degraded key) and the query fingerprint.  Publishing on any
+    shard changes that shard's version, so every later pin produces a
+    new key and simply misses — publish *is* the invalidation — while a
+    reader pinned to the old vector keeps hitting its own entry and can
+    never observe a newer answer.  The merged skyline is just the cached
+    ``full`` answer, so every kind pinned to one vector shares a single
+    Z-merge.  Entries keep the :class:`ResultCache` CRC guard.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 32,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        if max_entries <= 0:
-            raise ConfigurationError("max_entries must be positive")
-        self.max_entries = max_entries
-        self.metrics = metrics
-        self._entries: "OrderedDict[MergeKey, MergedSkyline]" = OrderedDict()
-        self._trees: Dict[int, Tuple[int, "ZBTree"]] = {}
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._incremental = 0
-        self._full_merges = 0
-        self._trees_reused = 0
-        self._trees_refreshed = 0
+    def __init__(self, max_entries: int = 256) -> None:
+        self.results = ResultCache(max_entries)
 
     @staticmethod
     def key(
-        vector: Mapping[int, int], lost: Sequence[int] = ()
-    ) -> MergeKey:
-        return (
-            tuple(sorted((int(s), int(v)) for s, v in vector.items())),
-            tuple(sorted(int(s) for s in lost)),
+        dataset: str,
+        vector: Mapping[int, int],
+        lost: Sequence[int],
+        fingerprint: str,
+    ) -> CacheKey:
+        vec = ",".join(f"{s}:{v}" for s, v in sorted(vector.items()))
+        lost_part = ",".join(str(s) for s in sorted(lost))
+        return ResultCache.make_key(
+            dataset, sum(vector.values()), f"{vec}|{lost_part}|{fingerprint}"
         )
 
-    # ------------------------------------------------------------------
     def get(
-        self, vector: Mapping[int, int], lost: Sequence[int] = ()
-    ) -> Optional[MergedSkyline]:
-        """The entry merged from exactly this vector, or None.
+        self, vector: Mapping[int, int], lost: Sequence[int], query: Any
+    ) -> Optional[Any]:
+        """The answer to ``query`` computed from exactly this vector and
+        lost set, or None."""
+        hit, value = self.results.lookup(
+            self.key(query.dataset, vector, lost, query.fingerprint())
+        )
+        return value if hit else None
 
-        Only the exact ``(vector, lost)`` key hits: a single-shard
-        publish changes the vector and therefore misses, and a pinned
-        read keyed to an older vector can never be served a newer merge.
-        """
-        key = self.key(vector, lost)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-            else:
-                self._misses += 1
-        if self.metrics is not None:
-            self.metrics.inc(
-                SERVING_GROUP,
-                "merge_cache_hits" if entry is not None else "merge_cache_misses",
-            )
-        return entry
-
-    def store(self, entry: MergedSkyline) -> None:
-        key = self.key(entry.vector, entry.lost)
-        evicted = 0
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                evicted += 1
-            self._evictions += evicted
-        if evicted and self.metrics is not None:
-            self.metrics.inc(SERVING_GROUP, "merge_cache_evictions", evicted)
-
-    # ------------------------------------------------------------------
-    def shard_tree(
-        self, shard: int, version: int, tree: "ZBTree"
-    ) -> Tuple["ZBTree", bool]:
-        """Retained skyline tree for ``(shard, version)``.
-
-        Returns ``(tree, reused)``: the retained tree when the shard's
-        version is unchanged since the last merge, else retains the
-        supplied fresh tree.  Retained trees are only ever folded with
-        ``consume=False``, so retention never exposes them to mutation.
-        """
-        with self._lock:
-            held = self._trees.get(shard)
-            if held is not None and held[0] == version:
-                self._trees_reused += 1
-                return held[1], True
-            self._trees[shard] = (int(version), tree)
-            self._trees_refreshed += 1
-            return tree, False
-
-    def note_merge(self, reused_shards: int, fresh_shards: int) -> None:
-        """Record whether a merge reused retained trees (incremental)."""
-        with self._lock:
-            if reused_shards and fresh_shards:
-                self._incremental += 1
-            else:
-                self._full_merges += 1
-        if self.metrics is not None:
-            name = (
-                "merge_cache_incremental"
-                if reused_shards and fresh_shards
-                else "merge_cache_full_merges"
-            )
-            self.metrics.inc(SERVING_GROUP, name)
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+    def store(
+        self,
+        vector: Mapping[int, int],
+        lost: Sequence[int],
+        query: Any,
+        value: Any,
+    ) -> None:
+        self.results.store(
+            self.key(query.dataset, vector, lost, query.fingerprint()),
+            value,
+        )
 
     def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-                "incremental": self._incremental,
-                "full_merges": self._full_merges,
-                "trees_reused": self._trees_reused,
-                "trees_refreshed": self._trees_refreshed,
-            }
+        return self.results.stats()
 
     def __repr__(self) -> str:
-        return (
-            f"MergeCache(entries={len(self)}/{self.max_entries}, "
-            f"stats={self.stats()})"
-        )
+        return f"MergeCache({self.results!r})"

@@ -5,22 +5,26 @@ independent :class:`~repro.serving.service.SkylineService` shards, each
 owning one contiguous Z-address range of the dataset
 (:class:`~repro.serving.shard.ShardMap` — the paper's equidepth
 partitioning reused as a shard map).  Queries scatter to the shards
-that can contribute and the coordinator gathers:
+that can contribute, and every query kind then runs the single
+service's own executor (:func:`~repro.serving.service.execute_on_snapshot`)
+on a :class:`LogicalSnapshot` — a pinned, ``Snapshot``-compatible view
+of the whole logical dataset:
 
-* **full** — each shard answers its local skyline; the coordinator
-  folds the (dominance-free) candidate sets with the paper's Z-merge
-  (:func:`~repro.zorder.zmerge.zmerge_all`), yielding exactly the
-  global skyline;
-* **subspace** — per-shard subspace candidates, recomputed on the
-  union (membership survives against fewer competitors, so the union
-  of local answers always contains the global one);
-* **kdominant** — k-dominance is **not transitive**, so it does not
-  decompose: the coordinator gathers all alive rows and computes on
-  the union;
-* **topk** — ranked over the Z-merged global skyline (dominance /
-  representative methods additionally gather the alive union their
-  scores count over);
-* **explain** — why-not against the alive union.
+* its skyline is the per-shard (dominance-free) skylines folded with
+  the paper's Z-merge (:func:`~repro.zorder.zmerge.zmerge_all`),
+  yielding exactly the global skyline (``full``, and ``topk`` ranks
+  over it);
+* its alive set is the id-sorted union of the shard snapshots
+  (k-dominance is **not transitive**, so ``kdominant`` does not
+  decompose and computes on the union; ``explain`` and the top-k
+  dominance/representative scores count over it);
+* ``subspace`` runs on a view of the union of per-shard subspace
+  candidates (membership survives against fewer competitors, so the
+  union of local answers always contains the global one).
+
+Answers are cached once, at the coordinator, keyed by the pinned
+version vector, the lost-shard set and the query fingerprint
+(:class:`~repro.serving.cache.MergeCache`).
 
 Robustness features, all seeded and replayable via
 :class:`~repro.serving.faults.ServingFaultPlan`:
@@ -68,7 +72,8 @@ import threading
 from concurrent.futures import FIRST_COMPLETED, Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures import wait as wait_futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 from time import monotonic, sleep
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -81,12 +86,8 @@ from repro.core.exceptions import (
     DatasetError,
     ShardDownError,
 )
-from repro.extensions.explain import WhyNotExplanation, why_not
-from repro.extensions.kdominant import k_dominant_skyline
-from repro.extensions.ranking import rank_skyline, top_k_skyline
-from repro.extensions.subspace import subspace_skyline
 from repro.observability.metrics import MetricsRegistry
-from repro.serving.cache import MergeCache, MergedSkyline, ResultCache
+from repro.serving.cache import MergeCache
 from repro.serving.faults import ServingFaultPlan
 from repro.serving.health import HealthMonitor
 from repro.serving.registry import (
@@ -108,6 +109,7 @@ from repro.serving.service import (
     _by_id,
     _Payload,
     execute_on_snapshot,
+    snapshot_certificate,
 )
 from repro.serving.shard import (
     ShardMap,
@@ -116,10 +118,20 @@ from repro.serving.shard import (
 )
 from repro.serving.snapshot import Snapshot
 from repro.zorder.encoding import ZGridCodec, quantize_dataset
-from repro.zorder.zbtree import OpCounter, build_zbtree
+from repro.zorder.zbtree import OpCounter
 from repro.zorder.zmerge import zmerge_all
 
 __all__ = ["RouterConfig", "ShardedSkylineService"]
+
+#: certificate kinds, least to most degraded (the worst shard wins)
+_SEVERITY = {"fresh": 0, "stale": 1, "partial": 2}
+
+
+def _sub_vector(
+    vector: Dict[int, int], snaps: Dict[int, Snapshot]
+) -> Dict[int, int]:
+    """The version vector restricted to the pinned (answering) shards."""
+    return {sid: int(vector[sid]) for sid in snaps}
 
 
 @dataclass(frozen=True)
@@ -143,14 +155,11 @@ class RouterConfig:
     #: snapshot retention ring per shard registry
     keep_versions: int = 8
     checkpoint_every: int = 8
-    #: merged-skyline cache entries, keyed by the version vector
-    #: (+ lost-shard set); 0 disables the coordinator merge cache and
-    #: every full/topk query re-merges (the pre-cache behaviour)
-    merge_cache_entries: int = 32
-    #: coordinator-level finished-answer cache (subspace/kdominant/topk
-    #: payloads keyed by vector + lost set + query fingerprint);
-    #: 0 disables it
-    result_cache_entries: int = 256
+    #: coordinator answer-cache entries (every kind, keyed by version
+    #: vector + lost-shard set + query fingerprint; the merged skyline
+    #: is the cached ``full`` answer); 0 disables the cache and every
+    #: query re-merges
+    merge_cache_entries: int = 256
     #: per-shard service knobs (admission, cache, intra-shard faults);
     #: one config shared by every shard service
     service_config: Optional[ServiceConfig] = None
@@ -174,31 +183,6 @@ class RouterConfig:
             raise ConfigurationError("heartbeat_every_ops must be >= 0")
         if self.merge_cache_entries < 0:
             raise ConfigurationError("merge_cache_entries must be >= 0")
-        if self.result_cache_entries < 0:
-            raise ConfigurationError("result_cache_entries must be >= 0")
-
-
-@dataclass(frozen=True)
-class _CachedAnswer:
-    """A finished coordinator answer plus the masked-row count its
-    certificate needs.  ``ids``/``points``/``scores`` delegate to the
-    payload so :func:`~repro.serving.cache.payload_crc` guards the
-    cached arrays like any other cache entry."""
-
-    payload: _Payload
-    masked: int = 0
-
-    @property
-    def ids(self) -> Optional[np.ndarray]:
-        return self.payload.ids
-
-    @property
-    def points(self) -> Optional[np.ndarray]:
-        return self.payload.points
-
-    @property
-    def scores(self) -> Optional[np.ndarray]:
-        return self.payload.scores
 
 
 class _Shard:
@@ -233,27 +217,70 @@ class _Shard:
         self.last_failover_identical: Optional[bool] = None
 
 
-@dataclass
 class LogicalSnapshot:
-    """The router's registry-view of the whole logical dataset.
+    """A pinned, ``Snapshot``-compatible view of the logical dataset.
 
-    Enough surface for :class:`~repro.serving.client.SkylineClient` and
-    :func:`~repro.serving.client.replay_workload`: dimensions, codec,
-    the union id set (including ids owned by currently-down shards —
-    they are still logically alive), sizes, and the summed logical
-    version.  ``skyline_size`` Z-merges the live shard skylines lazily
-    (it is only read at workload start/end, not per operation).
+    Built over the shard snapshots one read pinned (mutually consistent
+    under the version vector), so the single service's executors run on
+    it unchanged.  ``version`` is the vector sum.  ``points``/``ids``
+    are the id-sorted alive union (or, for subspace, the gathered
+    per-shard candidates); ``sky_points``/``sky_ids`` the Z-merged
+    skyline with the lost shards' uncertain rows masked (``masked``
+    counts them).  Both are computed on first access.
     """
 
-    dataset: str
-    version: int
-    codec: ZGridCodec
-    ids: np.ndarray
-    size: int
-    _skyline_size: Optional[int] = field(default=None, repr=False)
-    _router: Optional["ShardedSkylineService"] = field(
-        default=None, repr=False
-    )
+    def __init__(
+        self,
+        router: "ShardedSkylineService",
+        vector: Dict[int, int],
+        snaps: Dict[int, Snapshot],
+        lost: List[int],
+        union: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> None:
+        self.dataset = router.name
+        self.codec = router.codec
+        self.version = sum(vector.values())
+        self._router = router
+        self._vector = vector
+        self._snaps = snaps
+        self._lost = lost
+        self._given_union = union
+
+    @cached_property
+    def _union(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._given_union is not None:
+            return self._given_union
+        return self._router._alive_union(self._snaps)
+
+    @cached_property
+    def _skyline(self) -> _Payload:
+        return self._router._merged_entry(
+            self._vector, self._snaps, self._lost
+        )
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._union[0]
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self._union[1]
+
+    @property
+    def sky_points(self) -> np.ndarray:
+        return self._skyline.points
+
+    @property
+    def sky_ids(self) -> np.ndarray:
+        return self._skyline.ids
+
+    @property
+    def masked(self) -> int:
+        return self._skyline.masked
+
+    @property
+    def size(self) -> int:
+        return int(self.ids.shape[0])
 
     @property
     def dimensions(self) -> int:
@@ -261,10 +288,16 @@ class LogicalSnapshot:
 
     @property
     def skyline_size(self) -> int:
-        if self._skyline_size is None:
-            assert self._router is not None
-            self._skyline_size = self._router._merged_skyline_size()
-        return self._skyline_size
+        return int(self.sky_ids.shape[0])
+
+    def point_of(self, point_id: int) -> np.ndarray:
+        row = np.flatnonzero(self.ids == int(point_id))
+        if row.shape[0] == 0:
+            raise DatasetError(
+                f"point id {point_id} is not alive in "
+                f"{self.dataset!r}@v{self.version}"
+            )
+        return self.points[int(row[0])]
 
 
 class _RouterRegistryView:
@@ -379,19 +412,11 @@ class ShardedSkylineService:
             self._vector[sid] = publish.version
             for pid in shard_ids:
                 self._owner[int(pid)] = sid
-        #: coordinator fast path: merged skylines keyed by the version
-        #: vector, finished answers keyed by vector + query fingerprint.
-        #: Both pass ``metrics=None``-adjacent choices deliberately: the
-        #: merge cache has its own counters; the result cache would
-        #: otherwise pollute the per-shard ``serving.cache_*`` counters.
+        #: the coordinator's one answer cache, keyed by the pinned
+        #: version vector (+ lost set) and the query fingerprint
         self._merge_cache: Optional[MergeCache] = (
-            MergeCache(self.config.merge_cache_entries, metrics=metrics)
+            MergeCache(self.config.merge_cache_entries)
             if self.config.merge_cache_entries > 0
-            else None
-        )
-        self._result_cache: Optional[ResultCache] = (
-            ResultCache(self.config.result_cache_entries, metrics=None)
-            if self.config.result_cache_entries > 0
             else None
         )
         self.registry = _RouterRegistryView(self)
@@ -616,14 +641,20 @@ class ShardedSkylineService:
                 lost.append(sid)
                 continue
             alive.append(shard)
+        vector, snaps = self._pin_snapshots(alive)
+        return vector, snaps, alive, lost
+
+    def _pin_snapshots(
+        self, shards: List[_Shard]
+    ) -> Tuple[Dict[int, int], Dict[int, Snapshot]]:
         with self._write_lock:
             vector = dict(self._vector)
             snaps: Dict[int, Snapshot] = {}
-            for shard in alive:
+            for shard in shards:
                 assert shard.registry is not None
                 snaps[shard.sid] = shard.registry.snapshot(self.name)
                 vector[shard.sid] = snaps[shard.sid].version
-        return vector, snaps, alive, lost
+        return vector, snaps
 
     def _sub_result(
         self,
@@ -631,11 +662,11 @@ class ShardedSkylineService:
         future: Future,
         query: Query,
         pinned: Snapshot,
-    ) -> Tuple[_Payload, bool]:
+    ) -> _Payload:
         """Gather one shard's sub-answer: hedge stragglers, then pin —
         a sub-answer that raced a concurrent write (its version differs
         from the pinned vector entry) is recomputed directly against
-        the pinned snapshot.  Returns ``(payload, cached)``."""
+        the pinned snapshot."""
         hedge_after = self.config.hedge_after_seconds
         result: Optional[QueryResult] = None
         if hedge_after <= 0:
@@ -661,16 +692,12 @@ class ShardedSkylineService:
         assert result is not None
         if result.version != pinned.version:
             self._count("version_pinned_recomputes")
-            payload = execute_on_snapshot(query, pinned)
-            return payload, False
-        return (
-            _Payload(
-                points=result.points,
-                ids=result.ids,
-                scores=result.scores,
-                explanation=result.explanation,
-            ),
-            result.cached,
+            return execute_on_snapshot(query, pinned)
+        return _Payload(
+            points=result.points,
+            ids=result.ids,
+            scores=result.scores,
+            explanation=result.explanation,
         )
 
     def _scatter(
@@ -679,13 +706,12 @@ class ShardedSkylineService:
         alive: List[_Shard],
         snaps: Dict[int, Snapshot],
         op: int,
-    ) -> Tuple[List[Tuple[int, _Payload]], List[int], bool]:
+    ) -> Tuple[List[Tuple[int, _Payload]], List[int]]:
         """Fan ``query`` out to the alive shards and gather.
 
         A shard that fails mid-query joins the lost set (this query
         degrades to certified-partial for its region) and feeds its
-        breaker.  Returns ``(per-shard payloads, newly lost sids,
-        all-cached flag)``.
+        breaker.  Returns ``(per-shard payloads, newly lost sids)``.
         """
         plan = self.fault_plan
         futures: List[Tuple[_Shard, Optional[Future]]] = []
@@ -707,54 +733,31 @@ class ShardedSkylineService:
             futures.append((shard, future))
         payloads: List[Tuple[int, _Payload]] = []
         newly_lost: List[int] = []
-        all_cached = bool(futures)
         for shard, future in futures:
             if future is None:
                 shard.breaker.record_failure()
                 newly_lost.append(shard.sid)
-                all_cached = False
                 continue
             try:
-                payload, cached = self._sub_result(
+                payload = self._sub_result(
                     shard, future, query, snaps[shard.sid]
                 )
             except Exception:
                 shard.breaker.record_failure()
                 newly_lost.append(shard.sid)
-                all_cached = False
                 continue
             shard.breaker.record_success()
             payloads.append((shard.sid, payload))
-            all_cached = all_cached and cached
-        return payloads, newly_lost, all_cached
+        return payloads, newly_lost
 
     # ------------------------------------------------------------------
     # merging
     # ------------------------------------------------------------------
-    def _zmerge_candidates(
-        self, candidates: List[Tuple[np.ndarray, np.ndarray]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fold per-shard dominance-free candidate sets into the global
-        skyline with Z-merge, in canonical id order.
-
-        Fresh trees are built from the gathered arrays — ``zmerge``
-        consumes its skyline argument, so shard snapshot trees must
-        never be fed to it directly.
-        """
-        nonempty = [(p, i) for p, i in candidates if i.shape[0]]
-        if not nonempty:
-            d = self.codec.dimensions
-            return (
-                np.empty((0, d), dtype=np.float64),
-                np.empty(0, dtype=np.int64),
-            )
-        trees = [
-            build_zbtree(self.codec, np.asarray(p, dtype=np.float64), ids=i)
-            for p, i in nonempty
-        ]
-        merged = zmerge_all(trees, OpCounter())
-        _zs, pts, ids = merged.collect()
-        return _by_id(pts, ids)
+    def _empty(self) -> Tuple[np.ndarray, np.ndarray]:
+        return (
+            np.empty((0, self.codec.dimensions), dtype=np.float64),
+            np.empty(0, dtype=np.int64),
+        )
 
     def _alive_union(
         self, snaps: Dict[int, Snapshot]
@@ -763,124 +766,59 @@ class ShardedSkylineService:
         (canonical, so order-sensitive downstream code is shard-count
         invariant)."""
         if not snaps:
-            d = self.codec.dimensions
-            return (
-                np.empty((0, d), dtype=np.float64),
-                np.empty(0, dtype=np.int64),
-            )
+            return self._empty()
         pts = np.vstack([snaps[sid].points for sid in sorted(snaps)])
         ids = np.concatenate([snaps[sid].ids for sid in sorted(snaps)])
         return _by_id(pts, ids)
+
+    def _union_candidates(
+        self, candidates: List[Tuple[np.ndarray, np.ndarray]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        if not candidates:
+            return self._empty()
+        return (
+            np.vstack([p for p, _ in candidates]),
+            np.concatenate([i for _, i in candidates]),
+        )
 
     def _merged_entry(
         self,
         vector: Dict[int, int],
         snaps: Dict[int, Snapshot],
         lost: List[int],
-    ) -> MergedSkyline:
+    ) -> _Payload:
         """The merged, masked, id-sorted skyline for exactly this
-        version vector (restricted to the shards in ``snaps``).
+        version vector (restricted to the shards in ``snaps``) — the
+        logical ``full`` answer, read from and stored under the ``full``
+        key of the coordinator cache, so every kind pinned to the same
+        vector shares one Z-merge.
 
-        Cache hit: one dict probe, no shard work at all.  Miss: fold
-        the per-shard skyline trees — the retained tree for every shard
-        whose version is unchanged since the last merge, the fresh
-        snapshot tree for each shard that published — with
-        ``zmerge_all(..., consume=False)``.  Snapshot trees are shared
-        with shard readers, so the non-consuming fold (which clones via
-        the stored Z-addresses, never re-encoding) is mandatory, and it
-        is also what makes re-merges *incremental*: unchanged shards
-        cost a cheap clone instead of a full candidate re-encode."""
-        sub_vector = {sid: int(vector[sid]) for sid in snaps}
+        The per-shard skyline trees are shared with shard readers, so
+        they are folded with ``zmerge_all(..., consume=False)``, which
+        clones them via the stored Z-addresses (never re-encoding)."""
+        sub_vector = _sub_vector(vector, snaps)
+        full = Query.full(self.name)
         cache = self._merge_cache
         if cache is not None:
-            entry = cache.get(sub_vector, lost)
-            if entry is not None:
-                return entry
-        trees = []
-        reused = 0
-        fresh = 0
-        for sid in sorted(snaps):
-            snap = snaps[sid]
-            if cache is not None:
-                tree, was_reused = cache.shard_tree(
-                    sid, sub_vector[sid], snap.sky_tree
-                )
-            else:
-                tree, was_reused = snap.sky_tree, False
-            if tree.root is None:
-                continue
-            trees.append(tree)
-            if was_reused:
-                reused += 1
-            else:
-                fresh += 1
+            cached = cache.get(sub_vector, lost, full)
+            if cached is not None:
+                return cached
+        trees = [
+            snaps[sid].sky_tree
+            for sid in sorted(snaps)
+            if snaps[sid].sky_tree.root is not None
+        ]
         if trees:
             merged = zmerge_all(trees, OpCounter(), consume=False)
             _zs, pts, ids = merged.collect()
             pts, ids = _by_id(pts, ids)
         else:
-            d = self.codec.dimensions
-            pts = np.empty((0, d), dtype=np.float64)
-            ids = np.empty(0, dtype=np.int64)
-        pts, ids, masked = self._mask_lost(pts, ids, list(lost))
-        entry = MergedSkyline(
-            vector=sub_vector,
-            lost=tuple(sorted(int(s) for s in lost)),
-            points=pts,
-            ids=ids,
-            masked=masked,
-        )
+            pts, ids = self._empty()
+        pts, ids, masked = self._mask_lost(pts, ids, lost)
+        payload = _Payload(points=pts, ids=ids, masked=masked)
         if cache is not None:
-            cache.store(entry)
-            cache.note_merge(reused, fresh)
-        return entry
-
-    def _merged_union(
-        self, entry: MergedSkyline, snaps: Dict[int, Snapshot]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Alive union for the entry's vector, computed once and shared
-        by every later query on the same vector (a benign write race
-        recomputes identical arrays)."""
-        if entry.union_ids is None or entry.union_points is None:
-            entry.union_points, entry.union_ids = self._alive_union(snaps)
-        return entry.union_points, entry.union_ids
-
-    def _result_key(
-        self,
-        vector: Dict[int, int],
-        lost: List[int],
-        request: Query,
-    ) -> Tuple[str, int, str]:
-        """Coordinator answer-cache key.  The full vector (not just its
-        sum) plus the lost set is part of the fingerprint: vectors with
-        equal sums but different shard states must never collide."""
-        vec = ",".join(f"{sid}:{v}" for sid, v in sorted(vector.items()))
-        lost_part = ",".join(str(sid) for sid in sorted(lost))
-        return ResultCache.make_key(
-            self.name,
-            sum(vector.values()),
-            f"{vec}|{lost_part}|{request.fingerprint()}",
-        )
-
-    def _store_result(
-        self,
-        vector: Dict[int, int],
-        lost: List[int],
-        request: Query,
-        payload: _Payload,
-        masked: int,
-    ) -> None:
-        if self._result_cache is None:
-            return
-        self._result_cache.store(
-            self._result_key(vector, lost, request),
-            _CachedAnswer(payload=payload, masked=int(masked)),
-        )
-
-    def _merged_skyline_size(self) -> int:
-        vector, snaps, alive, _lost = self._pin()
-        sub_vector = {shard.sid: vector[shard.sid] for shard in alive}
-        return self._merged_entry(sub_vector, snaps, []).size
+            cache.store(sub_vector, lost, full, payload)
+        return payload
 
     # ------------------------------------------------------------------
     # public query path
@@ -897,110 +835,36 @@ class ShardedSkylineService:
         self._maybe_heartbeat(op)
         started = monotonic()
         vector, snaps, alive, lost = self._pin()
-        payloads: List[Tuple[int, _Payload]]
-        masked = 0
-        cached = False
-        queue_wait = 0.0
-        if request.kind in ("full", "subspace", "topk"):
-            # Coordinator fast path: the pinned vector (+ lost set) is
-            # the cache identity.  A hit skips the scatter entirely —
-            # the cached merge was computed from the exact same shard
-            # states, so the answer is bit-identical by construction.
-            pin_vector = {shard.sid: vector[shard.sid] for shard in alive}
-            payload = None
-            if request.kind == "full":
-                if self._merge_cache is not None:
-                    entry = self._merge_cache.get(pin_vector, lost)
-                    if entry is not None:
-                        payload = _Payload(
-                            points=entry.points, ids=entry.ids
-                        )
-                        masked = entry.masked
-                        cached = True
-            elif self._result_cache is not None:
-                hit, value = self._result_cache.lookup(
-                    self._result_key(pin_vector, lost, request)
+        if request.kind == "explain" and request.point_id is not None:
+            owner = self._owner.get(int(request.point_id))
+            if owner is not None and owner in lost:
+                raise ShardDownError(
+                    f"point id {request.point_id} lives on down shard "
+                    f"{owner} of {self.name!r}",
+                    dataset=self.name, shard=owner,
+                    terminal=self._shards[owner].terminal,
+                    retry_after_seconds=(
+                        self.config.breaker_cooldown_seconds
+                    ),
                 )
-                if hit:
-                    payload = value.payload
-                    masked = value.masked
-                    cached = True
-            if payload is None:
-                sub_query = (
-                    Query.full(
-                        self.name, timeout_seconds=request.timeout_seconds
-                    )
-                    if request.kind == "topk"
-                    else request
-                )
-                payloads, newly_lost, cached = self._scatter(
-                    sub_query, alive, snaps, op
-                )
-                lost = sorted(lost + newly_lost)
-                answered = {sid for sid, _ in payloads}
-                snaps = {
-                    sid: snap
-                    for sid, snap in snaps.items()
-                    if sid in answered
-                }
-                merged_vector = {sid: vector[sid] for sid in answered}
-                if request.kind == "full":
-                    entry = self._merged_entry(merged_vector, snaps, lost)
-                    masked = entry.masked
-                    payload = _Payload(points=entry.points, ids=entry.ids)
-                elif request.kind == "subspace":
-                    candidates = [
-                        (p.points, p.ids) for _sid, p in payloads
-                    ]
-                    pts, ids = self._union_candidates(candidates)
-                    if ids.shape[0]:
-                        pts, ids = subspace_skyline(
-                            pts, list(request.dims), ids=ids
-                        )
-                    pts, ids = _by_id(pts, ids)
-                    pts, ids, masked = self._mask_lost(
-                        pts, ids, lost, dims=list(request.dims)
-                    )
-                    payload = _Payload(points=pts, ids=ids)
-                    self._store_result(
-                        merged_vector, lost, request, payload, masked
-                    )
-                else:
-                    entry = self._merged_entry(merged_vector, snaps, lost)
-                    masked = entry.masked
-                    payload = self._exec_topk_merged(
-                        request, entry.points, entry.ids, snaps, entry
-                    )
-                    self._store_result(
-                        merged_vector, lost, request, payload, masked
-                    )
-        elif request.kind == "kdominant":
-            pin_vector = {shard.sid: vector[shard.sid] for shard in alive}
-            payload = None
-            if self._result_cache is not None:
-                hit, value = self._result_cache.lookup(
-                    self._result_key(pin_vector, lost, request)
-                )
-                if hit:
-                    payload = value.payload
-                    masked = value.masked
-                    cached = True
-            if payload is None:
-                pts, ids = self._alive_union(snaps)
-                if ids.shape[0]:
-                    pts, ids = k_dominant_skyline(pts, request.k, ids=ids)
-                pts, ids = _by_id(pts, ids)
-                pts, ids, masked = self._mask_lost(
-                    pts, ids, lost, k=request.k
-                )
-                payload = _Payload(points=pts, ids=ids)
-                self._store_result(
-                    pin_vector, lost, request, payload, masked
-                )
-        else:  # explain
-            payload = self._exec_explain_union(request, snaps, lost)
+        # The pinned vector (+ lost set) is the cache identity: a hit
+        # skips the scatter, and was computed from the exact same shard
+        # states, so the answer is bit-identical by construction.
+        cache = self._merge_cache
+        payload = (
+            cache.get(_sub_vector(vector, snaps), lost, request)
+            if cache is not None
+            else None
+        )
+        cached = payload is not None
+        if payload is None:
+            payload, snaps, lost = self._execute(
+                request, vector, snaps, alive, lost, op
+            )
+            if cache is not None:
+                cache.store(_sub_vector(vector, snaps), lost, request, payload)
         certificate = self._logical_certificate(
-            vector, lost, masked, alive
+            vector, snaps, lost, payload.masked
         )
         if certificate["kind"] == "partial":
             self._count("shard_queries_partial")
@@ -1029,25 +893,57 @@ class ShardedSkylineService:
             explanation=payload.explanation,
             live_member=None,
             cached=cached,
-            queue_wait_seconds=queue_wait,
+            queue_wait_seconds=0.0,
             service_seconds=monotonic() - started,
             certificate=certificate,
         )
 
-    def _union_candidates(
-        self, candidates: List[Tuple[np.ndarray, np.ndarray]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        nonempty = [(p, i) for p, i in candidates if i.shape[0]]
-        if not nonempty:
-            d = self.codec.dimensions
-            return (
-                np.empty((0, d), dtype=np.float64),
-                np.empty(0, dtype=np.int64),
+    def _execute(
+        self,
+        request: Query,
+        vector: Dict[int, int],
+        snaps: Dict[int, Snapshot],
+        alive: List[_Shard],
+        lost: List[int],
+        op: int,
+    ) -> Tuple[_Payload, Dict[int, Snapshot], List[int]]:
+        """Compute one answer with the single service's executor on the
+        pinned :class:`LogicalSnapshot`, then certify it against the
+        lost shards.
+
+        ``full``/``topk`` scatter a full sub-query and ``subspace`` its
+        own (the shards answer from their caches; the scatter is also
+        where mid-query shard loss is detected); subspace then runs on
+        the union of the gathered candidates.  Returns ``(payload,
+        answering snapshots, lost sids)``."""
+        union = None
+        if request.kind in ("full", "subspace", "topk"):
+            sub_query = (
+                Query.full(self.name, timeout_seconds=request.timeout_seconds)
+                if request.kind == "topk"
+                else request
             )
-        return (
-            np.vstack([p for p, _ in nonempty]),
-            np.concatenate([i for _, i in nonempty]),
-        )
+            payloads, newly_lost = self._scatter(sub_query, alive, snaps, op)
+            lost = sorted(lost + newly_lost)
+            snaps = {sid: snaps[sid] for sid, _ in payloads}
+            if request.kind == "subspace":
+                union = self._union_candidates(
+                    [(p.points, p.ids) for _sid, p in payloads]
+                )
+        view = LogicalSnapshot(self, vector, snaps, lost, union)
+        payload = execute_on_snapshot(request, view)
+        if request.kind == "subspace":
+            pts, ids, masked = self._mask_lost(
+                payload.points, payload.ids, lost, dims=list(request.dims)
+            )
+        elif request.kind == "kdominant":
+            pts, ids, masked = self._mask_lost(
+                payload.points, payload.ids, lost, k=request.k
+            )
+        else:
+            masked = view.masked if request.kind in ("full", "topk") else 0
+            return replace(payload, masked=masked), snaps, lost
+        return _Payload(points=pts, ids=ids, masked=masked), snaps, lost
 
     def _mask_lost(
         self,
@@ -1080,129 +976,37 @@ class ShardedSkylineService:
         out_ids.setflags(write=False)
         return pts, out_ids, int(mask.sum())
 
-    def _exec_topk_merged(
-        self,
-        request: Query,
-        sky_pts: np.ndarray,
-        sky_ids: np.ndarray,
-        snaps: Dict[int, Snapshot],
-        entry: Optional[MergedSkyline] = None,
-    ) -> _Payload:
-        """Mirror of the single service's topk executor over the merged
-        (already id-sorted) skyline; dominance/representative scores
-        count over the alive union — both are order-invariant counts,
-        so feeding the id-sorted union matches the single service
-        bit-for-bit.  With a merge-cache ``entry`` the union is
-        memoised on it, shared by every query pinned to the vector."""
-
-        def union() -> Tuple[np.ndarray, np.ndarray]:
-            if entry is not None:
-                return self._merged_union(entry, snaps)
-            return self._alive_union(snaps)
-
-        if sky_ids.shape[0] == 0:
-            return _Payload(points=sky_pts, ids=sky_ids)
-        if request.method == "representative":
-            data_pts, _data_ids = union()
-            points, ids = top_k_skyline(
-                sky_pts, sky_ids, data_pts, request.k
-            )
-            scores = None
-        else:
-            data_pts = None
-            if request.method == "dominance":
-                data_pts, _data_ids = union()
-            points, ids, scores = rank_skyline(
-                sky_pts,
-                sky_ids,
-                dataset_points=data_pts,
-                method=request.method,
-                weights=request.weights,
-            )
-            points = points[: request.k]
-            ids = ids[: request.k]
-            scores = scores[: request.k].copy()
-            scores.setflags(write=False)
-        points = points.copy()
-        ids = ids.copy()
-        points.setflags(write=False)
-        ids.setflags(write=False)
-        return _Payload(points=points, ids=ids, scores=scores)
-
-    def _exec_explain_union(
-        self,
-        request: Query,
-        snaps: Dict[int, Snapshot],
-        lost: List[int],
-    ) -> _Payload:
-        data_pts, data_ids = self._alive_union(snaps)
-        if request.point_id is not None:
-            owner = self._owner.get(int(request.point_id))
-            if owner is not None and owner in lost:
-                shard = self._shards[owner]
-                raise ShardDownError(
-                    f"point id {request.point_id} lives on down shard "
-                    f"{owner} of {self.name!r}",
-                    dataset=self.name, shard=owner,
-                    terminal=shard.terminal,
-                    retry_after_seconds=(
-                        self.config.breaker_cooldown_seconds
-                    ),
-                )
-            row = np.flatnonzero(data_ids == int(request.point_id))
-            if row.shape[0] == 0:
-                raise DatasetError(
-                    f"point id {request.point_id} is not alive in "
-                    f"{self.name!r}"
-                )
-            point = data_pts[int(row[0])]
-        else:
-            point = np.asarray(request.point, dtype=np.float64)
-            if point.shape != (self.codec.dimensions,):
-                raise DatasetError(
-                    f"explain point must be {self.codec.dimensions}-D"
-                )
-        explanation = why_not(point, data_pts, data_ids)
-        dom_points, dom_ids = _by_id(
-            explanation.dominator_points, explanation.dominator_ids
-        )
-        explanation = WhyNotExplanation(
-            point=explanation.point,
-            is_skyline_member=explanation.is_skyline_member,
-            dominator_points=dom_points,
-            dominator_ids=dom_ids,
-            single_dimension_fixes=dict(
-                explanation.single_dimension_fixes
-            ),
-        )
-        return _Payload(
-            points=dom_points, ids=dom_ids, explanation=explanation
-        )
-
     def _logical_certificate(
         self,
         vector: Dict[int, int],
+        snaps: Dict[int, Snapshot],
         lost: List[int],
         masked: int,
-        alive: List[_Shard],
     ) -> Dict[str, Any]:
-        """Provenance of a gathered answer.  ``partial`` when any shard
-        is certified away (the certificate then carries the floors a
-        verifier needs); ``stale`` when some shard served a bounded-
-        staleness snapshot (its writer is down); ``fresh`` otherwise."""
+        """Provenance of a gathered answer: the worst of the single
+        service's certificates over the answering shard snapshots
+        (``stale`` while a shard's writer is down, ``partial`` on a
+        snapshot whose WAL replay dropped a torn tail), and ``partial``
+        when any shard is certified away (the certificate then carries
+        the floors a verifier needs)."""
         kind = "fresh"
         stale_shards: List[int] = []
-        for shard in alive:
-            if shard.registry is None:
+        partial_shards: List[int] = []
+        for sid in sorted(snaps):
+            registry = self._shards[sid].registry
+            if registry is None:
                 continue
             try:
-                status = shard.registry.writer_status(self.name)
+                status = registry.writer_status(self.name)
             except DatasetError:
                 continue
-            if status["writer_down"]:
-                stale_shards.append(shard.sid)
-        if stale_shards:
-            kind = "stale"
+            shard_cert = snapshot_certificate(snaps[sid], status)
+            if shard_cert.get("writer_down"):
+                stale_shards.append(sid)
+            if shard_cert["kind"] == "partial":
+                partial_shards.append(sid)
+            if _SEVERITY[shard_cert["kind"]] > _SEVERITY[kind]:
+                kind = shard_cert["kind"]
         if lost:
             kind = "partial"
         certificate: Dict[str, Any] = {
@@ -1214,6 +1018,8 @@ class ShardedSkylineService:
         }
         if stale_shards:
             certificate["stale_shards"] = stale_shards
+        if partial_shards:
+            certificate["partial_shards"] = partial_shards
         if lost:
             certificate["scope"] = "shards"
             certificate["lost_shards"] = list(lost)
@@ -1388,18 +1194,18 @@ class ShardedSkylineService:
     # registry-view / introspection
     # ------------------------------------------------------------------
     def _logical_snapshot(self, name: str) -> LogicalSnapshot:
+        """The registry view: every up shard pinned (no breaker gating —
+        this is introspection, not a query), down shards masked as
+        lost."""
         self._check_dataset(name)
-        with self._write_lock:
-            version = sum(self._vector.values())
-            ids = np.fromiter(sorted(self._owner), dtype=np.int64)
-        return LogicalSnapshot(
-            dataset=self.name,
-            version=version,
-            codec=self.codec,
-            ids=ids,
-            size=int(ids.shape[0]),
-            _router=self,
-        )
+        up = [
+            self._shards[sid]
+            for sid in sorted(self._shards)
+            if self._shards[sid].registry is not None
+        ]
+        vector, snaps = self._pin_snapshots(up)
+        lost = [sid for sid in sorted(self._shards) if sid not in snaps]
+        return LogicalSnapshot(self, vector, snaps, lost)
 
     def ping(self, dataset: str) -> int:
         self._check_dataset(dataset)
@@ -1473,11 +1279,6 @@ class ShardedSkylineService:
             "merge_cache": (
                 self._merge_cache.stats()
                 if self._merge_cache is not None
-                else None
-            ),
-            "result_cache": (
-                self._result_cache.stats()
-                if self._result_cache is not None
                 else None
             ),
         }

@@ -284,6 +284,9 @@ class _Payload:
     ids: np.ndarray
     scores: Optional[np.ndarray] = None
     explanation: Optional[WhyNotExplanation] = None
+    #: rows the shard router's lost-shard floor mask removed (always 0
+    #: for a single service)
+    masked: int = 0
 
 
 @dataclass
@@ -658,7 +661,13 @@ class SkylineService:
                     )
                 except DatasetError:
                     live_member = False
-            certificate = self._certificate(query.dataset, snapshot)
+            certificate = snapshot_certificate(
+                snapshot, self.registry.writer_status(query.dataset)
+            )
+            if certificate["kind"] != "fresh" and self.metrics is not None:
+                self.metrics.inc(
+                    SERVING_GROUP, f"queries_{certificate['kind']}"
+                )
             span.update(
                 cached=cached,
                 rows=int(payload.ids.shape[0]),
@@ -680,38 +689,6 @@ class SkylineService:
             )
         finally:
             span.finish()
-
-    def _certificate(
-        self, dataset: str, snapshot: Snapshot
-    ) -> Dict[str, Any]:
-        """Degradation-ladder certificate for an answer computed on
-        ``snapshot``: ``fresh`` (healthy writer) → ``stale`` (writer
-        down; answer is exact for the last published version) →
-        ``partial`` (post-recovery snapshot whose WAL replay dropped a
-        torn, unacknowledged tail batch)."""
-        status = self.registry.writer_status(dataset)
-        meta = snapshot.meta
-        if meta.get("dropped_tail"):
-            kind = "partial"
-        elif status["writer_down"]:
-            kind = "stale"
-        else:
-            kind = "fresh"
-        certificate: Dict[str, Any] = {
-            "kind": kind,
-            "version": snapshot.version,
-        }
-        if status["writer_down"]:
-            certificate["writer_down"] = True
-            certificate["pending_batches"] = status["pending_batches"]
-            certificate["published_version"] = status["published_version"]
-        if meta.get("recovered"):
-            certificate["recovered"] = True
-            if meta.get("dropped_tail"):
-                certificate["dropped_batches"] = meta["dropped_tail"]
-        if kind != "fresh" and self.metrics is not None:
-            self.metrics.inc(SERVING_GROUP, f"queries_{kind}")
-        return certificate
 
     def _payload_for(
         self, query: Query, snapshot: Snapshot
@@ -792,6 +769,39 @@ class SkylineService:
         if exc.applied:
             return recovered
         return self._apply_mutation(mutation)
+
+
+def snapshot_certificate(
+    snapshot: Snapshot, writer_status: Dict[str, Any]
+) -> Dict[str, Any]:
+    """Degradation-ladder certificate for an answer computed on
+    ``snapshot``: ``fresh`` (healthy writer) → ``stale`` (writer down;
+    answer is exact for the last published version) → ``partial``
+    (post-recovery snapshot whose WAL replay dropped a torn,
+    unacknowledged tail batch).  ``writer_status`` is the registry's
+    :meth:`~repro.serving.registry.DatasetRegistry.writer_status`."""
+    meta = snapshot.meta
+    if meta.get("dropped_tail"):
+        kind = "partial"
+    elif writer_status["writer_down"]:
+        kind = "stale"
+    else:
+        kind = "fresh"
+    certificate: Dict[str, Any] = {
+        "kind": kind,
+        "version": snapshot.version,
+    }
+    if writer_status["writer_down"]:
+        certificate["writer_down"] = True
+        certificate["pending_batches"] = writer_status["pending_batches"]
+        certificate["published_version"] = writer_status[
+            "published_version"
+        ]
+    if meta.get("recovered"):
+        certificate["recovered"] = True
+        if meta.get("dropped_tail"):
+            certificate["dropped_batches"] = meta["dropped_tail"]
+    return certificate
 
 
 # ----------------------------------------------------------------------
@@ -907,9 +917,10 @@ def execute_on_snapshot(query: Query, snapshot: Snapshot) -> _Payload:
 
     This is the service's own compute path minus queues, cache, and
     certificates — a pure function of ``(query, snapshot)`` producing
-    the identical canonical payload.  The shard router uses it to
-    recompute a sub-answer against a version-vector-pinned snapshot
-    when a shard's live answer arrived at a different version.
+    the identical canonical payload.  The shard router runs every query
+    kind through it on its pinned logical view, and recomputes a
+    sub-answer against a version-vector-pinned shard snapshot when a
+    shard's live answer arrived at a different version.
     """
     query.validate()
     return _EXECUTORS[query.kind](query, snapshot)

@@ -16,6 +16,7 @@ invariants checked are the serving layer's whole contract:
 from __future__ import annotations
 
 import threading
+from typing import Dict
 
 import numpy as np
 
@@ -140,6 +141,10 @@ class TestCacheCoherenceUnderWrites:
         registry.register("h", points)
         errors: list = []
         stop = threading.Event()
+        #: answers returned per version, so the writer can hold each
+        #: version until readers have repeated a kind on it
+        answered: Dict[int, int] = {}
+        progress = threading.Condition()
 
         queries = [
             Query.full("h"),
@@ -148,6 +153,8 @@ class TestCacheCoherenceUnderWrites:
             Query.topk("h", 4, method="sum"),
             Query.explain("h", point=[float(TOP - 1)] * DIMS),
         ]
+        # More answers per version than kinds: some kind repeats there.
+        per_version = 2 * len(queries)
 
         with SkylineService(registry) as service:
 
@@ -159,7 +166,15 @@ class TestCacheCoherenceUnderWrites:
                             0, TOP, size=(4, DIMS)
                         ).astype(np.float64)
                         ids = np.arange(5000 + 4 * step, 5004 + 4 * step)
-                        service.mutate(Mutation.insert("h", batch, ids))
+                        version = service.mutate(
+                            Mutation.insert("h", batch, ids)
+                        ).version
+                        with progress:
+                            progress.wait_for(
+                                lambda: errors
+                                or answered.get(version, 0) >= per_version,
+                                timeout=30,
+                            )
                 except Exception as exc:  # pragma: no cover
                     errors.append(exc)
                 finally:
@@ -196,6 +211,11 @@ class TestCacheCoherenceUnderWrites:
                     while not stop.is_set():
                         query = queries[int(rrng.integers(0, len(queries)))]
                         result = service.query(query)
+                        with progress:
+                            answered[result.version] = (
+                                answered.get(result.version, 0) + 1
+                            )
+                            progress.notify_all()
                         try:
                             # Re-fetch exactly the version the answer
                             # claims; it can age out of the retention
@@ -207,6 +227,8 @@ class TestCacheCoherenceUnderWrites:
                         check(result, query, snap)
                 except Exception as exc:  # pragma: no cover
                     errors.append(exc)
+                    with progress:
+                        progress.notify_all()
 
             writer_thread = threading.Thread(target=writer)
             readers = [

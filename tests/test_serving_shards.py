@@ -713,8 +713,8 @@ class TestClientFacade:
 class TestMergeCacheIdentity:
     """The cached read path is invisible except for being faster.
 
-    Every answer produced from the merge cache, the result cache, or an
-    incremental re-merge must be bit-identical to the uncached
+    Every answer produced from the coordinator cache or a re-merge
+    after a publish must be bit-identical to the uncached
     scatter-gather answer — which is itself bit-identical to a single
     unsharded service.
     """
@@ -734,7 +734,7 @@ class TestMergeCacheIdentity:
                 assert second.cached, query.kind
             stats = router.stats()
             assert stats["merge_cache"]["hits"] > 0
-            assert stats["result_cache"]["hits"] > 0
+            assert "result_cache" not in stats
 
     def test_single_shard_mutation_remerges_incrementally(self):
         rng = np.random.default_rng(71)
@@ -743,8 +743,7 @@ class TestMergeCacheIdentity:
         with _router(points, ids, 4) as router:
             router.query(Query.full("ds"))
             # Delete ids owned by exactly one shard: the other three
-            # shards keep their versions, so the re-merge should fold
-            # retained trees with fresh ones.
+            # shards keep their versions, one publishes.
             sid = sorted(router._shards)[0]
             victims = np.array(
                 [pid for pid, owner in router._owner.items()
@@ -756,17 +755,12 @@ class TestMergeCacheIdentity:
             single.mutate(mutation)
             got = router.query(Query.full("ds"))
             _assert_same_answer(got, single.query(Query.full("ds")))
-            stats = router.stats()["merge_cache"]
-            assert stats["incremental"] >= 1
-            assert stats["trees_reused"] >= 1
 
     def test_disabled_caches_still_identical(self):
         rng = np.random.default_rng(72)
         points, ids = _grid(rng, 250), np.arange(250, dtype=np.int64)
         single = _single(points, ids)
-        config = RouterConfig(
-            num_shards=3, merge_cache_entries=0, result_cache_entries=0
-        )
+        config = RouterConfig(num_shards=3, merge_cache_entries=0)
         with ShardedSkylineService(
             "ds", points, ids=ids, codec=CODEC, config=config,
             drift=DriftPolicy.never(),
@@ -774,15 +768,14 @@ class TestMergeCacheIdentity:
             for query in _all_variants():
                 got = router.query(query)
                 _assert_same_answer(got, single.query(query), query.kind)
+                assert not router.query(query).cached, query.kind
             stats = router.stats()
             assert stats["merge_cache"] is None
-            assert stats["result_cache"] is None
+            assert "result_cache" not in stats
 
     def test_negative_cache_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
             RouterConfig(merge_cache_entries=-1)
-        with pytest.raises(ConfigurationError):
-            RouterConfig(result_cache_entries=-1)
 
     def test_mutation_invalidates_via_version_vector(self):
         rng = np.random.default_rng(73)
@@ -805,9 +798,16 @@ class TestMergeCacheIdentity:
 
 class TestMergeCacheSemantics:
     """Version-vector keying on the cache object itself: a publish on
-    one shard invalidates exactly the keys containing that shard's old
-    version, and a reader pinned to an old vector keeps seeing its own
-    merge."""
+    one shard misses, a reader pinned to an old vector keeps hitting its
+    own entry, and a lost-shard set gets its own key."""
+
+    @staticmethod
+    def _answer(rng):
+        from repro.serving.service import _Payload
+
+        return _Payload(
+            points=rng.random((2, 3)), ids=np.arange(2, dtype=np.int64)
+        )
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -820,58 +820,108 @@ class TestMergeCacheSemantics:
     def test_publish_invalidates_exactly_affected_keys(
         self, seed, shards, publishes
     ):
-        from repro.serving import MergeCache, MergedSkyline
+        from repro.serving import MergeCache
 
         rng = np.random.default_rng(seed)
         cache = MergeCache(max_entries=64)
+        query = Query.full("ds")
         vector = {sid: 1 for sid in range(shards)}
-
-        def entry_for(vec):
-            pts = rng.random((2, 3))
-            return MergedSkyline(
-                vector=dict(vec), lost=(),
-                points=pts,
-                ids=np.arange(2, dtype=np.int64),
-            )
-
         stored = {}
-        first = entry_for(vector)
-        cache.store(first)
-        stored[cache.key(vector, ())] = first
+        first = self._answer(rng)
+        cache.store(vector, (), query, first)
+        stored[tuple(sorted(vector.items()))] = first
         for publish in publishes:
             sid = publish % shards
             old_vector = dict(vector)
             vector[sid] += 1
             # Pinned read: the old vector still answers from its own
-            # merge — a newer publish never leaks into it.
-            old_key = cache.key(old_vector, ())
-            if old_key in stored:
-                got = cache.get(old_vector, ())
-                assert got is stored[old_key]
-            # The new vector has no entry until someone merges it.
-            assert cache.get(vector, ()) is None
-            fresh = entry_for(vector)
-            cache.store(fresh)
-            stored[cache.key(vector, ())] = fresh
-            assert cache.get(vector, ()) is fresh
+            # entry — a newer publish never leaks into it.
+            assert cache.get(old_vector, (), query) is stored[
+                tuple(sorted(old_vector.items()))
+            ]
+            # The new vector has no entry until someone computes it.
+            assert cache.get(vector, (), query) is None
+            fresh = self._answer(rng)
+            cache.store(vector, (), query, fresh)
+            stored[tuple(sorted(vector.items()))] = fresh
+            assert cache.get(vector, (), query) is fresh
+            # Other kinds at the same vector are separate entries.
+            assert cache.get(vector, (), Query.kdominant("ds", 2)) is None
 
     def test_lost_shards_get_their_own_key(self):
-        from repro.serving import MergeCache, MergedSkyline
+        from repro.serving import MergeCache
+
+        rng = np.random.default_rng(0)
+        cache = MergeCache(max_entries=8)
+        query = Query.full("ds")
+        vector = {0: 3, 1: 5}
+        whole, partial = self._answer(rng), self._answer(rng)
+        cache.store(vector, (), query, whole)
+        cache.store(vector, (1,), query, partial)
+        assert cache.get(vector, (), query) is whole
+        assert cache.get(vector, (1,), query) is partial
+        assert cache.stats()["hits"] == 2
+
+    def test_equal_vector_sums_do_not_collide(self):
+        from repro.serving import MergeCache
 
         cache = MergeCache(max_entries=8)
-        vector = {0: 3, 1: 5}
-        whole = MergedSkyline(
-            vector=dict(vector), lost=(),
-            points=np.zeros((1, 2)), ids=np.array([7], dtype=np.int64),
-        )
-        partial = MergedSkyline(
-            vector=dict(vector), lost=(1,),
-            points=np.ones((1, 2)), ids=np.array([9], dtype=np.int64),
-        )
-        cache.store(whole)
-        cache.store(partial)
-        assert cache.get(vector, ()) is whole
-        assert cache.get(vector, (1,)) is partial
+        query = Query.full("ds")
+        cache.store({0: 2, 1: 1}, (), query, self._answer(
+            np.random.default_rng(1)
+        ))
+        assert cache.get({0: 1, 1: 2}, (), query) is None
+
+
+class TestRouterProvenance:
+    """``cached`` and the certificate describe the router's own answer."""
+
+    def test_cached_flag_means_the_router_cache_answered(self):
+        rng = np.random.default_rng(80)
+        points, ids = _grid(rng, 200), np.arange(200, dtype=np.int64)
+        single = _single(points, ids)
+        topk = Query.topk("ds", k=5, method="dominance")
+        with _router(points, ids, 2) as router:
+            for service in (router, single):
+                service.mutate(
+                    Mutation.insert("ds", _grid(rng, 1), [5000])
+                )
+                assert not service.query(Query.full("ds")).cached
+                # Freshly ranked, although every shard sub-query the
+                # router scatters for it is a shard-cache hit.
+                assert not service.query(topk).cached
+                assert service.query(topk).cached
+
+    def test_torn_tail_on_failed_over_shard_certifies_partial(
+        self, tmp_path
+    ):
+        rng = np.random.default_rng(81)
+        points, ids = _grid(rng, 300), np.arange(300, dtype=np.int64)
+        plan = ServingFaultPlan(seed=5, scripted_shard_crashes={2: 3})
+        with _router(
+            points, ids, 4,
+            durability_dir=str(tmp_path),
+            fault_plan=plan,
+            cooldown=0.02,
+        ) as router:
+            for _ in range(3):  # op 3: shard 2 crashes
+                router.query(Query.full("ds"))
+            assert router.shard_states()[2]["down"]
+            with open(tmp_path / "shard-2" / "ds" / "wal.log", "ab") as wal:
+                wal.write(b'00000000 {"torn')
+            time.sleep(0.03)  # past the breaker cooldown
+            result = router.query(Query.full("ds"))  # fails over
+            assert not router.shard_states()[2]["down"]
+            snap = router._shards[2].registry.snapshot("ds")
+            assert snap.meta["dropped_tail"] == 1
+            cert = result.certificate
+            assert cert["kind"] == "partial"
+            assert cert["partial_shards"] == [2]
+            assert "lost_shards" not in cert
+            # Cache hits are certified per request the same way.
+            again = router.query(Query.full("ds"))
+            assert again.cached
+            assert again.certificate == cert
 
 
 # ----------------------------------------------------------------------
