@@ -20,6 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.exceptions import DatasetError
+from repro.extensions._pairwise import dominance_blocks
 from repro.zorder.zbtree import OpCounter
 
 
@@ -48,19 +49,11 @@ def k_dominated_mask(
     pts = np.asarray(points, dtype=np.float64)
     n, d = pts.shape
     _validate_k(k, d)
-    counter = counter if counter is not None else OpCounter()
     dominated = np.zeros(n, dtype=bool)
-    for start in range(0, n, chunk):
-        block = pts[start : start + chunk]
-        counter.point_tests += block.shape[0] * n
-        # le_counts[i, j] = #dims where pts[j] <= block[i]
-        le_mat = pts[None, :, :] <= block[:, None, :]
-        lt_mat = pts[None, :, :] < block[:, None, :]
-        le_counts = le_mat.sum(axis=2)
-        strict_any = (le_mat & lt_mat).any(axis=2)
-        dom = (le_counts >= k) & strict_any
-        # A row never k-dominates itself (no strict dimension).
-        dominated[start : start + chunk] |= dom.any(axis=1)
+    # Chunks of dominators against every row; a row never k-dominates
+    # itself (no strict dimension).
+    for _start, le, lt in dominance_blocks(pts, pts, chunk, counter):
+        dominated |= ((le >= k) & lt).any(axis=0)
     return dominated
 
 

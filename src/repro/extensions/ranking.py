@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.exceptions import DatasetError
-from repro.core.point import dominates_block
+from repro.extensions._pairwise import dominance_blocks
 
 
 def dominance_scores(
@@ -27,10 +27,10 @@ def dominance_scores(
 ) -> np.ndarray:
     """Number of dataset points each skyline point dominates."""
     sky = np.asarray(skyline_points, dtype=np.float64)
-    data = np.asarray(dataset_points, dtype=np.float64)
+    d = sky.shape[1]
     scores = np.zeros(sky.shape[0], dtype=np.int64)
-    for i in range(sky.shape[0]):
-        scores[i] = int(dominates_block(sky[i], data).sum())
+    for start, le, lt in dominance_blocks(sky, dataset_points):
+        scores[start : start + le.shape[0]] = ((le == d) & lt).sum(axis=1)
     return scores
 
 
@@ -96,19 +96,20 @@ def top_k_skyline(
     if k <= 0:
         raise DatasetError(f"k must be positive; got {k}")
     k = min(k, sky.shape[0])
+    d = sky.shape[1]
+    coverage = np.zeros((sky.shape[0], data.shape[0]), dtype=bool)
+    for start, le, lt in dominance_blocks(sky, data):
+        coverage[start : start + le.shape[0]] = (le == d) & lt
     covered = np.zeros(data.shape[0], dtype=bool)
+    available = np.ones(sky.shape[0], dtype=bool)
     chosen: list = []
-    coverage = [dominates_block(sky[i], data) for i in range(sky.shape[0])]
-    remaining = list(range(sky.shape[0]))
     for _ in range(k):
-        best_pos, best_gain = None, -1
-        for pos in remaining:
-            gain = int((coverage[pos] & ~covered).sum())
-            if gain > best_gain:
-                best_pos, best_gain = pos, gain
-        assert best_pos is not None
-        chosen.append(best_pos)
-        covered |= coverage[best_pos]
-        remaining.remove(best_pos)
+        # Ties go to the lowest remaining position (argmax is first-max).
+        gains = (coverage & ~covered).sum(axis=1)
+        gains[~available] = -1
+        best = int(np.argmax(gains))
+        chosen.append(best)
+        covered |= coverage[best]
+        available[best] = False
     idx = np.asarray(chosen, dtype=np.int64)
     return sky[idx].copy(), ids[idx].copy()

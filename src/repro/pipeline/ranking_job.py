@@ -21,7 +21,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.dataset import Dataset
-from repro.core.point import dominates_block
+from repro.extensions.ranking import dominance_scores
 from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.job import JobResult, MapReduceJob, TaskContext
@@ -35,10 +35,8 @@ _SCORE_KEY = 0
 def _make_ranking_job() -> MapReduceJob:
     def mapper(block: Block, ctx: TaskContext) -> Iterable[Tuple[int, Block]]:
         skyline: np.ndarray = ctx.cache.get(_CACHE_SKYLINE)
-        counts = np.zeros(skyline.shape[0], dtype=np.int64)
-        for i in range(skyline.shape[0]):
-            ctx.ops.point_tests += block.size
-            counts[i] = int(dominates_block(skyline[i], block.points).sum())
+        ctx.ops.point_tests += skyline.shape[0] * block.size
+        counts = dominance_scores(skyline, block.points)
         # Ship the count vector as a 1-column block (ids = positions).
         yield _SCORE_KEY, Block(
             np.arange(skyline.shape[0], dtype=np.int64),

@@ -13,11 +13,11 @@ of the whole logical dataset:
 * its skyline is the per-shard (dominance-free) skylines folded with
   the paper's Z-merge (:func:`~repro.zorder.zmerge.zmerge_all`),
   yielding exactly the global skyline (``full``, and ``topk`` ranks
-  over it);
+  over it; ``kdominant`` computes on it, since the k-dominant skyline
+  of a set is that of its skyline, so its view is never floor-masked);
 * its alive set is the id-sorted union of the shard snapshots
-  (k-dominance is **not transitive**, so ``kdominant`` does not
-  decompose and computes on the union; ``explain`` and the top-k
-  dominance/representative scores count over it);
+  (``explain`` and the top-k dominance/representative scores count
+  over it);
 * ``subspace`` runs on a view of the union of per-shard subspace
   candidates (membership survives against fewer competitors, so the
   union of local answers always contains the global one).
@@ -930,7 +930,12 @@ class ShardedSkylineService:
                 union = self._union_candidates(
                     [(p.points, p.ids) for _sid, p in payloads]
                 )
-        view = LogicalSnapshot(self, vector, snaps, lost, union)
+        # k-dominant runs on the view's skyline, which must be the exact
+        # skyline of the live union: its view is the unmasked Z-merge
+        # (cached under the live shards' own sub-vector key), and the
+        # lost-floor k-mask below certifies the answer.
+        view_lost = [] if request.kind == "kdominant" else lost
+        view = LogicalSnapshot(self, vector, snaps, view_lost, union)
         payload = execute_on_snapshot(request, view)
         if request.kind == "subspace":
             pts, ids, masked = self._mask_lost(
@@ -1171,15 +1176,8 @@ class ShardedSkylineService:
         shard).  None = nothing left for this shard."""
         assert shard.registry is not None
         snap = shard.registry.snapshot(self.name)
-        if kind == "insert":
-            fresh = np.array(
-                [snap.row_of(int(pid)) is None for pid in ids], dtype=bool
-            )
-        else:
-            fresh = np.array(
-                [snap.row_of(int(pid)) is not None for pid in ids],
-                dtype=bool,
-            )
+        alive = np.isin(ids, snap.ids)
+        fresh = ~alive if kind == "insert" else alive
         if fresh.all():
             return pts, ids
         self._count("mutations_resumed")

@@ -6,8 +6,8 @@ One service instance serves typed queries over the datasets of a
 * ``full`` — the maintained skyline of the snapshot;
 * ``subspace`` — skyline over a dimension subset
   (:func:`repro.extensions.subspace.subspace_skyline`);
-* ``kdominant`` — the k-dominant skyline
-  (:func:`repro.extensions.kdominant.k_dominant_skyline`);
+* ``kdominant`` — the k-dominant skyline, computed on the snapshot
+  skyline (:func:`repro.extensions.kdominant.k_dominant_skyline`);
 * ``topk`` — ranked/representative top-k over the skyline
   (:mod:`repro.extensions.ranking`);
 * ``explain`` — why-not explanation for a point or a stored id
@@ -835,10 +835,27 @@ def _exec_subspace(query: Query, snapshot: Snapshot) -> _Payload:
 
 
 def _exec_kdominant(query: Query, snapshot: Snapshot) -> _Payload:
-    if snapshot.size == 0:
+    """The k-dominant skyline, computed on the snapshot skyline alone:
+    for every ``k <= d``, KDSky(P) = KDSky(Sky(P)).
+
+    1. A point outside the skyline is dominated, so it is k-dominated
+       for every ``k <= d``: no non-skyline point is an answer.
+    2. Suppose ``q`` k-dominates ``p`` and ``q`` is not in the skyline.
+       Some skyline point ``s`` dominates ``q``.  Then ``s <= q <= p``
+       on ``q``'s k dimensions, and ``s_j <= q_j < p_j`` on ``q``'s
+       strict dimension ``j``, so ``s`` k-dominates ``p``: every
+       k-dominated skyline point has a k-dominator inside the skyline.
+
+    So k-dominance's non-transitivity never reaches past the skyline,
+    and the skyline serves as both candidates and dominators.  The
+    snapshot's ``sky_*`` must be the exact skyline of its alive set
+    (duplicates included); the router hands this executor an unmasked
+    view for that reason.
+    """
+    if snapshot.skyline_size == 0:
         return _exec_full(query, snapshot)
     points, ids = k_dominant_skyline(
-        snapshot.points, query.k, ids=snapshot.ids
+        snapshot.sky_points, query.k, ids=snapshot.sky_ids
     )
     points, ids = _by_id(points, ids)
     return _Payload(points=points, ids=ids)

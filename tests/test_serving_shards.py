@@ -27,6 +27,7 @@ from repro.core.exceptions import (
     ShardDownError,
 )
 from repro.core.skyline import skyline_indices_oracle
+from repro.extensions import k_dominant_skyline
 from repro.observability.metrics import MetricsRegistry
 from repro.serving import (
     DatasetRegistry,
@@ -315,6 +316,52 @@ class TestScatterGatherIdentity:
                 router.query(Query.full("other"))
 
 
+class TestIdempotentResume:
+    @staticmethod
+    def _digests(router):
+        return {
+            sid: shard.registry.snapshot("ds").state_digest()
+            for sid, shard in router._shards.items()
+        }
+
+    def test_resubmitted_multi_shard_insert_is_skipped(self):
+        rng = np.random.default_rng(13)
+        points = _grid(rng, 200)
+        ids = np.arange(200, dtype=np.int64)
+        first_pts = _grid(rng, 16)
+        first_ids = np.arange(500, 516, dtype=np.int64)
+        more_pts = _grid(rng, 6)
+        more_ids = np.arange(600, 606, dtype=np.int64)
+        metrics = MetricsRegistry()
+        with _router(points, ids, 4, metrics=metrics) as router, _router(
+            points, ids, 4
+        ) as reference:
+            spanned = len(router.map.split(first_pts, first_ids))
+            assert spanned >= 2
+            batch = Mutation.insert("ds", first_pts, first_ids)
+            router.mutate(batch)
+            applied = self._digests(router)
+            version = router.logical_version()
+
+            # A retry of an applied batch is skipped on every shard.
+            router.mutate(batch)
+            assert metrics.counter("serving", "mutations_resumed") == spanned
+            assert router.logical_version() == version
+            assert self._digests(router) == applied
+
+            # A retry carrying new rows applies only those.
+            router.mutate(
+                Mutation.insert(
+                    "ds",
+                    np.vstack([first_pts, more_pts]),
+                    np.concatenate([first_ids, more_ids]),
+                )
+            )
+            reference.mutate(batch)
+            reference.mutate(Mutation.insert("ds", more_pts, more_ids))
+            assert self._digests(router) == self._digests(reference)
+
+
 # ----------------------------------------------------------------------
 # certified partial answers
 # ----------------------------------------------------------------------
@@ -363,19 +410,31 @@ class TestCertifiedPartial:
             assert cert["masked"] == int((~keep).sum())
 
     def test_kdominant_partial_uses_k_mask(self):
-        rng = np.random.default_rng(21)
-        router, points, ids = self._crashed_router(rng)
-        with router:
-            k = D - 1
-            result = router.query(Query.kdominant("ds", k))
-            cert = result.certificate
-            assert cert["kind"] == "partial"
-            floors = np.asarray(cert["floors"], dtype=np.float64)
-            # nothing returned may be k-dominated by the lost floor
-            if result.ids.shape[0]:
-                assert not floor_k_dominated_mask(
-                    result.points, floors, k
-                ).any()
+        # Exact against brute force for every lost shard and every k:
+        # the k-dominant skyline of all alive rows, minus the rows the
+        # lost floor k-dominates, and the certificate counts exactly
+        # those masked rows.
+        for crash_sid in range(4):
+            rng = np.random.default_rng(21)
+            router, points, ids = self._crashed_router(rng, crash_sid)
+            alive = router.map.shard_of(points) != crash_sid
+            alive_pts, alive_ids = points[alive], ids[alive]
+            with router:
+                router.query(Query.full("ds"))  # op 1: crash fires
+                for k in range(1, D + 1):
+                    result = router.query(Query.kdominant("ds", k))
+                    cert = result.certificate
+                    assert cert["kind"] == "partial"
+                    assert cert["lost_shards"] == [crash_sid]
+                    floors = np.asarray(cert["floors"], dtype=np.float64)
+                    kd_pts, kd_ids = k_dominant_skyline(
+                        alive_pts, k, ids=alive_ids
+                    )
+                    mask = floor_k_dominated_mask(kd_pts, floors, k)
+                    np.testing.assert_array_equal(
+                        result.ids, np.sort(kd_ids[~mask])
+                    )
+                    assert cert["masked"] == int(mask.sum())
 
     def test_explain_on_lost_shard_point_raises_typed(self):
         rng = np.random.default_rng(22)
