@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.exceptions import DatasetError
-from repro.extensions._pairwise import dominance_blocks
+from repro.core.point import dominance_blocks
 from repro.zorder.zbtree import OpCounter
 
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.exceptions import DatasetError
-from repro.extensions._pairwise import dominance_blocks
+from repro.core.point import dominance_blocks
 
 
 def dominance_scores(

@@ -28,11 +28,35 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.algorithms.registry import get_algorithm
+from repro.algorithms.zs import zs_skyline
 from repro.mapreduce.job import MapReduceJob, TaskContext
 from repro.mapreduce.types import Block
 from repro.partitioning.base import DROPPED
 from repro.pipeline.plans import PlanConfig
 from repro.pipeline.preprocess import CACHE_CODEC, CACHE_RULE, CACHE_SZB_TREE
+
+
+def _local_skyline(
+    name: str, merged: Block, ctx: TaskContext
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Run the plan's local algorithm over a combined block.
+
+    Z-search builds its tree from the Z-addresses the mapper encoded
+    (carried on ``merged``) under the job's cached codec, instead of
+    re-encoding the block under a fresh identity codec.  Both give the
+    same Z-order and the same region boxes — a narrower identity codec
+    only drops leading zero levels — so answers and counters match.
+    """
+    algorithm = get_algorithm(name)
+    if algorithm is zs_skyline:
+        return zs_skyline(
+            merged.points,
+            merged.ids,
+            ctx.ops,
+            codec=ctx.cache.get(CACHE_CODEC),
+            zaddresses=merged.zaddresses,
+        )
+    return algorithm(merged.points, merged.ids, ctx.ops)
 
 
 def _carry_z(merged: Block, sky_ids: np.ndarray) -> Optional[np.ndarray]:
@@ -106,9 +130,8 @@ class Phase1Combiner:
     def __call__(
         self, gid: int, blocks: List[Block], ctx: TaskContext
     ) -> List[Block]:
-        algorithm = get_algorithm(self.local_algorithm)
         merged = Block.concat(blocks)
-        sky_points, sky_ids = algorithm(merged.points, merged.ids, ctx.ops)
+        sky_points, sky_ids = _local_skyline(self.local_algorithm, merged, ctx)
         ctx.counters.inc(
             "phase1", "combiner_pruned", merged.size - sky_points.shape[0]
         )
@@ -126,9 +149,8 @@ class Phase1Reducer:
     def __call__(
         self, gid: int, blocks: List[Block], ctx: TaskContext
     ) -> Block:
-        algorithm = get_algorithm(self.local_algorithm)
         merged = Block.concat(blocks)
-        sky_points, sky_ids = algorithm(merged.points, merged.ids, ctx.ops)
+        sky_points, sky_ids = _local_skyline(self.local_algorithm, merged, ctx)
         ctx.counters.inc("phase1", "candidates", sky_points.shape[0])
         # Per-group candidate counts — the distribution Figure 9 plots
         # (one histogram sample per reduce group).

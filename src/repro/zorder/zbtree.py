@@ -10,6 +10,20 @@ place and drops emptied nodes.  Regions are *not* recomputed after
 deletions: a stale region is a superset of the live one, which keeps every
 pruning test conservative and therefore safe (see the proofs in the method
 docstrings).
+
+Flat walks.  The batched dominator probe
+(:meth:`ZBTree.dominated_mask_tree`), the batched ``UDominate`` deletion
+(:meth:`ZBTree.remove_dominated_by_block`) and Z-search
+(:func:`repro.zorder.zsearch.zsearch`) do not visit nodes one at a time:
+each runs a few chunked passes of the pairwise kernel
+(:func:`repro.core.point.dominance_blocks`) over a :class:`FlatView`, a
+pre-order table of the current tree state that the tree caches and drops
+on any change.  Answers and :class:`OpCounter` charges are exactly those
+of a node-by-node walk of the same tree (the cost model reads the
+charges), computed in closed form: whether a walk reaches a node is a
+condition on its root path, and what it has decided by then depends only
+on the walk order, which pre-order positions encode (docs/INTERNALS.md
+§4).
 """
 
 from __future__ import annotations
@@ -20,7 +34,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.exceptions import ZOrderError
-from repro.core.point import block_dominates, dominates_block
+from repro.core.point import dominance_blocks, pairwise_dominance, rows_per_chunk
 from repro.zorder.encoding import ZGridCodec
 from repro.zorder.rzregion import RZRegion
 
@@ -97,7 +111,7 @@ class ZBLeaf:
 class ZBInternal:
     """Internal node: ordered children plus the covering RZ-region."""
 
-    __slots__ = ("children", "region", "_child_minpts")
+    __slots__ = ("children", "region")
 
     def __init__(
         self,
@@ -106,42 +120,11 @@ class ZBInternal:
         region: Optional[RZRegion] = None,
     ) -> None:
         self.children = children
-        self._child_minpts: Optional[np.ndarray] = None
         self.region = (
             region
             if region is not None
             else RZRegion(codec, children[0].data_minz, children[-1].data_maxz)
         )
-
-    def child_minpts(self) -> np.ndarray:
-        """Stacked ``(k, d)`` float64 matrix of child region min corners.
-
-        Cached so batched traversals pay the stacking cost once per node;
-        any mutation that reassigns ``children`` must call
-        :meth:`invalidate_child_cache`.
-        """
-        cached = self._child_minpts
-        if cached is None or cached.shape[0] != len(self.children):
-            cached = np.stack(
-                [child.region.minpt for child in self.children]
-            ).astype(np.float64)
-            self._child_minpts = cached
-        return cached
-
-    def invalidate_child_cache(self) -> None:
-        self._child_minpts = None
-
-    def __getstate__(self):
-        # The child-minpt cache is derived, process-local state: keeping
-        # it out of pickles makes equal-by-construction trees
-        # pickle-identical (the distributed cache's idempotent-republish
-        # check and the process pool's cache-bytes comparison rely on
-        # that), and shrinks what crosses the pool boundary.
-        return (self.children, self.region)
-
-    def __setstate__(self, state) -> None:
-        self.children, self.region = state
-        self._child_minpts = None
 
     @property
     def is_leaf(self) -> bool:
@@ -163,6 +146,132 @@ class ZBInternal:
 ZBNode = Union[ZBLeaf, ZBInternal]
 
 
+class FlatView:
+    """Pre-order table of one ZB-tree state, the input of the flat walks.
+
+    Row ``u`` describes the ``u``-th node of a pre-order traversal
+    (children in stored order), so the subtree of ``u`` is the row range
+    ``[u, end[u])`` and its points are ``points[pstart[u]:pstart[u] +
+    size[u]]`` — leaves in pre-order are the Z-order scan order of a
+    bulk-built tree.  Built by :meth:`ZBTree.flat` and cached there until
+    the next mutation.
+
+    Attributes
+    ----------
+    nodes:
+        The node objects, in pre-order.
+    minpt, maxpt:
+        ``(N, d)`` float64 region corners.
+    parent, depth, end, nchild:
+        Per-node parent row (``-1`` for the root), depth (root 0),
+        subtree end row and child count (0 for leaves).
+    is_leaf, size, pstart:
+        Leaf flags, points per subtree, and each subtree's first offset
+        into ``points``.
+    levels:
+        Row indices per depth ``1..height-1``, for path conditions.
+    points, ids, point_node:
+        Concatenated leaf points (float64) and ids in pre-order, and the
+        row of the leaf holding each point.
+    """
+
+    __slots__ = (
+        "nodes", "minpt", "maxpt", "parent", "depth", "end", "nchild",
+        "is_leaf", "size", "pstart", "levels", "points", "ids", "point_node",
+    )
+
+    def __init__(self, root: ZBNode) -> None:
+        nodes: List[ZBNode] = []
+        parent: List[int] = []
+        depth: List[int] = []
+        end: List[int] = []
+        pstart: List[int] = []
+        nchild: List[int] = []
+        leaves: List[ZBLeaf] = []
+        levels: List[List[int]] = []
+        offset = 0
+        # An int on the stack closes that row's subtree: every node
+        # pushed after it (its descendants) has been numbered by then.
+        stack: List[Union[Tuple[ZBNode, int, int], int]] = [(root, -1, 0)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, int):
+                end[item] = len(nodes)
+                continue
+            node, par, dep = item
+            row = len(nodes)
+            nodes.append(node)
+            parent.append(par)
+            depth.append(dep)
+            pstart.append(offset)
+            end.append(row + 1)
+            if dep >= len(levels):
+                levels.append([])
+            levels[dep].append(row)
+            if isinstance(node, ZBLeaf):
+                leaves.append(node)
+                nchild.append(0)
+                offset += node.size
+            else:
+                nchild.append(len(node.children))
+                stack.append(row)
+                stack.extend((child, row, dep + 1) for child in reversed(node.children))
+        self.nodes = nodes
+        self.parent = np.array(parent, dtype=np.int64)
+        self.depth = np.array(depth, dtype=np.int64)
+        self.end = np.array(end, dtype=np.int64)
+        self.nchild = np.array(nchild, dtype=np.int64)
+        self.pstart = np.array(pstart, dtype=np.int64)
+        self.size = np.append(self.pstart, offset)[self.end] - self.pstart
+        self.is_leaf = self.nchild == 0
+        self.levels = [np.array(rows, dtype=np.int64) for rows in levels[1:]]
+        self.minpt = np.array([node.region.minpt for node in nodes], dtype=np.float64)
+        self.maxpt = np.array([node.region.maxpt for node in nodes], dtype=np.float64)
+        points = np.concatenate([leaf.points for leaf in leaves])
+        self.points = points.astype(np.float64, copy=False)
+        self.ids = np.concatenate([leaf.ids for leaf in leaves])
+        self.point_node = np.repeat(
+            np.flatnonzero(self.is_leaf), [leaf.size for leaf in leaves]
+        )
+
+    @property
+    def count(self) -> int:
+        """Number of nodes."""
+        return len(self.nodes)
+
+    def down(self, mask: np.ndarray) -> np.ndarray:
+        """AND a per-node condition down every root path, in place.
+
+        ``mask`` has one row per node; afterwards row ``u`` holds the
+        condition at ``u`` *and* at all of its ancestors.
+        """
+        for rows in self.levels:
+            mask[rows] &= mask[self.parent[rows]]
+        return mask
+
+    def below(self, flags: np.ndarray) -> np.ndarray:
+        """Nodes with a *strict* ancestor among the flagged ones."""
+        rows = np.flatnonzero(flags)
+        n = self.count
+        if rows.size == 0:
+            return np.zeros(n, dtype=bool)
+        # +1 where a flagged subtree's strict descendants start, -1 where
+        # they end; a positive running sum is inside one
+        edges = np.bincount(rows + 1, minlength=n + 1) - np.bincount(
+            self.end[rows], minlength=n + 1
+        )
+        return np.cumsum(edges[:n]) > 0
+
+    def pop_rank(self) -> np.ndarray:
+        """Position of each node in a children-reversed stack walk.
+
+        Before ``u`` such a walk pops its ``depth[u]`` ancestors and every
+        node after ``u``'s subtree in pre-order (the subtrees of later
+        siblings of ``u`` and of its ancestors), nothing else.
+        """
+        return self.depth + self.count - self.end
+
+
 class ZBTree:
     """A ZB-tree over grid points.
 
@@ -178,9 +287,41 @@ class ZBTree:
         fanout: int = DEFAULT_FANOUT,
     ) -> None:
         self.codec = codec
-        self.root = root
+        self._root = root
+        self._flat: Optional[FlatView] = None
         self.leaf_capacity = leaf_capacity
         self.fanout = fanout
+
+    @property
+    def root(self) -> Optional[ZBNode]:
+        return self._root
+
+    @root.setter
+    def root(self, node: Optional[ZBNode]) -> None:
+        self._root = node
+        self._flat = None
+
+    def flat(self) -> FlatView:
+        """The cached :class:`FlatView` of the current (non-empty) tree.
+
+        Every mutation through the tree drops it; code that edits nodes
+        directly must not keep using the tree afterwards (Z-merge's
+        ownership rule).
+        """
+        if self._flat is None:
+            if self._root is None:
+                raise ZOrderError("an empty tree has no flat view")
+            self._flat = FlatView(self._root)
+        return self._flat
+
+    def __getstate__(self):
+        # The flat view is derived, process-local state: keeping it out
+        # of pickles keeps equal trees pickle-identical (the distributed
+        # cache's idempotent-republish check and the process pool's
+        # cache-bytes comparison rely on that).
+        state = self.__dict__.copy()
+        state["_flat"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Introspection
@@ -315,37 +456,34 @@ class ZBTree:
     ) -> bool:
         """Is ``point`` dominated by any point stored in the tree?
 
-        Region pruning: a subtree can contain a dominator only if its
-        region's min point dominates ``point`` — ``minpt`` is the best
-        dominator the region could possibly hold.
+        A one-probe :meth:`dominated_mask_tree`, charged the same way.
         """
-        if self.root is None:
-            return False
-        counter = counter if counter is not None else OpCounter()
-        stack: List[ZBNode] = [self.root]
-        while stack:
-            node = stack.pop()
-            counter.nodes_visited += 1
-            counter.region_tests += 1
-            if not node.region.may_contain_dominator_of(point):
-                continue
-            if node.is_leaf:
-                counter.point_tests += node.size
-                if block_dominates(node.points, point).any():  # type: ignore[union-attr]
-                    return True
-            else:
-                stack.extend(node.children)  # type: ignore[union-attr]
-        return False
+        point = np.asarray(point, dtype=np.float64).reshape(1, -1)
+        return bool(self.dominated_mask_tree(point, counter)[0])
 
     def dominated_mask_tree(
         self, points: np.ndarray, counter: Optional[OpCounter] = None
     ) -> np.ndarray:
-        """Batched :meth:`is_dominated`: one tree walk for many probes.
+        """Which probes are dominated by some stored point?
 
         Returns a boolean array, entry ``i`` True iff ``points[i]`` is
-        dominated by some stored point.  The walk carries the subset of
-        still-undecided probes past each region test, so the pruning
-        logic is identical to the single-point query — just vectorised.
+        dominated by a stored point.
+
+        The walk this models is a stack walk that carries the still
+        undecided probes down: the root costs one node visit and one
+        region test per probe; a node reached with a non-empty set ``S``
+        of undecided probes tests the min corner of each of its ``k``
+        children against ``S`` (``k`` visits, ``k * |S|`` region tests,
+        pushed in order, so popped children-reversed) or, at a leaf,
+        tests ``S`` against its ``m`` points (``m * |S|`` point tests),
+        which decides every probe some leaf point dominates.  A subtree
+        can hold a dominator of ``p`` only if its min corner dominates
+        ``p``, so that min-corner test on the whole root path says
+        whether ``p`` can reach a node.  A reachable probe is still
+        undecided at ``u`` iff its first dominating leaf comes at or
+        after ``u`` in the pop order (:meth:`FlatView.pop_rank`); the
+        flat pass computes that first leaf for all probes at once, then
+        every charge in closed form.
         """
         points = np.asarray(points, dtype=np.float64)
         n = points.shape[0]
@@ -353,165 +491,199 @@ class ZBTree:
         if self.root is None or n == 0:
             return out
         counter = counter if counter is not None else OpCounter()
-        from repro.core.point import dominated_mask
-
-        # The min-corner feasibility test for a node ("can this subtree
-        # hold a dominator of probe p?") is evaluated at its *parent*,
-        # for all siblings in one broadcast, so per-node numpy dispatch
-        # overhead is paid once per fanout instead of once per child.
+        flat = self.flat()
+        rank = flat.pop_rank()
+        expanded = np.zeros(flat.count, dtype=bool)
         counter.nodes_visited += 1
         counter.region_tests += n
-        root_minpt = self.root.region.minpt.astype(np.float64)
-        root_feasible = dominates_block(root_minpt, points)
-        root_idx = np.flatnonzero(root_feasible).astype(np.int64)
-        if root_idx.size == 0:
-            return out
-        stack: List[Tuple[ZBNode, np.ndarray]] = [(self.root, root_idx)]
-        while stack:
-            node, probe_idx = stack.pop()
-            probe_idx = probe_idx[~out[probe_idx]]
-            if probe_idx.size == 0:
-                continue
-            if node.is_leaf:
-                block = node.points  # type: ignore[union-attr]
-                counter.point_tests += probe_idx.size * block.shape[0]
-                hit = dominated_mask(points[probe_idx], block)
-                out[probe_idx[hit]] = True
-            else:
-                kids = node.children  # type: ignore[union-attr]
-                minpts = node.child_minpts()  # type: ignore[union-attr]
-                probes = points[probe_idx]
-                le = np.all(minpts[:, None, :] <= probes[None, :, :], axis=2)
-                lt = np.any(minpts[:, None, :] < probes[None, :, :], axis=2)
-                feasible = le & lt  # (k, p)
-                counter.nodes_visited += len(kids)
-                counter.region_tests += probe_idx.size * len(kids)
-                for ci, child in enumerate(kids):
-                    sub = probe_idx[feasible[ci]]
-                    if sub.size:
-                        stack.append((child, sub))
+        step = rows_per_chunk(max(flat.count, flat.points.shape[0]))
+        for start in range(0, n, step):
+            probes = points[start : start + step]
+            reach = np.zeros((flat.count, probes.shape[0]), dtype=bool)
+            for row, dom in pairwise_dominance(
+                flat.minpt, probes, rows_per_chunk(probes.shape[0])
+            ):
+                reach[row : row + dom.shape[0]] = dom
+            flat.down(reach)
+            hit = self._leaf_hits(flat, probes, reach.any(axis=1) & flat.is_leaf)
+            hit &= reach
+            decided = hit.any(axis=0)
+            out[start : start + step] = decided
+            # Leaves pop in reverse pre-order, so a probe's first
+            # dominating leaf is its last one in pre-order.
+            last = flat.count - 1 - hit[::-1].argmax(axis=0)
+            first = np.where(decided, rank[last], flat.count)
+            reach &= rank[:, None] <= first[None, :]
+            undecided = reach.sum(axis=1)
+            counter.point_tests += int((undecided * flat.size)[flat.is_leaf].sum())
+            counter.region_tests += int((undecided * flat.nchild).sum())
+            expanded |= (undecided > 0) & ~flat.is_leaf
+        counter.nodes_visited += int(flat.nchild[expanded].sum())
         return out
+
+    @staticmethod
+    def _leaf_hits(
+        flat: FlatView, probes: np.ndarray, leaves: np.ndarray
+    ) -> np.ndarray:
+        """``(N, len(probes))`` flags: leaf row ``u`` holds a dominator.
+
+        Only the points of the flagged ``leaves`` are tested.
+        """
+        hit = np.zeros((flat.count, probes.shape[0]), dtype=bool)
+        sel = np.flatnonzero(leaves[flat.point_node])
+        if sel.size == 0:
+            return hit
+        owner = flat.point_node[sel]
+        width = rows_per_chunk(probes.shape[0])
+        for lo in range(0, sel.size, width):
+            rows = owner[lo : lo + width]
+            # probes x points, so the kernel streams the longer side
+            _, dom = next(
+                pairwise_dominance(
+                    probes, flat.points[sel[lo : lo + width]], probes.shape[0],
+                    reverse=True,
+                )
+            )
+            heads = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+            hit[rows[heads]] |= np.logical_or.reduceat(dom, heads, axis=1).T
+        return hit
 
     def remove_dominated_by_block(
         self, block: np.ndarray, counter: Optional[OpCounter] = None
     ) -> int:
-        """Batched ``UDominate`` removal: delete every stored point
-        dominated by *any* row of ``block``.  Returns the removed count."""
+        """Batched ``UDominate``: delete every stored point dominated by
+        *any* row of ``block``.  Returns the removed count.
+
+        The walk this models hands each node the block rows that could
+        still dominate something below it.  Node ``u`` reached with rows
+        ``B`` costs one visit and ``|B|`` region tests, keeps the rows
+        ``R`` weakly below its max corner (``|R|`` more region tests; a
+        row above the max corner somewhere dominates nothing inside)
+        and then: stops if ``R`` is empty; drops the whole subtree if a
+        row of ``R`` dominates its min corner (hence every point of the
+        region); at a leaf, tests its ``m`` points against ``R``
+        (``m * |R|`` point tests) and deletes the dominated ones;
+        otherwise hands ``R`` to every child.  ``R`` at ``u`` is the
+        max-corner test ANDed down the root path, so every charge and
+        every deletion follows from two kernel passes per row chunk.
+        Emptied leaves and internal nodes are dropped; regions are left
+        stale.
+        """
         block = np.asarray(block, dtype=np.float64)
         if self.root is None or block.shape[0] == 0:
             return 0
         counter = counter if counter is not None else OpCounter()
-        removed, new_root = self._remove_block_rec(self.root, block, counter)
-        self.root = new_root
-        return removed
+        flat = self.flat()
+        n = flat.count
+        step = rows_per_chunk(2 * n)
+        chunks = []
+        rows_kept = np.zeros(n, dtype=np.int64)
+        covers = np.zeros(n, dtype=bool)
+        for start in range(0, block.shape[0], step):
+            rows = block[start : start + step]
+            keep, dom_min = self._udominate_rows(flat, rows)
+            rows_kept += keep.sum(axis=1)
+            covers |= (dom_min & keep).any(axis=1)
+            chunks.append((rows, keep))
+        rows_in = np.empty(n, dtype=np.int64)
+        rows_in[0] = block.shape[0]
+        rows_in[1:] = rows_kept[flat.parent[1:]]
+        visited = ~flat.below((rows_kept == 0) | covers | flat.is_leaf)
+        dropped = visited & covers
+        scanned = visited & flat.is_leaf & ~covers & (rows_kept > 0)
+        counter.nodes_visited += int(visited.sum())
+        counter.region_tests += int((rows_in + rows_kept)[visited].sum())
+        counter.point_tests += int((flat.size * rows_kept)[scanned].sum())
+        removed = int(flat.size[dropped].sum())
 
-    def _remove_block_rec(
-        self, node: ZBNode, block: np.ndarray, counter: OpCounter
-    ) -> Tuple[int, Optional[ZBNode]]:
-        counter.nodes_visited += 1
-        counter.region_tests += block.shape[0]
-        maxpt = node.region.maxpt.astype(np.float64)
-        # Rows that could dominate something inside the region.
-        feasible = np.all(block <= maxpt, axis=1)
-        if not feasible.any():
-            return 0, node
-        sub = block[feasible]
-        counter.region_tests += sub.shape[0]
-        minpt = node.region.minpt.astype(np.float64)
-        if block_dominates(sub, minpt).any():
-            # Some row dominates the region's min corner, hence every
-            # point of the subtree.
-            return node.size, None
-        if node.is_leaf:
-            from repro.core.point import dominated_mask
-
-            leaf = node
-            counter.point_tests += leaf.size * sub.shape[0]
-            dominated = dominated_mask(leaf.points, sub)  # type: ignore[union-attr]
-            n_removed = int(dominated.sum())
-            if n_removed == 0:
-                return 0, node
-            if n_removed == leaf.size:
-                return n_removed, None
-            keep = ~dominated
-            leaf.points = leaf.points[keep]  # type: ignore[union-attr]
-            leaf.ids = leaf.ids[keep]  # type: ignore[union-attr]
+        # Points of the scanned leaves, each against the rows that
+        # reach its leaf.
+        dead = np.zeros(flat.points.shape[0], dtype=bool)
+        sel = np.flatnonzero(scanned[flat.point_node])
+        owner = flat.point_node[sel]
+        for rows, keep in chunks:
+            width = rows_per_chunk(rows.shape[0])
+            for col in range(0, sel.size, width):
+                cols = slice(col, col + width)
+                _, dom = next(
+                    pairwise_dominance(rows, flat.points[sel[cols]], rows.shape[0])
+                )
+                dom &= keep[owner[cols]].T
+                dead[sel[cols]] |= dom.any(axis=0)
+        for row in np.flatnonzero(scanned):
+            lo = flat.pstart[row]
+            gone = dead[lo : lo + flat.size[row]]
+            n_gone = int(gone.sum())
+            if n_gone == 0:
+                continue
+            removed += n_gone
+            if n_gone == flat.size[row]:
+                dropped[row] = True
+                continue
+            leaf = flat.nodes[row]
+            keep_pts = ~gone
+            leaf.points = leaf.points[keep_pts]  # type: ignore[union-attr]
+            leaf.ids = leaf.ids[keep_pts]  # type: ignore[union-attr]
             leaf.zaddresses = [
                 z
-                for z, k in zip(leaf.zaddresses, keep)  # type: ignore[union-attr]
+                for z, k in zip(leaf.zaddresses, keep_pts)  # type: ignore[union-attr]
                 if k
             ]
-            return n_removed, node
-        total = 0
-        new_children: List[ZBNode] = []
-        for child in node.children:  # type: ignore[union-attr]
-            n_removed, new_child = self._remove_block_rec(child, sub, counter)
-            total += n_removed
-            if new_child is not None:
-                new_children.append(new_child)
-        if not new_children:
-            return total, None
-        node.children = new_children  # type: ignore[union-attr]
-        return total, node
+        if removed == 0:
+            return 0
+        self._prune(flat, dropped)
+        return removed
+
+    @staticmethod
+    def _udominate_rows(
+        flat: FlatView, rows: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(N, len(rows))`` flags for a chunk of UDominate rows.
+
+        ``keep[u, i]``: row ``i`` is weakly below the max corner of ``u``
+        and of every ancestor (it reaches ``u``'s filtered row set);
+        ``dom_min[u, i]``: row ``i`` dominates the min corner of ``u``.
+        """
+        n = flat.count
+        corners = np.concatenate((flat.maxpt, flat.minpt))
+        _, le, lt = next(dominance_blocks(corners, rows, 2 * n, reverse=True))
+        full = le == rows.shape[1]
+        keep = flat.down(full[:n])
+        return keep, full[n:] & lt[n:]
+
+    def _prune(self, flat: FlatView, dropped: np.ndarray) -> None:
+        """Detach the ``dropped`` rows, then every emptied ancestor."""
+        marks = np.concatenate(([0], np.cumsum(dropped)))
+        touched = (marks[flat.end] - marks[np.arange(flat.count) + 1] > 0) & ~dropped
+        for row in np.flatnonzero(touched)[::-1]:
+            kids = np.flatnonzero(flat.parent == row)
+            alive = kids[~dropped[kids]]
+            if alive.size == 0:
+                dropped[row] = True
+            else:
+                flat.nodes[row].children = [  # type: ignore[union-attr]
+                    flat.nodes[kid] for kid in alive
+                ]
+        self._flat = None
+        if dropped[0]:
+            self._root = None
 
     def remove_dominated_by(
         self, point: np.ndarray, counter: Optional[OpCounter] = None
     ) -> int:
         """Delete every stored point dominated by ``point``; return count.
 
-        This is the paper's ``UDominate`` removal direction.  Subtrees
-        whose region min point is dominated by ``point`` are dropped
-        wholesale (every point of such a region is dominated); subtrees
-        whose region max point is not weakly above ``point`` cannot contain
-        dominated points and are skipped.  Stale (too-large) regions after
-        earlier deletions only make these tests more conservative.
+        This is the paper's ``UDominate`` removal direction: a one-row
+        :meth:`remove_dominated_by_block`, charged the same way.
+        Subtrees whose region min point is dominated by ``point`` are
+        dropped wholesale (every point of such a region is dominated);
+        subtrees whose region max point is not weakly above ``point``
+        cannot contain dominated points and are skipped.  Stale
+        (too-large) regions after earlier deletions only make these
+        tests more conservative.
         """
-        if self.root is None:
-            return 0
-        counter = counter if counter is not None else OpCounter()
-        removed, new_root = self._remove_rec(self.root, point, counter)
-        self.root = new_root
-        return removed
-
-    def _remove_rec(
-        self, node: ZBNode, point: np.ndarray, counter: OpCounter
-    ) -> Tuple[int, Optional[ZBNode]]:
-        counter.nodes_visited += 1
-        counter.region_tests += 1
-        if not node.region.may_contain_point_dominated_by(point):
-            return 0, node
-        counter.region_tests += 1
-        if node.region.all_points_dominated_by(point):
-            return node.size, None
-        if node.is_leaf:
-            leaf = node
-            counter.point_tests += leaf.size
-            dominated = dominates_block(point, leaf.points)  # type: ignore[union-attr]
-            n_removed = int(dominated.sum())
-            if n_removed == 0:
-                return 0, node
-            if n_removed == leaf.size:
-                return n_removed, None
-            keep = ~dominated
-            leaf.points = leaf.points[keep]  # type: ignore[union-attr]
-            leaf.ids = leaf.ids[keep]  # type: ignore[union-attr]
-            leaf.zaddresses = [
-                z
-                for z, k in zip(leaf.zaddresses, keep)  # type: ignore[union-attr]
-                if k
-            ]
-            return n_removed, node
-        total = 0
-        new_children: List[ZBNode] = []
-        for child in node.children:  # type: ignore[union-attr]
-            n_removed, new_child = self._remove_rec(child, point, counter)
-            total += n_removed
-            if new_child is not None:
-                new_children.append(new_child)
-        if not new_children:
-            return total, None
-        node.children = new_children  # type: ignore[union-attr]
-        return total, node
+        point = np.asarray(point, dtype=np.float64).reshape(1, -1)
+        return self.remove_dominated_by_block(point, counter)
 
 
 def build_zbtree(

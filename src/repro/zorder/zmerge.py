@@ -12,6 +12,16 @@ traversal of the source with three-way region pruning:
   against the skyline tree and, when accepted, dominated skyline points
   are deleted (the paper's ``UDominate``).
 
+Both tree-side operations of the scan — the batched min-corner dominator
+probe and the batched ``UDominate`` deletion — are flat walks
+(:meth:`~repro.zorder.zbtree.ZBTree.dominated_mask_tree`,
+:meth:`~repro.zorder.zbtree.ZBTree.remove_dominated_by_block`): a few
+kernel passes over the skyline tree's cached pre-order table instead of
+one numpy dispatch per node, with the node-by-node walk's
+:class:`~repro.zorder.zbtree.OpCounter` charges reproduced exactly.  A
+deletion that removes something drops the table; the next probe rebuilds
+it.
+
 Finally the tree is rebalanced (we rebuild from the surviving points,
 which has the same asymptotics at our scales and is far simpler than
 incremental rebalancing).  :func:`zmerge_all` *defers* that rebuild: each
@@ -172,14 +182,6 @@ def _zmerge_scan(
                 queue.extend(node.children)  # type: ignore[union-attr]
 
     return grafts, accepted_points, accepted_ids, accepted_zs
-
-
-def _incomparable_with_tree(sky: ZBTree, region: RZRegion) -> bool:
-    """Lemma 1 case 2 between a source region and the whole skyline tree."""
-    if sky.root is None:
-        return True
-    root_region = sky.root.region
-    return root_region.incomparable_with(region)
 
 
 def _collect_node(

@@ -10,61 +10,37 @@ from the buffer.
 Region pruning: before descending into a node, the buffer is probed for a
 point dominating the node region's min corner; such a point dominates
 every point in the region (Lemma 1), so the whole subtree is skipped.
+
+The scan runs flat (see :mod:`repro.zorder.zbtree`).  A point enters the
+buffer iff no point *earlier in the scan* dominates it: a rejected or
+pruned earlier dominator is itself dominated by an accepted one, which
+then dominates the point too.  So the buffer when the walk reaches a
+node is exactly the accepted points before that node's first point, and
+the accepted set comes from chunked kernel passes — each chunk of the
+scan against the points accepted before it, plus the earlier points of
+its own chunk — with no per-point loop.  The :class:`OpCounter` charges
+of the buffer walk follow in closed form: reaching node ``u`` costs one
+visit, one region test and one point test per buffered point; ``u`` is
+pruned iff a buffered point dominates its min corner, and the walk
+reaches ``u`` iff no ancestor was pruned; each point of a scanned leaf
+costs one point test per point buffered before it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.dataset import Dataset
-from repro.core.point import block_dominates, dominated_mask
+from repro.core.point import pairwise_dominance, rows_per_chunk
 from repro.zorder.encoding import ZGridCodec
-from repro.zorder.zbtree import OpCounter, ZBNode, ZBTree, build_zbtree
+from repro.zorder.zbtree import FlatView, OpCounter, ZBTree, build_zbtree
 
-
-class SkylineBuffer:
-    """Growing numpy-backed buffer of accepted skyline points."""
-
-    def __init__(self, dimensions: int, initial_capacity: int = 64) -> None:
-        self._points = np.empty((initial_capacity, dimensions))
-        self._ids = np.empty(initial_capacity, dtype=np.int64)
-        self._zaddresses: List[int] = []
-        self._n = 0
-
-    @property
-    def size(self) -> int:
-        return self._n
-
-    @property
-    def points(self) -> np.ndarray:
-        """View of the accepted points, shape ``(size, d)``."""
-        return self._points[: self._n]
-
-    @property
-    def ids(self) -> np.ndarray:
-        return self._ids[: self._n]
-
-    @property
-    def zaddresses(self) -> List[int]:
-        return self._zaddresses
-
-    def append(self, point: np.ndarray, point_id: int, zaddress: int) -> None:
-        if self._n == self._points.shape[0]:
-            self._points = np.vstack([self._points, np.empty_like(self._points)])
-            self._ids = np.concatenate([self._ids, np.empty_like(self._ids)])
-        self._points[self._n] = point
-        self._ids[self._n] = point_id
-        self._zaddresses.append(zaddress)
-        self._n += 1
-
-    def dominates(self, point: np.ndarray, counter: OpCounter) -> bool:
-        """Does any buffered point dominate ``point``?"""
-        if self._n == 0:
-            return False
-        counter.point_tests += self._n
-        return bool(block_dominates(self.points, point).any())
+#: largest scan chunk of the acceptance pass (its in-chunk test is
+#: quadratic); chunks double up to it from 32, so the first chunk,
+#: which has no accepted rows to screen it, stays small
+_SCAN_CHUNK = 512
 
 
 def zsearch(
@@ -77,70 +53,74 @@ def zsearch(
     """
     counter = counter if counter is not None else OpCounter()
     d = tree.codec.dimensions
-    buffer = SkylineBuffer(d)
     if tree.root is None:
         return np.empty((0, d)), np.empty(0, dtype=np.int64)
-
-    stack: List[ZBNode] = [tree.root]
-    while stack:
-        node = stack.pop()
-        counter.nodes_visited += 1
-        counter.region_tests += 1
-        if _buffer_dominates_region(buffer, node, counter):
-            continue
-        if node.is_leaf:
-            # Batched leaf screening: one vectorised pass tests the whole
-            # block against the buffer as it stood at leaf entry, then a
-            # short sequential sweep (in Z-order) resolves dominance by
-            # points accepted earlier in the same leaf.  The accounting
-            # reproduces the scalar scan exactly: probing point i against
-            # a buffer of s0 + a_i points costs s0 + a_i point tests
-            # (and nothing when the buffer is empty).
-            leaf_points = node.points  # type: ignore[union-attr]
-            m = node.size
-            s0 = buffer.size
-            mask0: Optional[np.ndarray] = None
-            if s0:
-                mask0 = dominated_mask(leaf_points, buffer.points)
-                if mask0.all():
-                    # Whole block falls to the entry buffer, which then
-                    # never grows: the scalar scan would probe it m times.
-                    counter.point_tests += m * s0
-                    continue
-            accepted = 0
-            for i in range(m):
-                tests = s0 + accepted
-                if mask0 is not None and mask0[i]:
-                    counter.point_tests += tests
-                    continue
-                if tests:
-                    counter.point_tests += tests
-                if accepted and block_dominates(
-                    buffer.points[s0:], leaf_points[i]
-                ).any():
-                    continue
-                buffer.append(
-                    leaf_points[i],
-                    int(node.ids[i]),  # type: ignore[union-attr]
-                    node.zaddresses[i],  # type: ignore[union-attr]
-                )
-                accepted += 1
-        else:
-            # Children pushed in reverse so the stack pops them in Z-order.
-            stack.extend(reversed(node.children))  # type: ignore[union-attr]
-    return buffer.points.copy(), buffer.ids.copy()
+    flat = tree.flat()
+    accepted = _accept(flat.points)
+    # before[j]: points accepted ahead of scan position j (the buffer)
+    before = np.concatenate(([0], np.cumsum(accepted)))
+    sky = flat.points[accepted]
+    buffered = before[flat.pstart]
+    pruned = _min_corner_dominated(sky, buffered, flat)
+    visited = ~flat.below(pruned)
+    scanned = visited & flat.is_leaf & ~pruned
+    counter.nodes_visited += int(visited.sum())
+    counter.region_tests += int(visited.sum())
+    counter.point_tests += int(buffered[visited].sum())
+    counter.point_tests += int(before[:-1][scanned[flat.point_node]].sum())
+    return sky, flat.ids[accepted]
 
 
-def _buffer_dominates_region(
-    buffer: SkylineBuffer, node: ZBNode, counter: OpCounter
-) -> bool:
-    """True when some buffered point dominates the whole node region."""
-    if buffer.size == 0:
-        return False
-    counter.point_tests += buffer.size
-    return bool(
-        block_dominates(buffer.points, node.region.minpt.astype(np.float64)).any()
-    )
+def _accept(points: np.ndarray) -> np.ndarray:
+    """Scan-order acceptance: rows no earlier row dominates.
+
+    Per chunk of the scan: first against the rows accepted before it,
+    then the survivors against each other, earlier over later.  A row
+    the first test kills cannot be the only earlier dominator of a
+    survivor (its own accepted dominator would dominate that survivor
+    too), so the second test needs only the survivors.
+    """
+    n = points.shape[0]
+    accepted = np.zeros(n, dtype=bool)
+    lo = 0
+    while lo < n:
+        part = points[lo : lo + min(_SCAN_CHUNK, max(32, lo))]
+        dead = np.zeros(part.shape[0], dtype=bool)
+        step = rows_per_chunk(part.shape[0])
+        if lo:
+            prior = points[:lo][accepted[:lo]]
+            for _start, dom in pairwise_dominance(prior, part, step):
+                dead |= dom.any(axis=0)
+        alive = (~dead).nonzero()[0]
+        if alive.size > 1:
+            rest = part[alive]
+            later = np.arange(alive.size)
+            for start, dom in pairwise_dominance(rest, rest, rows_per_chunk(alive.size)):
+                dom &= later > later[start : start + dom.shape[0], None]
+                dead[alive] |= dom.any(axis=0)
+        accepted[lo : lo + part.shape[0]] = ~dead
+        lo += part.shape[0]
+    return accepted
+
+
+def _min_corner_dominated(
+    sky: np.ndarray, buffered: np.ndarray, flat: FlatView
+) -> np.ndarray:
+    """Per node: does one of the ``buffered[u]`` accepted rows ahead of
+    it (the first rows of ``sky``) dominate its min corner?"""
+    pruned = np.zeros(flat.count, dtype=bool)
+    nodes = np.flatnonzero(buffered)
+    if nodes.size == 0:
+        return pruned
+    corners = flat.minpt[nodes]
+    limit = buffered[nodes]
+    for start, dom in pairwise_dominance(
+        sky[: limit.max()], corners, rows_per_chunk(nodes.size)
+    ):
+        rank = np.arange(start, start + dom.shape[0])[:, None]
+        dom &= rank < limit
+        pruned[nodes] |= dom.any(axis=0)
+    return pruned
 
 
 def zsearch_dataset(

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.point import dominates
+from repro.core.point import dominance_blocks, dominates
 from repro.core.skyline import skyline_indices_oracle
 from repro.extensions import (
     dominance_scores,
@@ -14,7 +14,6 @@ from repro.extensions import (
     top_k_skyline,
     why_not,
 )
-from repro.extensions._pairwise import dominance_blocks
 from repro.extensions.kdominant import k_dominated_mask
 from repro.zorder.zbtree import OpCounter
 

@@ -9,7 +9,12 @@ Pins the PR's two central equivalence claims:
 * the batched leaf screening in Z-search and the deferred-rebuild
   ``zmerge_all`` produce results identical to scalar references —
   including *exact* ``OpCounter`` totals for Z-search, which the
-  simulated cost model and trace reconciliation rely on.
+  simulated cost model and trace reconciliation rely on;
+* the flat ZB-tree walks (Z-search, the batched dominator probe and
+  the batched ``UDominate`` deletion) equal the node-by-node walks they
+  replaced, kept below as reference oracles — answers, resulting tree
+  structure and every ``OpCounter`` field, on bulk-built, thinned and
+  composite trees, and through whole ``run_plan`` jobs.
 
 Plus the satellite fixes that ride along: the BNL empty-input shape,
 vectorised ``decode_many``/``dominance_counts``, Z-address carry through
@@ -18,13 +23,18 @@ partition routing, and the kernel-path metrics wiring.
 """
 
 import functools
+import importlib
 import pickle
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.algorithms.zs as zs_module
+import repro.core.point as point_module
 from repro.algorithms.bnl import bnl_skyline
 from repro.core.exceptions import ZOrderError
 from repro.core.point import dominance_counts
@@ -36,9 +46,13 @@ from repro.pipeline.checkpoint import STAGE_PHASE1, CheckpointStore
 from repro.pipeline.driver import run_plan
 from repro.zorder.encoding import ZGridCodec
 from repro.zorder.kernel import KernelStats, ZKernel
-from repro.zorder.zbtree import OpCounter, build_zbtree
-from repro.zorder.zmerge import zmerge, zmerge_all
-from repro.zorder.zsearch import SkylineBuffer, _buffer_dominates_region, zsearch
+from repro.zorder.rzregion import RZRegion
+from repro.zorder.zbtree import OpCounter, ZBInternal, ZBLeaf, ZBTree, build_zbtree
+from repro.zorder.zmerge import _compose, _zmerge_scan, zmerge, zmerge_all
+from repro.zorder.zsearch import zsearch
+
+# the package re-exports the ``zsearch`` function under the module's name
+zsearch_module = importlib.import_module("repro.zorder.zsearch")
 
 
 # ----------------------------------------------------------------------
@@ -64,12 +78,56 @@ def _forced_wide(dimensions, bits_per_dim):
     return kernel
 
 
+def _dominated_by_any(points, dominators):
+    """Broadcast dominance screen, independent of the pairwise kernel:
+    entry ``i`` says whether some row of ``dominators`` dominates
+    ``points[i]``."""
+    points = np.asarray(points, dtype=np.float64)
+    dominators = np.asarray(dominators, dtype=np.float64)
+    if points.shape[0] == 0 or dominators.shape[0] == 0:
+        return np.zeros(points.shape[0], dtype=bool)
+    le = np.all(dominators[None, :, :] <= points[:, None, :], axis=2)
+    lt = np.any(dominators[None, :, :] < points[:, None, :], axis=2)
+    return (le & lt).any(axis=1)
+
+
+class _SkylineBuffer:
+    """The growing buffer of the node-by-node Z-search walk."""
+
+    def __init__(self, dimensions):
+        self.points = np.empty((0, dimensions))
+        self.ids = np.empty(0, dtype=np.int64)
+
+    @property
+    def size(self):
+        return self.points.shape[0]
+
+    def append(self, point, point_id):
+        self.points = np.vstack([self.points, point[None, :]])
+        self.ids = np.append(self.ids, np.int64(point_id))
+
+    def dominates(self, point, counter):
+        if self.size == 0:
+            return False
+        counter.point_tests += self.size
+        return bool(_dominated_by_any(point[None, :], self.points)[0])
+
+
+def _buffer_dominates_region(buffer, node, counter):
+    """True when some buffered point dominates the whole node region."""
+    if buffer.size == 0:
+        return False
+    counter.point_tests += buffer.size
+    minpt = node.region.minpt.astype(np.float64)
+    return bool(_dominated_by_any(minpt[None, :], buffer.points)[0])
+
+
 def _scalar_zsearch(tree, counter):
     """The pre-batching Z-search leaf scan: one buffer probe per point,
     in Z-order.  Counter semantics are the accounting contract the
-    batched implementation must reproduce exactly."""
+    flat implementation must reproduce exactly."""
     d = tree.codec.dimensions
-    buffer = SkylineBuffer(d)
+    buffer = _SkylineBuffer(d)
     if tree.root is None:
         return np.empty((0, d)), np.empty(0, dtype=np.int64)
     stack = [tree.root]
@@ -83,12 +141,167 @@ def _scalar_zsearch(tree, counter):
             for i in range(node.size):
                 if buffer.dominates(node.points[i], counter):
                     continue
-                buffer.append(
-                    node.points[i], int(node.ids[i]), node.zaddresses[i]
-                )
+                buffer.append(node.points[i], int(node.ids[i]))
         else:
             stack.extend(reversed(node.children))
     return buffer.points.copy(), buffer.ids.copy()
+
+
+def _walk_zsearch(tree, counter=None):
+    """The node-by-node Z-search with batched leaf screening: one
+    buffer probe per node, one block test per leaf against the buffer
+    at leaf entry, then a sequential sweep for points accepted earlier
+    in the same leaf."""
+    counter = counter if counter is not None else OpCounter()
+    d = tree.codec.dimensions
+    buffer = _SkylineBuffer(d)
+    if tree.root is None:
+        return np.empty((0, d)), np.empty(0, dtype=np.int64)
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        counter.nodes_visited += 1
+        counter.region_tests += 1
+        if _buffer_dominates_region(buffer, node, counter):
+            continue
+        if not node.is_leaf:
+            stack.extend(reversed(node.children))
+            continue
+        s0 = buffer.size
+        mask0 = _dominated_by_any(node.points, buffer.points)
+        accepted = 0
+        for i in range(node.size):
+            counter.point_tests += s0 + accepted
+            if mask0[i]:
+                continue
+            if accepted and _dominated_by_any(
+                node.points[i : i + 1], buffer.points[s0:]
+            )[0]:
+                continue
+            buffer.append(node.points[i], int(node.ids[i]))
+            accepted += 1
+    return buffer.points.copy(), buffer.ids.copy()
+
+
+def _walk_dominated_mask(tree, points, counter=None):
+    """The node-by-node batched dominator probe: a stack walk carrying
+    the undecided probes, children's min corners tested at the parent."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    out = np.zeros(n, dtype=bool)
+    if tree.root is None or n == 0:
+        return out
+    counter = counter if counter is not None else OpCounter()
+    counter.nodes_visited += 1
+    counter.region_tests += n
+    root_minpt = tree.root.region.minpt.astype(np.float64)
+    root_idx = np.flatnonzero(_dominated_by_any(points, root_minpt[None, :]))
+    if root_idx.size == 0:
+        return out
+    stack = [(tree.root, root_idx)]
+    while stack:
+        node, probe_idx = stack.pop()
+        probe_idx = probe_idx[~out[probe_idx]]
+        if probe_idx.size == 0:
+            continue
+        if node.is_leaf:
+            counter.point_tests += probe_idx.size * node.size
+            hit = _dominated_by_any(points[probe_idx], node.points)
+            out[probe_idx[hit]] = True
+            continue
+        kids = node.children
+        minpts = np.stack([kid.region.minpt for kid in kids]).astype(np.float64)
+        probes = points[probe_idx]
+        le = np.all(minpts[:, None, :] <= probes[None, :, :], axis=2)
+        lt = np.any(minpts[:, None, :] < probes[None, :, :], axis=2)
+        feasible = le & lt
+        counter.nodes_visited += len(kids)
+        counter.region_tests += probe_idx.size * len(kids)
+        for ci, kid in enumerate(kids):
+            sub = probe_idx[feasible[ci]]
+            if sub.size:
+                stack.append((kid, sub))
+    return out
+
+
+def _walk_remove_block(tree, block, counter=None):
+    """The recursive batched ``UDominate`` deletion."""
+    block = np.asarray(block, dtype=np.float64)
+    if tree.root is None or block.shape[0] == 0:
+        return 0
+    counter = counter if counter is not None else OpCounter()
+    removed, new_root = _remove_block_rec(tree.root, block, counter)
+    tree.root = new_root
+    return removed
+
+
+def _remove_block_rec(node, block, counter):
+    counter.nodes_visited += 1
+    counter.region_tests += block.shape[0]
+    maxpt = node.region.maxpt.astype(np.float64)
+    feasible = np.all(block <= maxpt, axis=1)
+    if not feasible.any():
+        return 0, node
+    sub = block[feasible]
+    counter.region_tests += sub.shape[0]
+    minpt = node.region.minpt.astype(np.float64)
+    if _dominated_by_any(minpt[None, :], sub)[0]:
+        return node.size, None
+    if node.is_leaf:
+        counter.point_tests += node.size * sub.shape[0]
+        dominated = _dominated_by_any(node.points, sub)
+        n_removed = int(dominated.sum())
+        if n_removed == 0:
+            return 0, node
+        if n_removed == node.size:
+            return n_removed, None
+        keep = ~dominated
+        node.points = node.points[keep]
+        node.ids = node.ids[keep]
+        node.zaddresses = [z for z, k in zip(node.zaddresses, keep) if k]
+        return n_removed, node
+    total = 0
+    new_children = []
+    for child in node.children:
+        n_removed, new_child = _remove_block_rec(child, sub, counter)
+        total += n_removed
+        if new_child is not None:
+            new_children.append(new_child)
+    if not new_children:
+        return total, None
+    node.children = new_children
+    return total, node
+
+
+def _shape(node):
+    """Full structural signature of a (sub)tree: regions, child order,
+    and each leaf's points, ids and Z-addresses."""
+    if node is None:
+        return None
+    corners = (tuple(node.region.minpt.tolist()), tuple(node.region.maxpt.tolist()))
+    if node.is_leaf:
+        return (
+            "leaf",
+            corners,
+            tuple(node.ids.tolist()),
+            tuple(node.zaddresses),
+            tuple(map(tuple, node.points.tolist())),
+        )
+    return ("node", corners, tuple(_shape(child) for child in node.children))
+
+
+def _counts(counter):
+    return (counter.point_tests, counter.region_tests, counter.nodes_visited)
+
+
+@contextmanager
+def _chunking(budget, scan_chunk):
+    """Shrink the kernel's pair budget and Z-search's scan chunk, so the
+    flat walks cross chunk boundaries on small trees."""
+    with mock.patch.object(point_module, "PAIR_BUDGET", budget), mock.patch.object(
+        zsearch_module, "_SCAN_CHUNK", scan_chunk
+    ):
+        yield
 
 
 # ----------------------------------------------------------------------
@@ -146,6 +359,84 @@ def shape_and_parts(draw, max_parts=4, max_points=24):
         )
         parts.append(np.asarray(grid, dtype=np.int64))
     return d, bits, parts
+
+
+@st.composite
+def walk_case(draw):
+    """A tree recipe for the flat-vs-reference walk properties.
+
+    Covers both kernel paths (``d * bits`` up to and past 64), coarse
+    grids and repeated rows (duplicate points), small leaves and
+    fanouts (deep trees), three tree kinds — ``bulk`` (built),
+    ``thinned`` (after reference UDominate deletions, so regions are
+    stale) and ``composite`` (un-rebuilt Z-merge folds) — and kernel
+    chunk sizes small enough to split every pass.
+    """
+    if draw(st.booleans()):
+        d = draw(st.integers(min_value=1, max_value=8))
+        bits = draw(st.integers(min_value=1, max_value=min(8, 64 // d)))
+    else:
+        d = draw(st.integers(min_value=5, max_value=10))
+        bits = draw(st.integers(min_value=64 // d + 1, max_value=16))
+    return {
+        "d": d,
+        "bits": bits,
+        "n": draw(st.integers(min_value=1, max_value=70)),
+        "cells": 1 << draw(st.integers(min_value=1, max_value=bits)),
+        "dups": draw(st.integers(min_value=0, max_value=12)),
+        "leaf_capacity": draw(st.integers(min_value=2, max_value=6)),
+        "fanout": draw(st.integers(min_value=2, max_value=4)),
+        "kind": draw(st.sampled_from(["bulk", "thinned", "composite"])),
+        "budget": draw(st.sampled_from([1, 5, 64, 1 << 18])),
+        "scan_chunk": draw(st.sampled_from([1, 3, 16, 512])),
+        "seed": draw(st.integers(min_value=0, max_value=2**31)),
+    }
+
+
+def _case_grid(case, salt, n=None):
+    rng = np.random.default_rng([case["seed"], salt])
+    rows = case["n"] if n is None else n
+    return rng.integers(0, case["cells"], size=(rows, case["d"])).astype(float)
+
+
+def _case_tree(case):
+    """Build the case's tree; deterministic, so two calls give two
+    identical, independent trees."""
+    codec = ZGridCodec.grid_identity(case["d"], bits_per_dim=case["bits"])
+    shape = {"leaf_capacity": case["leaf_capacity"], "fanout": case["fanout"]}
+    pts = _case_grid(case, 0)
+    rng = np.random.default_rng([case["seed"], 1])
+    pts = np.vstack([pts, pts[rng.integers(0, pts.shape[0], case["dups"])]])
+    ids = np.arange(pts.shape[0], dtype=np.int64)
+    if case["kind"] != "composite":
+        tree = build_zbtree(codec, pts, ids=ids, **shape)
+        if case["kind"] == "thinned":
+            for salt in (2, 3):
+                _walk_remove_block(tree, _case_grid(case, salt, n=2) + 1)
+        return tree
+    labels = rng.integers(0, 3, pts.shape[0])
+    trees = []
+    for part in range(3):
+        rows = labels == part
+        if rows.any():
+            sky_pts, sky_ids = bnl_skyline(pts[rows], ids[rows])
+            trees.append(build_zbtree(codec, sky_pts, ids=sky_ids, **shape))
+    tree = trees[0]
+    for other in trees[1:]:
+        tree = _compose(tree, *_zmerge_scan(tree, other, OpCounter()))
+    return tree
+
+
+def _node_corners(tree):
+    """Every node's min corner (the probes Z-merge's frontier sends)."""
+    out = []
+    stack = [tree.root] if tree.root is not None else []
+    while stack:
+        node = stack.pop()
+        out.append(node.region.minpt.astype(float))
+        if not node.is_leaf:
+            stack.extend(node.children)
+    return np.array(out).reshape(-1, tree.codec.dimensions)
 
 
 class TestKernelPathsAgree:
@@ -289,6 +580,196 @@ class TestBatchedTreeOpsEquivalence:
         oracle_pts, _ = bnl_skyline(union)
         oracle = {tuple(row) for row in oracle_pts}
         assert {tuple(row) for row in def_pts} == oracle
+
+
+class TestFlatWalksMatchReferences:
+    @given(walk_case())
+    @settings(max_examples=150, deadline=None)
+    def test_dominated_mask_tree(self, case):
+        flat_tree, ref_tree = _case_tree(case), _case_tree(case)
+        stored = ref_tree.points()
+        probes = np.vstack(
+            [_case_grid(case, 4, n=25), stored[:10], _node_corners(ref_tree)]
+        )
+        flat_counter, ref_counter = OpCounter(), OpCounter()
+        with _chunking(case["budget"], case["scan_chunk"]):
+            got = flat_tree.dominated_mask_tree(probes, flat_counter)
+        want = _walk_dominated_mask(ref_tree, probes, ref_counter)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, _dominated_by_any(probes, stored))
+        assert _counts(flat_counter) == _counts(ref_counter)
+
+    @given(walk_case())
+    @settings(max_examples=150, deadline=None)
+    def test_remove_dominated_by_block(self, case):
+        flat_tree, ref_tree = _case_tree(case), _case_tree(case)
+        before = ref_tree.points()
+        blocks = [_case_grid(case, 5, n=2), _case_grid(case, 6, n=3)]
+        flat_counter, ref_counter = OpCounter(), OpCounter()
+        for block in blocks:
+            with _chunking(case["budget"], case["scan_chunk"]):
+                # probe first, so the removal starts from a cached view
+                flat_tree.dominated_mask_tree(block, OpCounter())
+                got = flat_tree.remove_dominated_by_block(block, flat_counter)
+            want = _walk_remove_block(ref_tree, block, ref_counter)
+            assert got == want
+            assert _counts(flat_counter) == _counts(ref_counter)
+            assert _shape(flat_tree.root) == _shape(ref_tree.root)
+        survivors = before[~_dominated_by_any(before, np.vstack(blocks))]
+        assert sorted(map(tuple, flat_tree.points().tolist())) == sorted(
+            map(tuple, survivors.tolist())
+        )
+        # The thinned tree's next walks see the mutation (no stale view).
+        probes = _case_grid(case, 7, n=20)
+        flat_counter, ref_counter = OpCounter(), OpCounter()
+        with _chunking(case["budget"], case["scan_chunk"]):
+            got = flat_tree.dominated_mask_tree(probes, flat_counter)
+            flat_sky = zsearch(flat_tree, flat_counter)
+        want = _walk_dominated_mask(ref_tree, probes, ref_counter)
+        ref_sky = _walk_zsearch(ref_tree, ref_counter)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(flat_sky[1], ref_sky[1])
+        assert _counts(flat_counter) == _counts(ref_counter)
+
+    @given(walk_case())
+    @settings(max_examples=150, deadline=None)
+    def test_zsearch(self, case):
+        tree = _case_tree(case)
+        flat_counter, walk_counter, scalar_counter = (
+            OpCounter(), OpCounter(), OpCounter()
+        )
+        with _chunking(case["budget"], case["scan_chunk"]):
+            pts, ids = zsearch(tree, counter=flat_counter)
+        walk_pts, walk_ids = _walk_zsearch(tree, walk_counter)
+        scalar_pts, scalar_ids = _scalar_zsearch(tree, scalar_counter)
+        np.testing.assert_array_equal(pts, walk_pts)
+        np.testing.assert_array_equal(ids, walk_ids)
+        np.testing.assert_array_equal(ids, scalar_ids)
+        assert pts.dtype == np.float64 and ids.dtype == np.int64
+        assert _counts(flat_counter) == _counts(walk_counter)
+        assert _counts(flat_counter) == _counts(scalar_counter)
+        if case["kind"] == "bulk":
+            oracle_pts, _ = bnl_skyline(tree.points())
+            assert sorted(map(tuple, pts.tolist())) == sorted(
+                map(tuple, oracle_pts.tolist())
+            )
+
+    @staticmethod
+    def _hand_tree(spec):
+        """A tree with hand-set regions: ``spec`` is ``(minpt, maxpt,
+        [point lists])`` for a leaf or ``(minpt, maxpt, [child specs])``."""
+        codec = ZGridCodec.grid_identity(2, bits_per_dim=4)
+        ids = iter(range(100))
+
+        def node(minpt, maxpt, body):
+            region = RZRegion.from_corners(0, 0, np.array(minpt), np.array(maxpt))
+            if body and isinstance(body[0], tuple):
+                return ZBInternal([node(*child) for child in body], codec, region=region)
+            pts = np.array(body, dtype=float)
+            leaf_ids = np.array([next(ids) for _ in body], dtype=np.int64)
+            return ZBLeaf([0] * len(body), pts, leaf_ids, codec, region=region)
+
+        return ZBTree(codec, node(*spec))
+
+    def _all_walks_match(self, spec, probes, block):
+        tree = self._hand_tree(spec)
+        c = [OpCounter() for _ in range(3)]
+        pts, ids = zsearch(tree, c[0])
+        walk_pts, walk_ids = _walk_zsearch(tree, c[1])
+        scalar_pts, scalar_ids = _scalar_zsearch(tree, c[2])
+        np.testing.assert_array_equal(ids, walk_ids)
+        np.testing.assert_array_equal(ids, scalar_ids)
+        assert _counts(c[0]) == _counts(c[1]) == _counts(c[2])
+        c = [OpCounter(), OpCounter()]
+        ref = self._hand_tree(spec)
+        np.testing.assert_array_equal(
+            tree.dominated_mask_tree(probes, c[0]),
+            _walk_dominated_mask(ref, probes, c[1]),
+        )
+        assert _counts(c[0]) == _counts(c[1])
+        c = [OpCounter(), OpCounter()]
+        assert tree.remove_dominated_by_block(block, c[0]) == _walk_remove_block(
+            ref, block, c[1]
+        )
+        assert _counts(c[0]) == _counts(c[1])
+        assert _shape(tree.root) == _shape(ref.root)
+        return tree
+
+    def test_zsearch_prunes_only_on_points_scanned_earlier(self):
+        # (0, 0) in the third leaf dominates the second leaf's min
+        # corner, but the walk only prunes on points already in its
+        # buffer, so the second leaf is scanned (and its point rejected
+        # by (1, 5)); the duplicate (0, 0) is accepted too.
+        spec = ((0, 0), (15, 15), [
+            ((1, 5), (1, 5), [[1, 5]]),
+            ((2, 0), (3, 7), [[3, 6]]),
+            ((0, 0), (0, 0), [[0, 0]]),
+            ((0, 0), (0, 0), [[0, 0]]),
+        ])
+        probes = np.array([[2.0, 6.0], [4.0, 8.0], [0.0, 0.0]])
+        self._all_walks_match(spec, probes, np.array([[1.0, 5.0]]))
+
+    def test_reach_is_a_root_path_condition(self):
+        # Each leaf's region escapes its parent's: a node-by-node walk
+        # never reaches (6, 6) for probe (8, 8) nor hands (9, 0) row
+        # (8, 0), so the flat walks must not either, whatever the leaf's
+        # own test says.  ((6, 6) still goes: row (1, 1) dominates its
+        # parent's min corner.)
+        spec = ((0, 0), (15, 15), [
+            ((9, 9), (15, 15), [((5, 5), (7, 7), [[6, 6]])]),
+            ((0, 0), (4, 15), [((5, 0), (9, 0), [[9, 0]])]),
+        ])
+        probes = np.array([[8.0, 8.0], [15.0, 15.0]])
+        tree = self._all_walks_match(spec, probes, np.array([[1.0, 1.0], [8.0, 0.0]]))
+        assert tree.points().tolist() == [[9.0, 0.0]]
+
+    def test_empty_and_single_point_trees(self):
+        codec = ZGridCodec.grid_identity(3, bits_per_dim=4)
+        empty = build_zbtree(codec, np.empty((0, 3)))
+        counter = OpCounter()
+        pts, ids = zsearch(empty, counter)
+        assert pts.shape == (0, 3) and ids.shape == (0,)
+        assert _counts(counter) == (0, 0, 0)
+        single = build_zbtree(codec, np.array([[2.0, 2.0, 2.0]]))
+        probes = np.array([[2.0, 2.0, 2.0], [2.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+        c1, c2 = OpCounter(), OpCounter()
+        np.testing.assert_array_equal(
+            single.dominated_mask_tree(probes, c1),
+            _walk_dominated_mask(single, probes, c2),
+        )
+        assert _counts(c1) == _counts(c2)
+        c1 = OpCounter()
+        assert single.remove_dominated_by_block(np.zeros((1, 3)), c1) == 1
+        assert single.is_empty
+        assert _counts(c1) == (0, 2, 1)
+
+
+#: plans whose phase-1 Z-search, Z-merge probes and UDominate deletions
+#: all run on the flat walks
+REFERENCE_PLANS = ("ZDG+ZS+ZM", "Naive-Z+ZS+ZM", "ZDG+ZS+ZMP")
+
+
+class TestPlansMatchReferenceWalks:
+    @pytest.mark.parametrize("d", [4, 6])
+    @pytest.mark.parametrize("plan", REFERENCE_PLANS)
+    def test_run_plan_matches_reference_walks(self, plan, d, monkeypatch):
+        dataset = independent(1500, d, seed=11)
+        flat = run_plan(plan, dataset, seed=3)
+        monkeypatch.setattr(ZBTree, "dominated_mask_tree", _walk_dominated_mask)
+        monkeypatch.setattr(ZBTree, "remove_dominated_by_block", _walk_remove_block)
+        monkeypatch.setattr(zs_module, "zsearch", _walk_zsearch)
+        ref = run_plan(plan, dataset, seed=3)
+        np.testing.assert_array_equal(flat.skyline.ids, ref.skyline.ids)
+        np.testing.assert_array_equal(flat.skyline.points, ref.skyline.points)
+        for name in ("point_tests", "region_tests"):
+            assert flat.merged_counters().counter(
+                "dominance", name
+            ) == ref.merged_counters().counter("dominance", name)
+        assert flat.merged_counters().counter("dominance", "point_tests") > 0
+        assert flat.num_candidates == ref.num_candidates
+        assert flat.makespan_cost == ref.makespan_cost
+        assert flat.total_cost == ref.total_cost
+        assert flat.shuffle_records == ref.shuffle_records
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from repro.core.dataset import Dataset
 from repro.core.skyline import is_skyline_of
 from repro.zorder.encoding import ZGridCodec
 from repro.zorder.zbtree import OpCounter, build_zbtree
-from repro.zorder.zsearch import SkylineBuffer, zsearch, zsearch_dataset
+from repro.zorder.zsearch import zsearch, zsearch_dataset
 
 
 @pytest.fixture
@@ -89,21 +89,3 @@ class TestZSearchDataset:
         ds = Dataset(rng.integers(0, 100, (80, 4)).astype(float))
         sky, _ = zsearch_dataset(ds)
         assert is_skyline_of(sky, ds.points)
-
-
-class TestSkylineBuffer:
-    def test_growth_beyond_initial_capacity(self):
-        buf = SkylineBuffer(2, initial_capacity=2)
-        for i in range(10):
-            buf.append(np.array([float(i), float(9 - i)]), i, i)
-        assert buf.size == 10
-        assert buf.points.shape == (10, 2)
-        assert buf.ids.tolist() == list(range(10))
-
-    def test_dominates(self):
-        buf = SkylineBuffer(2)
-        counter = OpCounter()
-        assert not buf.dominates(np.array([1.0, 1.0]), counter)
-        buf.append(np.array([0.0, 0.0]), 0, 0)
-        assert buf.dominates(np.array([1.0, 1.0]), counter)
-        assert not buf.dominates(np.array([0.0, 0.0]), counter)
