@@ -793,9 +793,9 @@ class ShardedSkylineService:
         key of the coordinator cache, so every kind pinned to the same
         vector shares one Z-merge.
 
-        The per-shard skyline trees are shared with shard readers, so
-        they are folded with ``zmerge_all(..., consume=False)``, which
-        clones them via the stored Z-addresses (never re-encoding)."""
+        The per-shard skyline trees are shared with shard readers;
+        ``zmerge_all`` never mutates its inputs, so they are folded
+        directly."""
         sub_vector = _sub_vector(vector, snaps)
         full = Query.full(self.name)
         cache = self._merge_cache
@@ -809,7 +809,7 @@ class ShardedSkylineService:
             if snaps[sid].sky_tree.root is not None
         ]
         if trees:
-            merged = zmerge_all(trees, OpCounter(), consume=False)
+            merged = zmerge_all(trees, OpCounter())
             _zs, pts, ids = merged.collect()
             pts, ids = _by_id(pts, ids)
         else:

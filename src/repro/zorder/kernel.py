@@ -30,6 +30,7 @@ checkpoints without caring which path produced it.
 from __future__ import annotations
 
 import threading
+from itertools import repeat
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -273,12 +274,9 @@ class ZKernel:
         """Native batch -> list of Python ints (the legacy wire form)."""
         if self.fast_path:
             return zbatch.tolist()
-        width = zbatch.shape[1]
-        buffer = zbatch.tobytes()
-        return [
-            int.from_bytes(buffer[i * width:(i + 1) * width], "big")
-            for i in range(zbatch.shape[0])
-        ]
+        # one bytes object per row, converted in C
+        rows = np.ascontiguousarray(zbatch).view(f"V{zbatch.shape[1]}")
+        return list(map(int.from_bytes, rows.ravel().tolist(), repeat("big")))
 
     def from_ints(self, zaddresses: Sequence[int]) -> np.ndarray:
         """List of Python ints -> native batch (validates range)."""
@@ -291,7 +289,7 @@ class ZKernel:
                 ) from exc
         try:
             payload = b"".join(
-                int(z).to_bytes(self.width, "big") for z in zaddresses
+                map(int.to_bytes, map(int, zaddresses), repeat(self.width), repeat("big"))
             )
         except (OverflowError, ValueError) as exc:
             raise ZOrderError(

@@ -469,21 +469,23 @@ class ZBTree:
         Returns a boolean array, entry ``i`` True iff ``points[i]`` is
         dominated by a stored point.
 
-        The walk this models is a stack walk that carries the still
-        undecided probes down: the root costs one node visit and one
-        region test per probe; a node reached with a non-empty set ``S``
-        of undecided probes tests the min corner of each of its ``k``
-        children against ``S`` (``k`` visits, ``k * |S|`` region tests,
-        pushed in order, so popped children-reversed) or, at a leaf,
-        tests ``S`` against its ``m`` points (``m * |S|`` point tests),
-        which decides every probe some leaf point dominates.  A subtree
-        can hold a dominator of ``p`` only if its min corner dominates
-        ``p``, so that min-corner test on the whole root path says
-        whether ``p`` can reach a node.  A reachable probe is still
-        undecided at ``u`` iff its first dominating leaf comes at or
-        after ``u`` in the pop order (:meth:`FlatView.pop_rank`); the
-        flat pass computes that first leaf for all probes at once, then
-        every charge in closed form.
+        The walk this models is the single-probe walk run for all probes
+        at once, a stack walk that hands the still undecided probes down:
+        a node popped with a non-empty set ``S`` of undecided probes costs
+        one visit and one region test per probe of ``S`` (its min corner
+        against the probe), keeps the probes that corner dominates and
+        hands them to its ``k`` children (pushed in order, so popped
+        children-reversed) or, at a leaf with ``m`` points, tests them
+        against its points (``m`` point tests each), which decides every
+        probe some leaf point dominates.  A subtree can hold a dominator
+        of ``p`` only if its min corner dominates ``p``, so that test on
+        the whole root path says whether ``p`` can reach a node.  A
+        probe is still undecided at ``u`` iff its first dominating leaf
+        comes at or after ``u`` in the pop order
+        (:meth:`FlatView.pop_rank`); the flat pass computes that first
+        leaf for all probes at once, then every charge in closed form.
+        The point and region tests therefore equal those of the walk
+        run once per probe; batching shares only the node visits.
         """
         points = np.asarray(points, dtype=np.float64)
         n = points.shape[0]
@@ -493,8 +495,8 @@ class ZBTree:
         counter = counter if counter is not None else OpCounter()
         flat = self.flat()
         rank = flat.pop_rank()
-        expanded = np.zeros(flat.count, dtype=bool)
-        counter.nodes_visited += 1
+        visited = np.zeros(flat.count, dtype=bool)
+        visited[0] = True
         counter.region_tests += n
         step = rows_per_chunk(max(flat.count, flat.points.shape[0]))
         for start in range(0, n, step):
@@ -513,12 +515,14 @@ class ZBTree:
             # dominating leaf is its last one in pre-order.
             last = flat.count - 1 - hit[::-1].argmax(axis=0)
             first = np.where(decided, rank[last], flat.count)
-            reach &= rank[:, None] <= first[None, :]
-            undecided = reach.sum(axis=1)
-            counter.point_tests += int((undecided * flat.size)[flat.is_leaf].sum())
-            counter.region_tests += int((undecided * flat.nchild).sum())
-            expanded |= (undecided > 0) & ~flat.is_leaf
-        counter.nodes_visited += int(flat.nchild[expanded].sum())
+            pending = rank[:, None] <= first[None, :]
+            # the probes each non-root node is popped with
+            handed = (reach[flat.parent[1:]] & pending[1:]).sum(axis=1)
+            counter.region_tests += int(handed.sum())
+            visited[1:] |= handed > 0
+            tested = (reach & pending).sum(axis=1)
+            counter.point_tests += int((tested * flat.size)[flat.is_leaf].sum())
+        counter.nodes_visited += int(visited.sum())
         return out
 
     @staticmethod

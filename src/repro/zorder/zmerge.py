@@ -24,12 +24,8 @@ it.
 
 Finally the tree is rebalanced (we rebuild from the surviving points,
 which has the same asymptotics at our scales and is far simpler than
-incremental rebalancing).  :func:`zmerge_all` *defers* that rebuild: each
-fold composes a cheap unbalanced tree out of the surviving skyline root,
-the grafted subtrees, and one block of accepted points — every composite
-node carrying an explicitly-computed, conservatively-large RZ-region, so
-all pruning tests stay sound — and the single full rebuild happens after
-the last fold.
+incremental rebalancing), so every fold of :func:`zmerge_all` merges
+into a balanced tree with tight RZ-regions.
 
 Contract: **both inputs must be dominance-free within themselves** (each
 is the skyline of its own point set — exactly what the pipeline's phase-1
@@ -37,13 +33,12 @@ reducers emit).  Under that contract the result is the skyline of the
 union of the two point sets, which the test suite verifies against the
 oracle.  Use :func:`zmerge_all` to fold many candidate trees.
 
-Ownership: the merge **consumes its inputs** by default.  The skyline
-accumulator is mutated in place by UDominate deletions, and source
-subtrees are grafted into the result wholesale, where later folds'
-deletions can reach them.  After a consuming merge no input tree is safe
-to reuse.  :func:`zmerge_all` accepts ``consume=False`` to fold private
-clones instead, leaving every input intact — the mode long-lived trees
-(e.g. the serving router's retained per-shard skyline trees) require.
+Ownership: :func:`zmerge` mutates its skyline argument in place
+(UDominate deletions) and only reads the source tree; the merged tree is
+built into fresh arrays.  :func:`zmerge_all` never mutates its inputs and
+returns a tree that shares no nodes with them, so long-lived trees (e.g.
+the serving router's retained per-shard skyline trees) can be folded
+directly.
 """
 
 from __future__ import annotations
@@ -53,11 +48,8 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.zorder.rzregion import RZRegion
 from repro.zorder.zbtree import (
     OpCounter,
-    ZBInternal,
-    ZBLeaf,
     ZBNode,
     ZBTree,
     build_zbtree,
@@ -70,9 +62,11 @@ def zmerge(
 ) -> ZBTree:
     """Merge candidate tree ``src`` into skyline tree ``sky``.
 
-    Returns a new balanced ZB-tree containing the skyline of the union.
-    ``sky`` is consumed (its nodes may be mutated by deletions); callers
-    should use the returned tree.
+    Returns a new balanced ZB-tree containing the skyline of the union,
+    except when either side is empty: then the other input is returned
+    by reference.  ``sky`` is consumed (its nodes may be mutated by
+    deletions) and ``src`` is only read; callers should use the
+    returned tree.
     """
     counter = counter if counter is not None else OpCounter()
     if src.root is None:
@@ -240,107 +234,29 @@ def _rebuild_with(
     )
 
 
-def _compose(
-    sky: ZBTree,
-    grafts: List[ZBNode],
-    accepted_points: List[np.ndarray],
-    accepted_ids: List[np.ndarray],
-    accepted_zs: List[int],
-) -> ZBTree:
-    """Assemble a fold result *without* rebuilding.
-
-    The composite root's children are the surviving skyline root, the
-    grafted subtrees, and one (possibly oversized) leaf of accepted
-    points.  Children are not in global Z-order and subtree heights may
-    differ, so every composite node carries an explicitly computed
-    RZ-region spanning its children — a conservative superset, which
-    keeps all pruning tests (min-corner dominator probes, UDominate
-    feasibility, Lemma 1 incomparability) sound.  The final
-    :func:`repro.zorder.zbtree.rebuild` restores balance and Z-order.
-    """
-    children: List[ZBNode] = []
-    if sky.root is not None:
-        children.append(sky.root)
-    children.extend(grafts)
-    if accepted_points:
-        zs = list(accepted_zs)
-        children.append(
-            ZBLeaf(
-                zs,
-                np.vstack(accepted_points),
-                np.concatenate(accepted_ids).astype(np.int64, copy=False),
-                sky.codec,
-                region=RZRegion(sky.codec, min(zs), max(zs)),
-            )
-        )
-    if not children:
-        return ZBTree(sky.codec, None, sky.leaf_capacity, sky.fanout)
-    if len(children) == 1:
-        root: ZBNode = children[0]
-    else:
-        minz = min(child.region.minz for child in children)
-        maxz = max(child.region.maxz for child in children)
-        root = ZBInternal(
-            children, sky.codec, region=RZRegion(sky.codec, minz, maxz)
-        )
-    return ZBTree(sky.codec, root, sky.leaf_capacity, sky.fanout)
-
-
-#: folds tolerated between rebuilds in :func:`zmerge_all`.  Each fold
-#: nests one more composite level with conservative regions, degrading
-#: region pruning for every later fold; measured on the fig-9 d=6
-#: workload, never rebuilding costs ~40% more merge wall-clock than
-#: rebuilding every fold, while rebuilding every 4 folds matches it and
-#: still skips three rebuilds out of four.
-_REBUILD_INTERVAL = 4
-
-
 def zmerge_all(
-    trees: Iterable[ZBTree],
-    counter: Optional[OpCounter] = None,
-    consume: bool = True,
+    trees: Iterable[ZBTree], counter: Optional[OpCounter] = None
 ) -> ZBTree:
     """Fold many dominance-free candidate trees into one skyline tree.
 
-    Each fold runs the Z-merge scan but composes a cheap unbalanced
-    intermediate instead of rebuilding; the full rebuild is amortised —
-    once every :data:`_REBUILD_INTERVAL` folds (bounding how degenerate
-    the composite's region pruning can get) and once after the last
-    fold.  Raises ``ValueError`` for an empty iterable.
-
-    With the default ``consume=True`` the fold **destroys its inputs**:
-    the first tree becomes the accumulator and is mutated by UDominate
-    deletions, while later trees' subtrees are grafted into composites
-    that still-later deletions can mutate.  Even a single-tree iterable
-    is passed through by reference.  Feeding the same tree list twice —
-    or feeding trees that anything else still reads, such as snapshot
-    skyline trees — silently corrupts them.
-
-    With ``consume=False`` every input is folded through a private clone
-    (:func:`repro.zorder.zbtree.rebuild` — a collect + build reusing the
-    stored Z-addresses, so no re-encoding) and the returned tree shares
-    no nodes with any input: all inputs remain intact and reusable.
+    A plain left fold of :func:`zmerge`, as in Algorithm 4: every fold
+    merges into a freshly built, balanced skyline tree, so Lemma 1
+    region pruning always sees tight RZ-regions.  The inputs are never
+    mutated and the result shares no nodes with them: the first tree
+    is cloned once (:func:`repro.zorder.zbtree.rebuild` reuses the
+    stored Z-addresses, so nothing is re-encoded), and so is a tree an
+    empty accumulator adopts.  Raises ``ValueError`` for an empty
+    iterable.
     """
     counter = counter if counter is not None else OpCounter()
-    clone = (lambda tree: tree) if consume else rebuild
     iterator = iter(trees)
     try:
-        result = clone(next(iterator))
+        result = rebuild(next(iterator))
     except StopIteration:
         raise ValueError("zmerge_all needs at least one tree") from None
-    dirty = 0
     for tree in iterator:
-        if tree.root is None:
-            continue
         if result.root is None:
-            result = clone(tree)
-            continue
-        scan = _zmerge_scan(result, clone(tree), counter)
-        result = _compose(result, *scan)
-        dirty += 1
-        if dirty >= _REBUILD_INTERVAL:
-            result = rebuild(result)
-            dirty = 0
-    if dirty:
-        result = rebuild(result)
+            result = rebuild(tree)
+        else:
+            result = zmerge(result, tree, counter)
     return result

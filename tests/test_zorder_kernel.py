@@ -6,15 +6,17 @@ Pins the PR's two central equivalence claims:
   identical Z-addresses, region bounds, prefix lengths and sort orders —
   checked against each other (the wide path can be forced onto narrow
   shapes) and against scalar bit-twiddling references;
-* the batched leaf screening in Z-search and the deferred-rebuild
-  ``zmerge_all`` produce results identical to scalar references —
-  including *exact* ``OpCounter`` totals for Z-search, which the
-  simulated cost model and trace reconciliation rely on;
+* the batched leaf screening in Z-search and the ``zmerge_all`` fold
+  produce results identical to scalar references and to a plain
+  ``functools.reduce`` over ``zmerge`` — including *exact* ``OpCounter``
+  totals, which the simulated cost model and trace reconciliation rely
+  on;
 * the flat ZB-tree walks (Z-search, the batched dominator probe and
-  the batched ``UDominate`` deletion) equal the node-by-node walks they
-  replaced, kept below as reference oracles — answers, resulting tree
-  structure and every ``OpCounter`` field, on bulk-built, thinned and
-  composite trees, and through whole ``run_plan`` jobs.
+  the batched ``UDominate`` deletion) equal node-by-node walks, kept
+  below as reference oracles — answers, resulting tree structure and
+  every ``OpCounter`` field, on bulk-built, thinned and composite
+  trees, and through whole ``run_plan`` jobs — and the batched probe
+  charges the dominance tests of one single-probe walk per probe.
 
 Plus the satellite fixes that ride along: the BNL empty-input shape,
 vectorised ``decode_many``/``dominance_counts``, Z-address carry through
@@ -48,7 +50,7 @@ from repro.zorder.encoding import ZGridCodec
 from repro.zorder.kernel import KernelStats, ZKernel
 from repro.zorder.rzregion import RZRegion
 from repro.zorder.zbtree import OpCounter, ZBInternal, ZBLeaf, ZBTree, build_zbtree
-from repro.zorder.zmerge import _compose, _zmerge_scan, zmerge, zmerge_all
+from repro.zorder.zmerge import _zmerge_scan, zmerge, zmerge_all
 from repro.zorder.zsearch import zsearch
 
 # the package re-exports the ``zsearch`` function under the module's name
@@ -185,42 +187,31 @@ def _walk_zsearch(tree, counter=None):
 
 def _walk_dominated_mask(tree, points, counter=None):
     """The node-by-node batched dominator probe: a stack walk carrying
-    the undecided probes, children's min corners tested at the parent."""
+    the undecided probes, each node's min corner tested when it pops."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     out = np.zeros(n, dtype=bool)
     if tree.root is None or n == 0:
         return out
     counter = counter if counter is not None else OpCounter()
-    counter.nodes_visited += 1
-    counter.region_tests += n
-    root_minpt = tree.root.region.minpt.astype(np.float64)
-    root_idx = np.flatnonzero(_dominated_by_any(points, root_minpt[None, :]))
-    if root_idx.size == 0:
-        return out
-    stack = [(tree.root, root_idx)]
+    stack = [(tree.root, np.arange(n))]
     while stack:
         node, probe_idx = stack.pop()
         probe_idx = probe_idx[~out[probe_idx]]
+        if probe_idx.size == 0:
+            continue
+        counter.nodes_visited += 1
+        counter.region_tests += probe_idx.size
+        minpt = node.region.minpt.astype(np.float64)
+        probe_idx = probe_idx[_dominated_by_any(points[probe_idx], minpt[None, :])]
         if probe_idx.size == 0:
             continue
         if node.is_leaf:
             counter.point_tests += probe_idx.size * node.size
             hit = _dominated_by_any(points[probe_idx], node.points)
             out[probe_idx[hit]] = True
-            continue
-        kids = node.children
-        minpts = np.stack([kid.region.minpt for kid in kids]).astype(np.float64)
-        probes = points[probe_idx]
-        le = np.all(minpts[:, None, :] <= probes[None, :, :], axis=2)
-        lt = np.any(minpts[:, None, :] < probes[None, :, :], axis=2)
-        feasible = le & lt
-        counter.nodes_visited += len(kids)
-        counter.region_tests += probe_idx.size * len(kids)
-        for ci, kid in enumerate(kids):
-            sub = probe_idx[feasible[ci]]
-            if sub.size:
-                stack.append((kid, sub))
+        else:
+            stack.extend((kid, probe_idx) for kid in node.children)
     return out
 
 
@@ -399,6 +390,36 @@ def _case_grid(case, salt, n=None):
     return rng.integers(0, case["cells"], size=(rows, case["d"])).astype(float)
 
 
+def _composite(sky, grafts, accepted_points, accepted_ids, accepted_zs):
+    """An un-rebuilt Z-merge fold: a root over the surviving skyline
+    root, the grafted source subtrees and one (possibly oversized) leaf
+    of accepted points.  Children are out of Z-order, heights differ and
+    the root region is a conservative span of its children's — the
+    stale, non-nested regions the flat walks must handle."""
+    children = [sky.root] if sky.root is not None else []
+    children.extend(grafts)
+    if accepted_points:
+        zs = list(accepted_zs)
+        children.append(
+            ZBLeaf(
+                zs,
+                np.vstack(accepted_points),
+                np.concatenate(accepted_ids).astype(np.int64),
+                sky.codec,
+                region=RZRegion(sky.codec, min(zs), max(zs)),
+            )
+        )
+    if len(children) > 1:
+        minz = min(child.region.minz for child in children)
+        maxz = max(child.region.maxz for child in children)
+        root = ZBInternal(
+            children, sky.codec, region=RZRegion(sky.codec, minz, maxz)
+        )
+    else:
+        root = children[0] if children else None
+    return ZBTree(sky.codec, root, sky.leaf_capacity, sky.fanout)
+
+
 def _case_tree(case):
     """Build the case's tree; deterministic, so two calls give two
     identical, independent trees."""
@@ -423,7 +444,7 @@ def _case_tree(case):
             trees.append(build_zbtree(codec, sky_pts, ids=sky_ids, **shape))
     tree = trees[0]
     for other in trees[1:]:
-        tree = _compose(tree, *_zmerge_scan(tree, other, OpCounter()))
+        tree = _composite(tree, *_zmerge_scan(tree, other, OpCounter()))
     return tree
 
 
@@ -543,7 +564,7 @@ class TestBatchedTreeOpsEquivalence:
 
     @given(shape_and_parts())
     @settings(max_examples=40, deadline=None)
-    def test_zmerge_all_deferred_rebuild_matches_sequential_folds(self, sp):
+    def test_zmerge_all_equals_reduce_of_zmerge(self, sp):
         d, bits, parts = sp
         codec = ZGridCodec.grid_identity(d, bits_per_dim=bits)
 
@@ -567,19 +588,22 @@ class TestBatchedTreeOpsEquivalence:
                 )
             return trees
 
-        deferred = zmerge_all(candidates())
-        deferred.validate()
-        sequential = functools.reduce(zmerge, candidates())
-        _, def_pts, def_ids = deferred.collect()
+        fold_counter, reduce_counter = OpCounter(), OpCounter()
+        folded = zmerge_all(candidates(), fold_counter)
+        folded.validate()
+        sequential = functools.reduce(
+            lambda sky, src: zmerge(sky, src, reduce_counter), candidates()
+        )
+        _, fold_pts, fold_ids = folded.collect()
         _, seq_pts, seq_ids = sequential.collect()
-        order_d, order_s = np.argsort(def_ids), np.argsort(seq_ids)
-        assert np.array_equal(def_ids[order_d], seq_ids[order_s])
-        assert np.array_equal(def_pts[order_d], seq_pts[order_s])
+        assert np.array_equal(fold_ids, seq_ids)
+        assert np.array_equal(fold_pts, seq_pts)
+        assert _counts(fold_counter) == _counts(reduce_counter)
         # Oracle: the skyline of the union of all parts.
         union = np.vstack([grid.astype(float) for grid in parts])
         oracle_pts, _ = bnl_skyline(union)
         oracle = {tuple(row) for row in oracle_pts}
-        assert {tuple(row) for row in def_pts} == oracle
+        assert {tuple(row) for row in fold_pts} == oracle
 
 
 class TestFlatWalksMatchReferences:
@@ -598,6 +622,22 @@ class TestFlatWalksMatchReferences:
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got, _dominated_by_any(probes, stored))
         assert _counts(flat_counter) == _counts(ref_counter)
+
+    @given(walk_case())
+    @settings(max_examples=60, deadline=None)
+    def test_dominated_mask_tree_tests_sum_over_probes(self, case):
+        # Batching probes shares node visits but no dominance test: the
+        # point and region tests are those of one walk per probe.
+        tree = _case_tree(case)
+        probes = np.vstack([_case_grid(case, 4, n=25), _node_corners(tree)])
+        batched, single = OpCounter(), OpCounter()
+        with _chunking(case["budget"], case["scan_chunk"]):
+            tree.dominated_mask_tree(probes, batched)
+        for probe in probes:
+            _walk_dominated_mask(tree, probe[None, :], single)
+        assert batched.point_tests == single.point_tests
+        assert batched.region_tests == single.region_tests
+        assert batched.nodes_visited <= single.nodes_visited
 
     @given(walk_case())
     @settings(max_examples=150, deadline=None)

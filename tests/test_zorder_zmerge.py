@@ -1,5 +1,7 @@
 """Unit tests for Z-merge (Algorithm 4)."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -131,10 +133,6 @@ class TestZMergeAll:
         merged = zmerge_all(trees)
         assert is_skyline_of(merged.points(), np.vstack(chunks))
 
-    def test_single_tree_passthrough(self, codec):
-        tree = skyline_tree(codec, np.array([[1.0, 2.0, 3.0]]))
-        assert zmerge_all([tree]) is tree
-
     def test_empty_iterable_rejected(self):
         with pytest.raises(ValueError):
             zmerge_all([])
@@ -156,14 +154,24 @@ class TestZMergeAll:
         assert run([0, 1, 2, 3]) == run([3, 1, 0, 2])
 
 
-class TestZMergeAllOwnership:
-    """The consuming default vs ``consume=False``.
+def _contents(tree):
+    """A tree's ids and points, for before/after comparisons."""
+    return sorted(tree.ids().tolist()), sorted(map(tuple, tree.points()))
 
-    The default fold mutates its first tree and grafts nodes from the
-    rest — fine for throwaway per-run trees, a latent double-use hazard
-    for long-lived ones (the sharded router folds retained per-shard
-    snapshot trees on every cache miss).
-    """
+
+def _nodes(tree):
+    stack = [tree.root] if tree.root is not None else []
+    while stack:
+        node = stack.pop()
+        yield node
+        if not node.is_leaf:
+            stack.extend(node.children)
+
+
+class TestZMergeAllOwnership:
+    """``zmerge_all`` never mutates its inputs and shares no nodes with
+    them — the sharded router folds retained per-shard snapshot trees
+    on every cache miss, and phase 2 folds its per-reducer trees."""
 
     def _chunks(self, seed=11, k=4):
         rng = np.random.default_rng(seed)
@@ -171,49 +179,24 @@ class TestZMergeAllOwnership:
             rng.integers(0, 32, (70, 3)).astype(float) for _ in range(k)
         ]
 
-    def test_consuming_default_mutates_inputs(self, codec):
-        # Regression pin for the documented hazard: after a default
-        # fold, the input trees are NOT safe to reuse.  If this test
-        # ever fails, the consuming default has changed and the
-        # ownership docs (and the router's consume=False) are stale.
-        chunks = self._chunks()
-        trees = [
-            skyline_tree(codec, chunk, id_offset=1000 * i)
-            for i, chunk in enumerate(chunks)
-        ]
-        before = [sorted(tree.ids().tolist()) for tree in trees]
-        zmerge_all(trees)
-        after = [sorted(tree.ids().tolist()) for tree in trees]
-        assert before != after, (
-            "consuming zmerge_all no longer mutates its inputs — "
-            "update the Ownership docs in repro.zorder.zmerge"
-        )
-
-    def test_consume_false_leaves_inputs_intact(self, codec):
+    def test_default_leaves_inputs_intact(self, codec):
         chunks = self._chunks(seed=12)
         trees = [
             skyline_tree(codec, chunk, id_offset=1000 * i)
             for i, chunk in enumerate(chunks)
         ]
-        before = [
-            (sorted(tree.ids().tolist()),
-             sorted(map(tuple, tree.points())))
-            for tree in trees
-        ]
-        merged = zmerge_all(trees, consume=False)
+        before = [_contents(tree) for tree in trees]
+        merged = zmerge_all(trees)
         assert is_skyline_of(merged.points(), np.vstack(chunks))
-        after = [
-            (sorted(tree.ids().tolist()),
-             sorted(map(tuple, tree.points())))
-            for tree in trees
-        ]
-        assert before == after
+        assert [_contents(tree) for tree in trees] == before
+        inputs = {id(node) for tree in trees for node in _nodes(tree)}
+        assert not inputs & {id(node) for node in _nodes(merged)}
 
     def test_double_fold_is_stable(self, codec):
         # The router's exact usage pattern: fold the same retained
         # trees twice (two cache misses over an unchanged shard) and
-        # expect byte-identical answers both times, matching the
-        # consuming oracle on fresh trees.
+        # expect byte-identical answers both times, matching the fold
+        # over fresh trees.
         chunks = self._chunks(seed=13)
 
         def fresh():
@@ -228,15 +211,58 @@ class TestZMergeAllOwnership:
             return ids[order].tolist(), tree.points()[order].tolist()
 
         retained = fresh()
-        first = canon(zmerge_all(retained, consume=False))
-        second = canon(zmerge_all(retained, consume=False))
+        first = canon(zmerge_all(retained))
+        second = canon(zmerge_all(retained))
         oracle = canon(zmerge_all(fresh()))
         assert first == second == oracle
 
-    def test_consume_false_single_tree_is_not_passthrough(self, codec):
+    def test_single_tree_is_independent_copy(self, codec):
         # A lone tree must still come back as an independent copy —
         # callers are promised the result is theirs to consume.
-        tree = skyline_tree(codec, np.array([[1.0, 2.0, 3.0]]))
-        merged = zmerge_all([tree], consume=False)
+        tree = skyline_tree(codec, np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]]))
+        merged = zmerge_all([tree])
         assert merged is not tree
         assert merged.ids().tolist() == tree.ids().tolist()
+        merged.remove_dominated_by_block(np.array([[0.0, 0.0, 0.0]]))
+        assert merged.root is None
+        assert tree.ids().tolist() == [0, 1]
+
+    def test_empty_accumulator_adopts_a_copy(self, codec):
+        empty = build_zbtree(codec, np.empty((0, 3)))
+        tree = skyline_tree(codec, np.array([[1.0, 2.0, 3.0]]))
+        merged = zmerge_all([empty, tree])
+        assert merged is not tree
+        assert merged.root is not tree.root
+        assert _contents(merged) == _contents(tree)
+
+    def test_phase2_call_shape(self, codec):
+        # Phase 2's Z-merge reducer: trees built on native Z-address
+        # batches, folded into the task's counter, then collected.
+        chunks = self._chunks(seed=14, k=5)
+
+        def trees():
+            out = []
+            for i, chunk in enumerate(chunks):
+                zs, pts, ids = skyline_tree(
+                    codec, chunk, id_offset=1000 * i
+                ).collect()
+                out.append(
+                    build_zbtree(
+                        codec, pts, ids=ids, zaddresses=codec.as_zbatch(zs)
+                    )
+                )
+            return out
+
+        inputs = trees()
+        before = [_contents(tree) for tree in inputs]
+        counter = OpCounter()
+        zs, points, ids = zmerge_all(inputs, counter=counter).collect()
+        assert is_skyline_of(points, np.vstack(chunks))
+        assert zs == codec.encode_grid(points)
+        assert [_contents(tree) for tree in inputs] == before
+        reference_counter = OpCounter()
+        reference = functools.reduce(
+            lambda sky, src: zmerge(sky, src, reference_counter), trees()
+        )
+        assert ids.tolist() == reference.ids().tolist()
+        assert counter == reference_counter
