@@ -9,10 +9,18 @@ keeps the skyline of a changing set:
   ZB-tree with Z-merge — exactly the paper's phase-2 machinery;
 * **deletions** are the asymmetric hard case: removing a skyline point
   may surface points it exclusively dominated, so the maintainer
-  re-examines the deleted points' dominance regions.
+  re-examines the deleted points' dominance regions;
+* **windows** (:class:`~repro.maintenance.window.WindowSkyline`) keep
+  the skyline of the arrivals a :class:`~repro.maintenance.window.WindowSpec`
+  still admits.
 """
 
-from repro.maintenance.maintainer import SkylineMaintainer
-from repro.maintenance.window import SlidingWindowSkyline
+from repro.maintenance.maintainer import BatchDelta, SkylineMaintainer
+from repro.maintenance.window import (
+    SlidingWindowSkyline, TimeWindowSkyline, WindowSkyline, WindowSpec,
+)
 
-__all__ = ["SkylineMaintainer", "SlidingWindowSkyline"]
+__all__ = [
+    "BatchDelta", "SkylineMaintainer", "SlidingWindowSkyline",
+    "TimeWindowSkyline", "WindowSkyline", "WindowSpec",
+]

@@ -1,9 +1,11 @@
 """The :class:`SkylineMaintainer`: skyline of a dynamic point set.
 
-State: an *archive* of every alive point (id -> grid point) plus the
-maintained skyline as a ZB-tree.  Inserts are Z-merge folds; deletes
-re-promote archived points that were exclusively dominated by removed
-skyline members.
+State: a columnar *store* of every alive point (points matrix, ids, live
+mask, id -> row index; rows in insertion order, dead rows compacted away
+once they outnumber live ones) plus the maintained skyline as a ZB-tree.
+Inserts are Z-merge folds; deletes re-promote stored points that were
+exclusively dominated by removed skyline members.  Every applied batch
+returns its :class:`BatchDelta`, so consumers never diff alive sets.
 
 All points must already live on the maintainer's grid (integer-valued
 coordinates for the configured codec), like everywhere else in the
@@ -14,6 +16,7 @@ for float data.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,6 +31,38 @@ from repro.zorder.zsearch import zsearch
 
 #: metrics group all maintainer observations are filed under
 MAINTENANCE_GROUP = "maintenance"
+
+
+@dataclass(frozen=True)
+class BatchDelta:
+    """How applied batches changed the alive set: the inserted rows and
+    the deleted ids, each in applied order, so the new alive set is
+    ``(old - exited) | entered``.  Holds read-only copies."""
+
+    entered_ids: np.ndarray
+    entered_points: np.ndarray
+    exited_ids: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (
+            ("entered_ids", np.int64),
+            ("entered_points", np.float64),
+            ("exited_ids", np.int64),
+        ):
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def then(self, later: "BatchDelta") -> "BatchDelta":
+        """The net delta of ``self`` followed by ``later``: an id that
+        enters and then exits cancels out (batch-sized set operations)."""
+        stays = ~np.isin(self.entered_ids, later.exited_ids)
+        fresh = ~np.isin(later.exited_ids, self.entered_ids[~stays])
+        return BatchDelta(
+            np.concatenate([self.entered_ids[stays], later.entered_ids]),
+            np.concatenate([self.entered_points[stays], later.entered_points]),
+            np.concatenate([self.exited_ids, later.exited_ids[fresh]]),
+        )
 
 
 class SkylineMaintainer:
@@ -48,8 +83,14 @@ class SkylineMaintainer:
         self.codec = codec
         self.counter = OpCounter()
         self.metrics = metrics
-        self._archive: Dict[int, np.ndarray] = {}
-        self._sky: ZBTree = build_zbtree(codec, np.empty((0, codec.dimensions)))
+        #: the store: rows [0, _used) in insertion order; ``_rows`` maps
+        #: each live id to its row
+        self._points = np.empty((0, codec.dimensions))
+        self._ids = np.empty(0, dtype=np.int64)
+        self._live = np.empty(0, dtype=bool)
+        self._used = 0
+        self._rows: Dict[int, int] = {}
+        self._sky: ZBTree = build_zbtree(codec, self._points)
         #: cached skyline id-set; invalidated on every mutation and
         #: rebuilt lazily so membership probes are O(1) between updates
         self._sky_id_cache: Optional[FrozenSet[int]] = None
@@ -68,22 +109,23 @@ class SkylineMaintainer:
         ``skyline_ids`` must identify the exact skyline rows of
         ``(points, ids)`` — e.g. the output of a full pipeline run.  The
         drift-rebuild path uses this to swap a freshly recomputed
-        skyline in beneath an unchanged archive.
+        skyline in beneath an unchanged store (one copy, no per-row loop).
         """
         points = np.asarray(points, dtype=np.float64)
         ids = np.asarray(ids, dtype=np.int64)
         if points.ndim != 2 or ids.shape != (points.shape[0],):
             raise DatasetError("need (n, d) points and matching ids")
         maintainer = cls(codec, metrics=metrics)
-        for pid, row in zip(ids, points):
-            maintainer._archive[int(pid)] = row.copy()
-        sky_set = {int(pid) for pid in skyline_ids}
-        missing = sky_set - set(maintainer._archive)
+        maintainer._append(points, ids)
+        if len(maintainer._rows) != ids.shape[0]:
+            raise DatasetError("duplicate ids in adopted state")
+        wanted = {int(pid) for pid in skyline_ids}
+        missing = wanted.difference(maintainer._rows)
         if missing:
             raise DatasetError(
                 f"skyline ids not present in archive: {sorted(missing)[:5]}"
             )
-        keep = np.array([int(i) in sky_set for i in ids], dtype=bool)
+        keep = np.sort([maintainer._rows[pid] for pid in wanted]).astype(np.int64)
         maintainer._sky = build_zbtree(codec, points[keep], ids=ids[keep])
         return maintainer
 
@@ -93,7 +135,7 @@ class SkylineMaintainer:
     @property
     def size(self) -> int:
         """Number of alive points."""
-        return len(self._archive)
+        return len(self._rows)
 
     @property
     def skyline_size(self) -> int:
@@ -105,19 +147,20 @@ class SkylineMaintainer:
         return points, ids
 
     def alive(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Every alive point as ``(points, ids)`` in insertion order."""
-        if not self._archive:
-            d = self.codec.dimensions
-            return np.empty((0, d)), np.empty(0, dtype=np.int64)
-        ids = np.fromiter(self._archive, dtype=np.int64)
-        points = np.vstack([self._archive[int(i)] for i in ids])
+        """Every alive point as read-only ``(points, ids)`` in insertion
+        order (one masked gather over the store)."""
+        live = self._live[: self._used]
+        points = self._points[: self._used][live]
+        ids = self._ids[: self._used][live]
+        points.setflags(write=False)
+        ids.setflags(write=False)
         return points, ids
 
     def skyline_id_set(self) -> FrozenSet[int]:
         """The skyline's id-set, cached between mutations (O(1) reads)."""
         cached = self._sky_id_cache
         if cached is None:
-            cached = frozenset(int(i) for i in self._sky.ids())
+            cached = frozenset(self._sky.ids().tolist())
             self._sky_id_cache = cached
         return cached
 
@@ -127,7 +170,7 @@ class SkylineMaintainer:
         O(1) against the cached id-set (rebuilt at most once per
         mutation) — the serving layer probes this per explain-query.
         """
-        if point_id not in self._archive:
+        if point_id not in self._rows:
             raise DatasetError(f"point id {point_id} is not alive")
         return point_id in self.skyline_id_set()
 
@@ -170,17 +213,85 @@ class SkylineMaintainer:
         )
 
     # ------------------------------------------------------------------
+    # Validation (pure: the registry runs it before its WAL append and
+    # then applies the accepted arrays with apply_insert / apply_delete)
+    # ------------------------------------------------------------------
+    def validate_insert(
+        self, points: np.ndarray, ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Raise ``DatasetError`` unless the batch inserts cleanly."""
+        points = np.asarray(points, dtype=np.float64)
+        ids = np.asarray(ids, dtype=np.int64)
+        if (
+            points.ndim != 2
+            or points.shape[1] != self.codec.dimensions
+            or ids.shape != (points.shape[0],)
+        ):
+            raise DatasetError("need (n, d) points and matching ids")
+        id_list = ids.tolist()
+        if len(set(id_list)) != len(id_list):
+            raise DatasetError("duplicate ids within insert batch")
+        for pid in id_list:
+            if pid in self._rows:
+                raise DatasetError(f"point id {pid} already alive")
+        return points, ids
+
+    def validate_delete(self, point_ids: Sequence[int]) -> np.ndarray:
+        """Raise ``DatasetError`` unless each id is alive and listed once."""
+        ids = np.fromiter(point_ids, dtype=np.int64)
+        id_list = ids.tolist()
+        if len(set(id_list)) != len(id_list):
+            raise DatasetError("duplicate ids within delete batch")
+        missing = [pid for pid in id_list if pid not in self._rows]
+        if missing:
+            raise DatasetError(f"point ids not alive: {sorted(missing)}")
+        return ids
+
+    # ------------------------------------------------------------------
+    # Store
+    # ------------------------------------------------------------------
+    def _append(self, points: np.ndarray, ids: np.ndarray) -> None:
+        start, stop = self._used, self._used + ids.shape[0]
+        if stop > self._ids.shape[0]:
+            capacity = max(stop, 2 * self._ids.shape[0], 64)
+            for name in ("_points", "_ids", "_live"):
+                old = getattr(self, name)
+                grown = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
+                grown[:start] = old[:start]
+                setattr(self, name, grown)
+        self._points[start:stop] = points
+        self._ids[start:stop] = ids
+        self._live[start:stop] = True
+        self._rows.update(zip(ids.tolist(), range(start, stop)))
+        self._used = stop
+
+    def _compact_if_sparse(self) -> None:
+        """Drop dead rows once they outnumber live ones (order kept)."""
+        live_count = len(self._rows)
+        if self._used <= 2 * live_count:
+            return
+        points, ids = self.alive()
+        self._live[: self._used] = False
+        self._used = 0
+        self._rows = {}
+        self._append(points, ids)
+
+    # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def insert(self, point: Sequence[float], point_id: int) -> None:
+    def insert(self, point: Sequence[float], point_id: int) -> BatchDelta:
         """Insert one point (convenience wrapper over insert_block)."""
-        self.insert_block(
+        return self.insert_block(
             np.asarray(point, dtype=np.float64)[None, :],
             np.asarray([point_id], dtype=np.int64),
         )
 
-    def insert_block(self, points: np.ndarray, ids: np.ndarray) -> None:
-        """Insert a batch of points.
+    def insert_block(self, points: np.ndarray, ids: np.ndarray) -> BatchDelta:
+        """Validate and insert a batch of points; returns its delta."""
+        return self.apply_insert(*self.validate_insert(points, ids))
+
+    def apply_insert(self, points: np.ndarray, ids: np.ndarray) -> BatchDelta:
+        """Insert a batch :meth:`validate_insert` accepted.
 
         The batch's own skyline is computed first (cheap, local), then
         Z-merged into the maintained skyline tree — the same fold the
@@ -188,90 +299,89 @@ class SkylineMaintainer:
         """
         started = time.perf_counter()
         before = self._counter_snapshot()
-        points = np.asarray(points, dtype=np.float64)
-        ids = np.asarray(ids, dtype=np.int64)
-        if points.ndim != 2 or ids.shape != (points.shape[0],):
-            raise DatasetError("need (n, d) points and matching ids")
-        for pid in ids:
-            if int(pid) in self._archive:
-                raise DatasetError(f"point id {int(pid)} already alive")
-        for pid, row in zip(ids, points):
-            self._archive[int(pid)] = row.copy()
+        self._append(points, ids)
         batch_tree = build_zbtree(self.codec, points, ids=ids)
         batch_sky, batch_ids = zsearch(batch_tree, self.counter)
         src = build_zbtree(self.codec, batch_sky, ids=batch_ids)
         self._sky = zmerge(self._sky, src, self.counter)
         self._sky_id_cache = None
         self._record_op("insert", int(ids.shape[0]), before, started)
+        return BatchDelta(ids, points, np.empty(0))
 
-    def delete(self, point_ids: Sequence[int]) -> None:
-        """Delete a batch of points by id.
+    def delete(self, point_ids: Sequence[int]) -> BatchDelta:
+        """Validate and delete a batch of points by id; returns its delta."""
+        return self.apply_delete(self.validate_delete(point_ids))
+
+    def apply_delete(self, ids: np.ndarray) -> BatchDelta:
+        """Delete a batch :meth:`validate_delete` accepted.
 
         Deleting non-skyline points never changes the skyline.  For each
-        deleted *skyline* point, archived points inside its dominance
+        deleted *skyline* point, stored points inside its dominance
         region are candidates to surface; the union of survivors' local
         skyline is Z-merged back in.
         """
         started = time.perf_counter()
         before = self._counter_snapshot()
-        doomed = {int(pid) for pid in point_ids}
-        missing = doomed - set(self._archive)
-        if missing:
-            raise DatasetError(f"point ids not alive: {sorted(missing)}")
         try:
-            self._delete_impl(doomed)
+            self._delete_impl(ids)
         finally:
             self._sky_id_cache = None
-        self._record_op("delete", len(doomed), before, started)
+        self._compact_if_sparse()
+        self._record_op("delete", int(ids.shape[0]), before, started)
+        return BatchDelta(np.empty(0), np.empty((0, self.codec.dimensions)), ids)
 
-    def _delete_impl(self, doomed: set) -> None:
+    def _delete_impl(self, ids: np.ndarray) -> None:
         sky_ids = self.skyline_id_set()
-        deleted_sky = doomed & sky_ids
-        deleted_sky_points = np.array(
-            [self._archive[pid] for pid in deleted_sky]
-        ).reshape(len(deleted_sky), self.codec.dimensions)
-
-        for pid in doomed:
-            del self._archive[pid]
-
-        if not deleted_sky:
+        id_list = ids.tolist()
+        rows = np.fromiter(
+            (self._rows.pop(pid) for pid in id_list),
+            dtype=np.int64, count=len(id_list),
+        )
+        self._live[rows] = False
+        on_sky = np.fromiter(
+            (pid in sky_ids for pid in id_list), dtype=bool, count=len(id_list)
+        )
+        if not on_sky.any():
             return
+        deleted_sky_points = self._points[rows[on_sky]]
 
         # Rebuild the skyline tree without the deleted members.
-        _, points, ids = self._sky.collect()
-        keep = np.array([int(i) not in doomed for i in ids], dtype=bool)
-        self._sky = build_zbtree(self.codec, points[keep], ids=ids[keep])
+        _, points, tree_ids = self._sky.collect()
+        keep = ~np.isin(tree_ids, ids[on_sky])
+        self._sky = build_zbtree(self.codec, points[keep], ids=tree_ids[keep])
 
-        if not self._archive:
+        if not self._rows:
             return
         # Candidates: alive points dominated by some deleted skyline
         # point (only they can have been shadowed exclusively by it).
-        alive_ids = np.fromiter(self._archive, dtype=np.int64)
-        alive_points = np.vstack([self._archive[int(i)] for i in alive_ids])
+        alive_points, alive_ids = self.alive()
         self.counter.point_tests += alive_points.shape[0] * max(
             deleted_sky_points.shape[0], 1
         )
         shadowed = dominated_mask(alive_points, deleted_sky_points)
         if not shadowed.any():
             return
-        cand_points = alive_points[shadowed]
-        cand_ids = alive_ids[shadowed]
-        cand_tree = build_zbtree(self.codec, cand_points, ids=cand_ids)
+        cand_tree = build_zbtree(
+            self.codec, alive_points[shadowed], ids=alive_ids[shadowed]
+        )
         cand_sky, cand_sky_ids = zsearch(cand_tree, self.counter)
         src = build_zbtree(self.codec, cand_sky, ids=cand_sky_ids)
         self._sky = zmerge(self._sky, src, self.counter)
 
     # ------------------------------------------------------------------
     def verify(self) -> None:
-        """Cross-check the maintained skyline against the oracle
-        (testing hook; O(n^2 / sorted) over the alive set)."""
+        """Cross-check the store's index and the maintained skyline
+        against the oracle (testing hook; O(n^2 / sorted))."""
         from repro.core.skyline import is_skyline_of
 
-        if not self._archive:
+        alive, ids = self.alive()
+        live_rows = np.flatnonzero(self._live[: self._used]).tolist()
+        if dict(zip(ids.tolist(), live_rows)) != self._rows:
+            raise DatasetError("store index out of sync with its rows")
+        if not self._rows:
             if self.skyline_size != 0:
-                raise DatasetError("skyline non-empty for empty archive")
+                raise DatasetError("skyline non-empty for empty store")
             return
-        alive = np.vstack(list(self._archive.values()))
         points, _ = self.skyline()
         if not is_skyline_of(points, alive):
             raise DatasetError("maintained skyline diverged from oracle")

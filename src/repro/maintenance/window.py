@@ -1,16 +1,21 @@
-"""Sliding-window skyline (the n-of-N streaming model).
+"""Sliding-window skylines (the n-of-N streaming model).
 
-"Show me the best trade-offs among the most recent W records" — the
-streaming counterpart of the skyline query.  Built directly on
-:class:`~repro.maintenance.maintainer.SkylineMaintainer`: appending a
-record inserts it and expires whatever fell out of the window, reusing
-the insert/delete machinery (Z-merge + exclusive-region re-promotion).
+"Show me the best trade-offs among the most recent records."  One
+driver, :class:`WindowSkyline`, runs every window over a
+:class:`~repro.maintenance.maintainer.SkylineMaintainer` keyed by
+arrival sequence: a :class:`WindowSpec` says which arrivals are still
+inside (the last N, or those from the last ``horizon`` time units); a
+batch enters as one maintainer insert and what fell out leaves as one
+delete.  A :class:`WindowLedger` maps the window back to caller ids.
+
+Timestamps are **logical** (sequence numbers, event times, published
+registry versions), never the wall clock, so expiry is a deterministic
+function of the replayed stream — WAL recovery relies on that.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,21 +24,111 @@ from repro.maintenance.maintainer import SkylineMaintainer
 from repro.zorder.encoding import ZGridCodec
 
 
-class SlidingWindowSkyline:
-    """Skyline over the last ``window_size`` appended points."""
+class WindowSpec:
+    """Declarative window choice: :meth:`count` (last-N records) or
+    :meth:`time` (records from the last ``horizon`` time units)."""
 
-    def __init__(self, codec: ZGridCodec, window_size: int) -> None:
-        if window_size <= 0:
-            raise DatasetError("window_size must be positive")
-        self.window_size = window_size
-        self._maintainer = SkylineMaintainer(codec)
-        self._window: Deque[int] = deque()
-        self._next_id = 0
+    __slots__ = ("kind", "count_size", "horizon")
+
+    COUNT = "count"
+    TIME = "time"
+
+    def __init__(
+        self,
+        kind: str,
+        count_size: int = 0,
+        horizon: float = 0.0,
+    ) -> None:
+        if kind not in (self.COUNT, self.TIME):
+            raise DatasetError(f"unknown window kind {kind!r}")
+        if kind == self.COUNT and count_size <= 0:
+            raise DatasetError("count window needs a positive size")
+        if kind == self.TIME and not (horizon > 0):
+            raise DatasetError("time window needs a positive horizon")
+        self.kind = kind
+        self.count_size = int(count_size)
+        self.horizon = float(horizon)
+
+    @classmethod
+    def count(cls, size: int) -> "WindowSpec":
+        """A count-based n-of-N window over the last ``size`` records."""
+        return cls(cls.COUNT, count_size=size)
+
+    @classmethod
+    def time(cls, horizon: float) -> "WindowSpec":
+        """A time-based window over the last ``horizon`` time units."""
+        return cls(cls.TIME, horizon=horizon)
+
+    def expiring(self, stamps: np.ndarray, now: float) -> int:
+        """How many of the oldest entries (``stamps`` non-decreasing)
+        are outside the window at ``now``; an entry exactly ``horizon``
+        old has expired."""
+        if self.kind == self.COUNT:
+            return max(0, int(stamps.shape[0]) - self.count_size)
+        return int(np.searchsorted(stamps, now - self.horizon, side="right"))
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, WindowSpec)
+            and (self.kind, self.count_size, self.horizon)
+            == (other.kind, other.count_size, other.horizon)
+        )
+
+    def __repr__(self) -> str:
+        if self.kind == self.COUNT:
+            return f"WindowSpec.count({self.count_size})"
+        return f"WindowSpec.time({self.horizon})"
+
+
+class WindowLedger:
+    """The ids and non-decreasing timestamps of a window's entries,
+    oldest first, with the :class:`WindowSpec` expiry step."""
+
+    def __init__(self) -> None:
+        self.ids = np.empty(0, dtype=np.int64)
+        self.stamps = np.empty(0)
 
     @property
     def size(self) -> int:
-        """Number of points currently in the window."""
-        return len(self._window)
+        return int(self.ids.shape[0])
+
+    def push(self, ids: np.ndarray, stamps: np.ndarray) -> None:
+        self.ids = np.concatenate([self.ids, ids])
+        self.stamps = np.concatenate([self.stamps, stamps])
+
+    def expire(self, spec: WindowSpec, now: float) -> np.ndarray:
+        """Pop and return the ids ``spec`` expires at ``now``."""
+        out = spec.expiring(self.stamps, now)
+        expired = self.ids[:out]
+        self.ids = self.ids[out:]
+        self.stamps = self.stamps[out:]
+        return expired
+
+
+class WindowSkyline:
+    """Skyline over the arrivals a :class:`WindowSpec` keeps.
+
+    The maintainer is keyed by arrival sequence, not by the caller's
+    ids, so an id may arrive again while an older arrival of it is
+    still inside the window; :meth:`skyline` translates back.  ``now``
+    only moves forward: it is the newest timestamp observed, or
+    whatever :meth:`advance_to` pushed it to.
+    """
+
+    def __init__(self, codec: ZGridCodec, spec: WindowSpec) -> None:
+        self.spec = spec
+        self._maintainer = SkylineMaintainer(codec)
+        self._ledger = WindowLedger()
+        #: arrival sequence of the next entry; the window holds the
+        #: contiguous sequences ``[_next_seq - size, _next_seq)``
+        self._next_seq = 0
+        self.now = float("-inf")
+
+    # ------------------------------------------------------------------
+    @property
+    def size(self) -> int:
+        """Number of points currently inside the window."""
+        return self._ledger.size
 
     @property
     def skyline_size(self) -> int:
@@ -41,60 +136,145 @@ class SlidingWindowSkyline:
 
     def skyline(self) -> Tuple[np.ndarray, np.ndarray]:
         """Current window skyline as ``(points, ids)``."""
-        return self._maintainer.skyline()
-
-    def append(self, point: Sequence[float]) -> int:
-        """Append one point; expire the oldest when the window is full.
-
-        Returns the id assigned to the appended point (monotonically
-        increasing arrival order).
-        """
-        point_id = self._next_id
-        self._next_id += 1
-        self._maintainer.insert(
-            np.asarray(point, dtype=np.float64), point_id
-        )
-        self._window.append(point_id)
-        if len(self._window) > self.window_size:
-            expired = self._window.popleft()
-            self._maintainer.delete([expired])
-        return point_id
-
-    def extend(self, points: np.ndarray) -> np.ndarray:
-        """Append a batch in arrival order; one maintainer insert and
-        one delete regardless of batch size.
-
-        Final window state is identical to per-point :meth:`append`
-        (same ids, same survivors, same skyline): batch rows that the
-        batch itself would immediately expire never reach the
-        maintainer, and everything that falls out of the window leaves
-        in a single delete.  Returns the assigned ids of *all* batch
-        rows, expired-in-batch ones included.
-        """
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2:
-            raise DatasetError("need an (n, d) point matrix")
-        n = points.shape[0]
-        ids = np.arange(self._next_id, self._next_id + n, dtype=np.int64)
-        self._next_id += n
-        if n == 0:
-            return ids
-        # Only the batch tail can survive: rows before it are pushed
-        # out by the rest of the batch alone.
-        keep = min(n, self.window_size)
-        self._maintainer.insert_block(points[n - keep:], ids[n - keep:])
-        self._window.extend(int(i) for i in ids[n - keep:])
-        expired = []
-        while len(self._window) > self.window_size:
-            expired.append(self._window.popleft())
-        if expired:
-            self._maintainer.delete(expired)
-        return ids
+        points, seqs = self._maintainer.skyline()
+        return points, self._ledger.ids[seqs - (self._next_seq - self.size)]
 
     def window_ids(self) -> Tuple[int, ...]:
         """Ids currently inside the window, oldest first."""
-        return tuple(self._window)
+        return tuple(self._ledger.ids.tolist())
 
+    # ------------------------------------------------------------------
+    def append(
+        self, point: Sequence[float], point_id: int, timestamp: float
+    ) -> List[int]:
+        """Append one point; returns the ids this append expired."""
+        return self.extend(
+            np.asarray(point, dtype=np.float64)[None, :],
+            [int(point_id)],
+            [float(timestamp)],
+        )
+
+    def extend(
+        self,
+        points: np.ndarray,
+        ids: Sequence[int],
+        timestamps: Sequence[float],
+    ) -> List[int]:
+        """Append a batch in arrival order; one maintainer insert and
+        (at most) one delete regardless of batch size.
+
+        ``timestamps`` must be non-decreasing within the batch and not
+        precede the newest window entry.  Batch rows the window would
+        already have expired by the batch's newest timestamp are never
+        inserted (they would enter and immediately leave), so the final
+        state equals per-point appends.  Returns the ids expired by this
+        batch (previously inside the window), oldest first.
+        """
+        points = np.asarray(points, dtype=np.float64)
+        ids_arr = np.asarray(ids, dtype=np.int64)
+        ts = np.asarray(timestamps, dtype=np.float64)
+        if points.ndim != 2 or ids_arr.shape != (points.shape[0],):
+            raise DatasetError("need (n, d) points and matching ids")
+        if ts.shape != (points.shape[0],):
+            raise DatasetError("need one timestamp per point")
+        if points.shape[0] == 0:
+            return []
+        if np.any(np.diff(ts) < 0):
+            raise DatasetError("timestamps must be non-decreasing")
+        if self.size and ts[0] < self._ledger.stamps[-1]:
+            raise DatasetError(
+                f"timestamp {ts[0]} precedes the newest window entry "
+                f"({self._ledger.stamps[-1]}); logical time moves forward"
+            )
+        new_now = max(self.now, float(ts[-1]))
+        out = self.spec.expiring(
+            np.concatenate([self._ledger.stamps, ts]), new_now
+        )
+        enter = slice(max(0, out - self.size), None)
+        entering = ids_arr[enter]
+        if entering.size:
+            seqs = np.arange(self._next_seq, self._next_seq + entering.size)
+            self._maintainer.insert_block(points[enter], seqs)
+            self._next_seq += entering.size
+            self._ledger.push(entering, ts[enter])
+        return self.advance_to(new_now)
+
+    def advance_to(self, now: float) -> List[int]:
+        """Move the clock forward and expire what fell out of the
+        window in a single maintainer delete."""
+        now = float(now)
+        if now < self.now:
+            raise DatasetError(
+                f"cannot move the window clock backwards "
+                f"({self.now} -> {now})"
+            )
+        self.now = now
+        oldest = self._next_seq - self.size
+        expired = self._ledger.expire(self.spec, now)
+        if expired.size:
+            self._maintainer.delete(np.arange(oldest, oldest + expired.size))
+        return expired.tolist()
+
+    # ------------------------------------------------------------------
     def verify(self) -> None:
         """Testing hook: cross-check against the oracle."""
+        if self._maintainer.size != self.size:
+            raise DatasetError("window ledger out of sync with its skyline")
         self._maintainer.verify()
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}({self.spec!r}, now={self.now}, "
+            f"size={self.size}, skyline={self.skyline_size})"
+        )
+
+
+class SlidingWindowSkyline:
+    """Skyline over the last ``window_size`` appended points: a count
+    :class:`WindowSkyline` that numbers each point by arrival and uses
+    that number as its id (and as its logical time)."""
+
+    def __init__(self, codec: ZGridCodec, window_size: int) -> None:
+        self._window = WindowSkyline(codec, WindowSpec.count(window_size))
+        self.window_size = window_size
+        self._next_id = 0
+
+    @property
+    def size(self) -> int:
+        return self._window.size
+
+    @property
+    def skyline_size(self) -> int:
+        return self._window.skyline_size
+
+    def skyline(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self._window.skyline()
+
+    def window_ids(self) -> Tuple[int, ...]:
+        return self._window.window_ids()
+
+    def verify(self) -> None:
+        self._window.verify()
+
+    def append(self, point: Sequence[float]) -> int:
+        """Append one point; expire the oldest when the window is full.
+        Returns the id assigned to the point."""
+        return int(self.extend(np.asarray(point, dtype=np.float64)[None, :])[0])
+
+    def extend(self, points: np.ndarray) -> np.ndarray:
+        """Append a batch in arrival order; returns the assigned ids of
+        *all* batch rows, expired-in-batch ones included."""
+        ids = np.arange(self._next_id, self._next_id + len(points))
+        self._window.extend(points, ids, ids.astype(np.float64))
+        self._next_id += ids.size
+        return ids
+
+
+class TimeWindowSkyline(WindowSkyline):
+    """Skyline over points whose timestamp is within ``horizon`` of the
+    newest observed time (``t > now - horizon``), under the caller's
+    ids — the same ids the serving registry knows them by."""
+
+    def __init__(self, codec: ZGridCodec, horizon: float) -> None:
+        super().__init__(codec, WindowSpec.time(horizon))
+        self.horizon = self.spec.horizon

@@ -41,6 +41,7 @@ id set is exact.)
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from collections import deque
@@ -56,7 +57,7 @@ from repro.core.exceptions import (
     DatasetError,
     WriterDownError,
 )
-from repro.maintenance.maintainer import SkylineMaintainer
+from repro.maintenance.maintainer import BatchDelta, SkylineMaintainer
 from repro.observability.metrics import MetricsRegistry
 from repro.serving.faults import ServingFaultPlan
 from repro.serving.snapshot import Snapshot
@@ -591,8 +592,6 @@ class DatasetRegistry:
     ) -> PublishResult:
         """Insert a batch and publish the next version."""
         state = self._state(name)
-        points = np.asarray(points, dtype=np.float64)
-        ids = np.asarray(ids, dtype=np.int64)
         with state.lock:
             self._require_writer(state)
             return self._mutate(state, "insert", points, ids)
@@ -600,7 +599,6 @@ class DatasetRegistry:
     def delete(self, name: str, ids: Sequence[int]) -> PublishResult:
         """Delete a batch by id and publish the next version."""
         state = self._state(name)
-        ids = np.asarray([int(i) for i in ids], dtype=np.int64)
         with state.lock:
             self._require_writer(state)
             return self._mutate(state, "delete", None, ids)
@@ -689,6 +687,13 @@ class DatasetRegistry:
             )
             state.maintainer = maintainer
             state.deletes_since_rebuild = baseline.deletes_since_rebuild
+            # The delta the republish carries: every replayed batch past
+            # the version this registry last published (none on adopt).
+            published = (
+                state.snapshot.version if state.snapshot is not None
+                else math.inf
+            )
+            delta: Optional[BatchDelta] = None
             replay = state.store.wal.replay()
             version = baseline.version
             replayed = 0
@@ -710,13 +715,17 @@ class DatasetRegistry:
                     )
                 expected = record.seq
                 if record.op == "insert":
-                    maintainer.insert_block(
+                    applied = maintainer.insert_block(
                         np.asarray(record.points, dtype=np.float64),
                         np.asarray(record.ids, dtype=np.int64),
                     )
                 else:
-                    maintainer.delete(list(record.ids))
-                    state.deletes_since_rebuild += len(record.ids)
+                    # dict.fromkeys: frames logged before repeated
+                    # delete ids were rejected may list an id twice
+                    applied = maintainer.delete(dict.fromkeys(record.ids))
+                    state.deletes_since_rebuild += applied.exited_ids.size
+                if record.seq > published:
+                    delta = applied if delta is None else delta.then(applied)
                 self._maybe_rebuild(state, allow_pooled=False)
                 # a drift rebuild swaps the maintainer object
                 maintainer = state.maintainer
@@ -733,7 +742,7 @@ class DatasetRegistry:
             }
             result = self._publish(
                 state, rebuilt=False, version=version, meta=meta,
-                recovered=True,
+                recovered=True, delta=delta,
             )
             # Recovery checkpoint: the next crash replays from here.
             self._checkpoint(state)
@@ -763,52 +772,27 @@ class DatasetRegistry:
                 retry_after_seconds=_WRITER_RETRY_AFTER,
             )
 
-    def _validate_batch(
-        self,
-        state: _DatasetState,
-        op: str,
-        points: Optional[np.ndarray],
-        ids: np.ndarray,
-    ) -> None:
-        """Reject an inapplicable batch *before* it reaches the WAL.
-
-        The log must only ever record batches that apply cleanly: a
-        frame whose apply then fails would never publish its sequence
-        number, the next batch would reuse it, and recovery would
-        refuse the duplicate-seq log.  This is also what makes the
-        service's recover-then-re-execute path safe — re-executing a
-        batch that recovery already applied fails *here*, as a typed
-        DatasetError, with the WAL untouched.
-        """
-        assert state.snapshot is not None
-        alive = state.snapshot.ids
-        if op == "insert":
-            assert points is not None
-            if points.ndim != 2 or ids.shape != (points.shape[0],):
-                raise DatasetError("need (n, d) points and matching ids")
-            if np.unique(ids).size != ids.size:
-                raise DatasetError("duplicate ids within insert batch")
-            clash = np.intersect1d(ids, alive)
-            if clash.size:
-                raise DatasetError(
-                    f"point id {int(clash[0])} already alive"
-                )
-        else:
-            missing = np.setdiff1d(ids, alive)
-            if missing.size:
-                raise DatasetError(
-                    f"point ids not alive: {missing.tolist()}"
-                )
-
     def _mutate(
         self,
         state: _DatasetState,
         op: str,
         points: Optional[np.ndarray],
-        ids: np.ndarray,
+        ids: Sequence[int],
     ) -> PublishResult:
         assert state.snapshot is not None and state.maintainer is not None
-        self._validate_batch(state, op, points, ids)
+        # Reject an inapplicable batch *before* it reaches the WAL.  The
+        # log must only ever record batches that apply cleanly: a frame
+        # whose apply then fails would never publish its sequence
+        # number, the next batch would reuse it, and recovery would
+        # refuse the duplicate-seq log.  This is also what makes the
+        # service's recover-then-re-execute path safe — re-executing a
+        # batch that recovery already applied fails here, as a typed
+        # DatasetError, with the WAL untouched.
+        maintainer = state.maintainer
+        if op == "insert":
+            points, ids = maintainer.validate_insert(points, ids)
+        else:
+            ids = maintainer.validate_delete(ids)
         seq = state.snapshot.version + 1
         phase = (
             self.fault_plan.writer_crash_phase(
@@ -837,12 +821,12 @@ class DatasetRegistry:
                 state.pending_batches += 1
             self._crash_writer(state, seq, phase, applied=durable)
         if op == "insert":
-            state.maintainer.insert_block(points, ids)
+            delta = maintainer.apply_insert(points, ids)
         else:
-            state.maintainer.delete([int(i) for i in ids])
-            state.deletes_since_rebuild += len(ids)
+            delta = maintainer.apply_delete(ids)
+            state.deletes_since_rebuild += delta.exited_ids.size
         rebuilt = self._maybe_rebuild(state)
-        result = self._publish(state, rebuilt=rebuilt)
+        result = self._publish(state, rebuilt=rebuilt, delta=delta)
         if phase == "after":
             # Crash after the publish: readers already see the new
             # version; only the writer's in-memory state is lost.
@@ -883,6 +867,7 @@ class DatasetRegistry:
         version: Optional[int] = None,
         meta: Optional[Dict[str, Any]] = None,
         recovered: bool = False,
+        delta: Optional[BatchDelta] = None,
     ) -> PublishResult:
         assert state.maintainer is not None
         previous = state.snapshot
@@ -893,7 +878,7 @@ class DatasetRegistry:
         snapshot = Snapshot.build(
             state.name, version, state.codec,
             points, ids, sky_points, sky_ids,
-            meta=meta,
+            meta=meta, delta=delta,
         )
         if state.history and state.history[-1].version == version:
             # Recovery republish of an already-published version:

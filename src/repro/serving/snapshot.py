@@ -24,6 +24,7 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.core.exceptions import DatasetError
+from repro.maintenance.maintainer import BatchDelta
 from repro.zorder.encoding import ZGridCodec
 from repro.zorder.zbtree import ZBTree, build_zbtree
 
@@ -42,6 +43,10 @@ class Snapshot:
     ``points``/``ids`` are the alive set; ``sky_points``/``sky_ids``
     the skyline of exactly that set, also available as ``sky_tree``
     (a ZB-tree private to this snapshot, safe for concurrent reads).
+    ``delta`` is how the alive set changed since the registry's
+    previous published version (None when this registry published no
+    earlier version of the dataset — registration, adoption — and on a
+    recovery republish that replayed no batch past it).
     """
 
     dataset: str
@@ -56,6 +61,9 @@ class Snapshot:
     #: snapshot republished from WAL replay); never affects equality
     meta: Dict[str, Any] = field(
         default_factory=dict, repr=False, compare=False
+    )
+    delta: Optional[BatchDelta] = field(
+        default=None, repr=False, compare=False
     )
     #: lazy id -> row-index map (built on first explain-by-id lookup)
     _row_index: Dict[int, int] = field(
@@ -73,6 +81,7 @@ class Snapshot:
         sky_points: np.ndarray,
         sky_ids: np.ndarray,
         meta: Optional[Dict[str, Any]] = None,
+        delta: Optional[BatchDelta] = None,
     ) -> "Snapshot":
         """Freeze the given state into a snapshot.
 
@@ -99,6 +108,7 @@ class Snapshot:
             sky_ids=sky_ids,
             sky_tree=tree,
             meta=dict(meta or {}),
+            delta=delta,
         )
 
     # ------------------------------------------------------------------

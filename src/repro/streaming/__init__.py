@@ -14,6 +14,7 @@ See ``docs/INTERNALS.md`` §17 for the model and invariants, and
 ``examples/streaming_subscriptions.py`` for an end-to-end tour.
 """
 
+from repro.maintenance.window import TimeWindowSkyline, WindowSpec
 from repro.streaming.continuous import (
     STREAMING_GROUP,
     ContinuousQuery,
@@ -27,7 +28,6 @@ from repro.streaming.diff import (
 )
 from repro.streaming.feed import BLOCK, SHED, FeedConfig, IngestFeed
 from repro.streaming.hub import Subscription, SubscriptionHub
-from repro.streaming.window import TimeWindowSkyline, WindowSpec
 
 __all__ = [
     "BLOCK",

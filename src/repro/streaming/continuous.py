@@ -2,16 +2,16 @@
 
 A :class:`ContinuousQuery` is a *registered, standing* query: a sliding
 window (count- or time-based, see
-:class:`~repro.streaming.window.WindowSpec`) over a dataset's ingest
+:class:`~repro.maintenance.window.WindowSpec`) over a dataset's ingest
 stream, whose skyline is incrementally maintained and re-diffed on
 every published registry version.  The
 :class:`ContinuousQueryManager` hooks into
 :meth:`DatasetRegistry.add_publish_hook
 <repro.serving.registry.DatasetRegistry.add_publish_hook>`: on each
-publish it derives the newly arrived records (alive-set delta between
-consecutive snapshots, in ascending id order — deterministic), feeds
-them to every continuous query registered on that dataset, and records
-the per-query skyline diff.
+publish it reads the newly arrived records off the snapshot's batch
+delta (the inserted rows, in applied order), feeds them to every
+continuous query registered on that dataset, and records the
+per-query skyline diff.
 
 Determinism: advancement is a pure function of the published snapshot
 sequence.  Time-based windows run on a **logical clock** — by default
@@ -19,7 +19,7 @@ the published version number — so replaying the same publish sequence
 (e.g. WAL recovery re-driving a fresh manager) advances every query
 identically.  Deletions from the dataset do not retract window entries:
 a continuous query is a view over the *arrival stream*, not over the
-current alive set.
+current alive set, so an id deleted and inserted again arrives twice.
 """
 
 from __future__ import annotations
@@ -31,26 +31,18 @@ from typing import Deque, Dict, FrozenSet, List, Optional, Tuple
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError
-from repro.maintenance.window import SlidingWindowSkyline
+from repro.maintenance.window import WindowSkyline, WindowSpec
 from repro.observability.metrics import MetricsRegistry
 from repro.serving.snapshot import Snapshot
 from repro.streaming.diff import SkylineDiff
-from repro.streaming.window import TimeWindowSkyline, WindowSpec
 
 #: metrics group for all streaming-layer counters
 STREAMING_GROUP = "streaming"
 
 
 class ContinuousQuery:
-    """One standing windowed-skyline query over a dataset's stream.
-
-    Results are always in the dataset's external id space.  For
-    count-based windows the internal
-    :class:`~repro.maintenance.window.SlidingWindowSkyline` assigns its
-    own arrival ids; the query keeps the internal→external mapping and
-    translates at the boundary, so ``append`` semantics of the
-    underlying window stay untouched.
-    """
+    """One standing windowed-skyline query over a dataset's stream; its
+    results are in the dataset's own ids."""
 
     def __init__(
         self,
@@ -64,16 +56,7 @@ class ContinuousQuery:
         self.spec = spec
         #: last registry version this query advanced to
         self.version = 0
-        self._count_window: Optional[SlidingWindowSkyline] = None
-        self._time_window: Optional[TimeWindowSkyline] = None
-        if spec.kind == WindowSpec.COUNT:
-            self._count_window = SlidingWindowSkyline(
-                codec, spec.count_size
-            )
-            #: internal arrival id -> external dataset id
-            self._id_map: Dict[int, int] = {}
-        else:
-            self._time_window = TimeWindowSkyline(codec, spec.horizon)
+        self._window = WindowSkyline(codec, spec)
         self._last_sky: FrozenSet[int] = frozenset()
         #: recent per-advance diffs (newest last)
         self.diffs: Deque[SkylineDiff] = deque(maxlen=32)
@@ -82,37 +65,21 @@ class ContinuousQuery:
     # ------------------------------------------------------------------
     @property
     def window_size(self) -> int:
-        if self._count_window is not None:
-            return self._count_window.size
-        assert self._time_window is not None
-        return self._time_window.size
+        return self._window.size
 
     def window_ids(self) -> Tuple[int, ...]:
-        """External ids currently inside the window, oldest first."""
-        if self._count_window is not None:
-            return tuple(
-                self._id_map[i] for i in self._count_window.window_ids()
-            )
-        assert self._time_window is not None
-        return self._time_window.window_ids()
+        """Ids currently inside the window, oldest first."""
+        return self._window.window_ids()
 
     def skyline(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Current windowed skyline as ``(points, external ids)``."""
-        if self._count_window is not None:
-            points, internal = self._count_window.skyline()
-            external = np.asarray(
-                [self._id_map[int(i)] for i in internal], dtype=np.int64
-            )
-            order = np.argsort(external, kind="stable")
-            return points[order], external[order]
-        assert self._time_window is not None
-        points, ids = self._time_window.skyline()
+        """Current windowed skyline as ``(points, ids)`` in id order."""
+        points, ids = self._window.skyline()
         order = np.argsort(ids, kind="stable")
         return points[order], ids[order]
 
     def skyline_ids(self) -> FrozenSet[int]:
-        _, ids = self.skyline()
-        return frozenset(int(i) for i in ids)
+        _, ids = self._window.skyline()
+        return frozenset(ids.tolist())
 
     @property
     def last_diff(self) -> Optional[SkylineDiff]:
@@ -136,28 +103,11 @@ class ContinuousQuery:
         """
         if version <= self.version:
             return None
-        points = np.asarray(points, dtype=np.float64)
-        ids = np.asarray(ids, dtype=np.int64)
         clock = float(version) if timestamp is None else float(timestamp)
-        if self._count_window is not None:
-            if points.shape[0]:
-                internal = self._count_window.extend(points)
-                for raw, ext in zip(internal, ids):
-                    self._id_map[int(raw)] = int(ext)
-                survivors = set(self._count_window.window_ids())
-                for raw in [
-                    k for k in self._id_map if k not in survivors
-                ]:
-                    del self._id_map[raw]
-        else:
-            assert self._time_window is not None
-            if points.shape[0]:
-                self._time_window.extend(
-                    points, ids, np.full(points.shape[0], clock)
-                )
-            elif self._time_window.now < clock:
-                self._time_window.advance_to(clock)
-        self.records_seen += int(points.shape[0])
+        self._window.extend(points, ids, np.full(len(ids), clock))
+        if self._window.now < clock:
+            self._window.advance_to(clock)
+        self.records_seen += len(ids)
         previous = self._last_sky
         current = self.skyline_ids()
         self._last_sky = current
@@ -175,11 +125,7 @@ class ContinuousQuery:
 
     def verify(self) -> None:
         """Testing hook: window-skyline oracle cross-check."""
-        if self._count_window is not None:
-            self._count_window.verify()
-        else:
-            assert self._time_window is not None
-            self._time_window.verify()
+        self._window.verify()
 
     def __repr__(self) -> str:
         return (
@@ -193,10 +139,10 @@ class ContinuousQueryManager:
     """Registers continuous queries and advances them on every publish.
 
     Attach to a registry once (:meth:`attach`); register queries per
-    dataset (:meth:`register`).  The publish hook derives each new
-    version's arrivals as the alive-set delta against the previous
-    snapshot — in ascending id order, so advancement is deterministic
-    and identical under WAL replay of the same batch sequence.
+    dataset (:meth:`register`).  The publish hook takes each new
+    version's arrivals from the snapshot's batch delta — the inserted
+    rows in applied (WAL) order, so advancement is deterministic and
+    identical under WAL replay of the same batch sequence.
 
     The hook runs under the dataset's writer lock (like every publish
     hook); its cost is O(delta + per-query window maintenance).  Keep
@@ -209,7 +155,6 @@ class ContinuousQueryManager:
         self._lock = threading.Lock()
         self._registry = None
         self._queries: Dict[str, List[ContinuousQuery]] = {}
-        self._last: Dict[str, Snapshot] = {}
 
     # ------------------------------------------------------------------
     def attach(self, registry) -> "ContinuousQueryManager":
@@ -243,8 +188,6 @@ class ContinuousQueryManager:
                         f"on {dataset!r}"
                     )
             snapshot = self._registry.snapshot(dataset)
-            if dataset not in self._last:
-                self._last[dataset] = snapshot
             query = ContinuousQuery(name, dataset, spec, snapshot.codec)
             query.version = snapshot.version
             self._queries.setdefault(dataset, []).append(query)
@@ -258,37 +201,29 @@ class ContinuousQueryManager:
 
     # ------------------------------------------------------------------
     def on_publish(self, snapshot: Snapshot) -> None:
-        """Publish hook: advance every query of ``snapshot.dataset``."""
+        """Publish hook: advance every query of ``snapshot.dataset`` by
+        the version's inserted rows.  A recovery republish of a version
+        the queries already advanced through is a no-op in
+        :meth:`ContinuousQuery.advance`; a publish without a delta
+        (registration, adoption) is skipped."""
+        arrived = snapshot.delta
         with self._lock:
-            previous = self._last.get(snapshot.dataset)
-            self._last[snapshot.dataset] = snapshot
             queries = self._queries.get(snapshot.dataset, [])
-            if previous is None or not queries:
+            if arrived is None or not queries:
                 return
-            if snapshot.version <= previous.version:
-                # Recovery republish of a version the queries already
-                # advanced through: bit-identical by the WAL contract.
-                return
-            entered = np.setdiff1d(snapshot.ids, previous.ids)
-            if entered.size:
-                mask = np.isin(snapshot.ids, entered)
-                arrived_ids = snapshot.ids[mask]
-                arrived_points = snapshot.points[mask]
-                order = np.argsort(arrived_ids, kind="stable")
-                arrived_ids = arrived_ids[order]
-                arrived_points = arrived_points[order]
-            else:
-                arrived_ids = np.empty(0, dtype=np.int64)
-                arrived_points = np.empty((0, snapshot.dimensions))
-            for query in queries:
+            advanced = sum(
                 query.advance(
-                    snapshot.version, arrived_points, arrived_ids
-                )
-        if self.metrics is not None:
-            self.metrics.inc(STREAMING_GROUP, "cq_advances", len(queries))
-            if entered.size:
+                    snapshot.version,
+                    arrived.entered_points,
+                    arrived.entered_ids,
+                ) is not None
+                for query in queries
+            )
+        if self.metrics is not None and advanced:
+            self.metrics.inc(STREAMING_GROUP, "cq_advances", advanced)
+            if arrived.entered_ids.size:
                 self.metrics.inc(
                     STREAMING_GROUP,
                     "cq_records",
-                    int(entered.size) * len(queries),
+                    int(arrived.entered_ids.size) * advanced,
                 )

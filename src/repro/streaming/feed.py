@@ -30,10 +30,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError, OverloadedError
+from repro.maintenance.window import WindowLedger, WindowSpec
 from repro.observability.metrics import MetricsRegistry
 from repro.serving.admission import MUTATE, AdmissionController
 from repro.streaming.continuous import STREAMING_GROUP
-from repro.streaming.window import WindowSpec
 
 SHED = "shed"
 BLOCK = "block"
@@ -99,8 +99,8 @@ class IngestFeed:
         self._clock = 0.0
         #: records waiting for the next flush: (point, id, timestamp)
         self._pending: List[Tuple[np.ndarray, int, float]] = []
-        #: (timestamp, id) of feed-ingested records still in the window
-        self._window_entries: List[Tuple[float, int]] = []
+        #: feed-ingested records still in the window
+        self._ledger = WindowLedger()
         self.batches_flushed = 0
         self.records_flushed = 0
         self.records_expired = 0
@@ -115,7 +115,7 @@ class IngestFeed:
     @property
     def window_population(self) -> int:
         """Feed-ingested records currently inside the window."""
-        return len(self._window_entries)
+        return self._ledger.size
 
     def append(
         self,
@@ -229,10 +229,8 @@ class IngestFeed:
             self.metrics.inc(STREAMING_GROUP, "feed_batches")
             self.metrics.inc(STREAMING_GROUP, "feed_records", len(batch))
         if self.window is not None:
-            self._window_entries.extend(
-                (stamp, pid) for _, pid, stamp in batch
-            )
-            expired = self._expired_ids()
+            self._ledger.push(ids, [stamp for _, _, stamp in batch])
+            expired = self._ledger.expire(self.window, self._clock).tolist()
             if expired:
                 result = self.registry.delete(self.dataset, expired)
                 self.records_expired += len(expired)
@@ -241,24 +239,6 @@ class IngestFeed:
                         STREAMING_GROUP, "feed_expirations", len(expired)
                     )
         return result
-
-    def _expired_ids(self) -> List[int]:
-        """Pop and return window-expired ids (oldest first)."""
-        entries = self._window_entries
-        if self.window.kind == WindowSpec.COUNT:
-            overflow = len(entries) - self.window.count_size
-            if overflow <= 0:
-                return []
-            expired = [pid for _, pid in entries[:overflow]]
-            self._window_entries = entries[overflow:]
-            return expired
-        cutoff = self._clock - self.window.horizon
-        keep = 0
-        while keep < len(entries) and entries[keep][0] <= cutoff:
-            keep += 1
-        expired = [pid for _, pid in entries[:keep]]
-        self._window_entries = entries[keep:]
-        return expired
 
     def stats(self) -> dict:
         return {

@@ -283,6 +283,42 @@ class TestContinuousQueries:
         # rewrite history.
         assert set(query.window_ids()) == {20, 21, 22, 23}
 
+    @pytest.mark.parametrize(
+        "spec", [WindowSpec.count(50), WindowSpec.time(10.0)]
+    )
+    def test_reinserted_id_arrives_again(self, spec):
+        rng = np.random.default_rng(8)
+        metrics = MetricsRegistry()
+        registry = DatasetRegistry(metrics=metrics)
+        registry.register(
+            "ds", _grid(rng, 10), codec=_codec(), drift=DriftPolicy.never()
+        )
+        query = ContinuousQueryManager().attach(registry).register(
+            "q", "ds", spec
+        )
+        first, again = np.asarray([[1.0, 1, 1]]), np.asarray([[0.0, 9, 9]])
+        registry.insert("ds", first, [20])
+        registry.insert("ds", _grid(rng, 2), [21, 22])
+        registry.delete("ds", [20])
+        # 20 is still inside the window: the new arrival joins it.
+        registry.insert("ds", again, [20])
+        serving = metrics.counters_as_dict().get("serving", {})
+        assert serving.get("publish_hook_errors", 0) == 0
+        assert query.version == registry.version("ds")
+        assert query.records_seen == 4
+        assert query.window_ids() == (20, 21, 22, 20)
+        snap = registry.snapshot("ds")
+        rows = np.vstack(
+            [first[0], snap.points[snap.row_of(21)],
+             snap.points[snap.row_of(22)], again[0]]
+        )
+        _, want = bnl_skyline(rows, ids=np.asarray([20, 21, 22, 20]))
+        assert query.skyline_ids() == frozenset(want.tolist())
+        query.verify()
+        registry.insert("ds", _grid(rng, 1), [23])
+        assert query.records_seen == 5
+        query.verify()
+
     def test_duplicate_name_rejected(self):
         rng = np.random.default_rng(7)
         registry, manager = self._stack(_grid(rng, 5))
