@@ -346,9 +346,11 @@ class SkylineMaintainer:
         deleted_sky_points = self._points[rows[on_sky]]
 
         # Rebuild the skyline tree without the deleted members.
-        _, points, tree_ids = self._sky.collect()
+        zs, points, tree_ids = self._sky.collect()
         keep = ~np.isin(tree_ids, ids[on_sky])
-        self._sky = build_zbtree(self.codec, points[keep], ids=tree_ids[keep])
+        self._sky = build_zbtree(
+            self.codec, points[keep], ids=tree_ids[keep], zaddresses=zs[keep]
+        )
 
         if not self._rows:
             return

@@ -61,13 +61,10 @@ class ZCurveRule(PartitionRule):
         ):
             raise PartitioningError("pivots must be strictly increasing")
         self._num_partitions = len(self.pivots) + 1
-        # Pivots in the kernel's native form so mapper-side routing can
+        # Pivots as the kernel's search keys, so mapper-side routing can
         # binary-search whole z-batches without touching Python ints.
         kernel = codec.kernel
-        if kernel.fast_path:
-            self._pivots_native = np.asarray(self.pivots, dtype=np.uint64)
-        else:
-            self._pivots_native = kernel.from_ints(self.pivots)
+        self._pivot_keys = kernel.search_keys(kernel.from_ints(self.pivots))
         if group_map is None:
             self._group_map = np.arange(self._num_partitions, dtype=np.int64)
             self._num_groups = self._num_partitions
@@ -99,38 +96,22 @@ class ZCurveRule(PartitionRule):
         """Partition id per Z-address (binary search over the pivots —
         Algorithm 3's ``searchPT``).
 
-        Accepts Python ints or a native kernel batch; native batches are
-        resolved with one vectorised ``searchsorted`` (fast path) or a
-        per-pivot lexicographic sweep (wide path) — never a per-address
-        Python ``bisect``.
+        Accepts Python ints or a native kernel batch; a native batch is
+        resolved with one ``searchsorted`` over the kernel's search keys
+        (the ``uint64`` addresses, or fixed-width raw bytes on the wide
+        path), never a per-address Python ``bisect``.
         """
         kernel = self.codec.kernel
         if kernel.is_native(zaddresses):
-            if kernel.fast_path:
-                return np.searchsorted(
-                    self._pivots_native, zaddresses, side="right"
-                ).astype(np.int64)
-            return self._partition_of_wide(zaddresses)
+            return np.searchsorted(
+                self._pivot_keys, kernel.search_keys(zaddresses), side="right"
+            ).astype(np.int64)
         pivots = self.pivots
         return np.fromiter(
             (bisect.bisect_right(pivots, z) for z in zaddresses),
             dtype=np.int64,
             count=len(zaddresses),
         )
-
-    def _partition_of_wide(self, zbatch: np.ndarray) -> np.ndarray:
-        """``bisect_right`` of packed-byte addresses: count, per row, the
-        pivots that are <= the row (rows compare lexicographically)."""
-        n = zbatch.shape[0]
-        counts = np.zeros(n, dtype=np.int64)
-        rows = np.arange(n)
-        for pivot_row in self._pivots_native:
-            diff = zbatch != pivot_row[None, :]
-            has_diff = diff.any(axis=1)
-            first = np.argmax(diff, axis=1)
-            row_byte = zbatch[rows, first]
-            counts += ~has_diff | (row_byte > pivot_row[first])
-        return counts
 
     def assign_groups(
         self,

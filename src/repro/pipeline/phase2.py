@@ -115,7 +115,7 @@ def _zmerge_reducer(key: int, blocks: List[Block], ctx: TaskContext) -> Block:
     # the two-level ZMP merge is designed to shrink.
     ctx.observe("phase2.merge_fanin", len(trees))
     # ZMP partials feed a final fold: keep the addresses on the output.
-    return Block(ids, points, zaddresses=codec.as_zbatch(zs))
+    return Block(ids, points, zaddresses=zs)
 
 
 @dataclass(frozen=True)

@@ -806,7 +806,7 @@ class ShardedSkylineService:
         trees = [
             snaps[sid].sky_tree
             for sid in sorted(snaps)
-            if snaps[sid].sky_tree.root is not None
+            if not snaps[sid].sky_tree.is_empty
         ]
         if trees:
             merged = zmerge_all(trees, OpCounter())

@@ -12,7 +12,7 @@ This package implements the machinery of Lee et al.'s Z-search algorithm
 * :mod:`repro.zorder.rzregion` — RZ-regions (Definition 2/3) with the
   three-way region dominance test of Lemma 1;
 * :mod:`repro.zorder.zbtree` — the balanced ZB-tree built bottom-up over
-  Z-sorted points;
+  Z-sorted points, stored as its pre-order node table;
 * :mod:`repro.zorder.zsearch` — skyline computation over a ZB-tree;
 * :mod:`repro.zorder.zmerge` — BFS merge of a candidate ZB-tree into an
   accumulated skyline ZB-tree with region-level pruning.

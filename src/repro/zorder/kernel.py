@@ -17,9 +17,9 @@ bound to a ``(dimensions, bits_per_dim)`` shape and operates on whole
   costs no per-row Python work in the hot paths.
 
 Python ``int`` Z-addresses only materialise at API boundaries
-(:meth:`ZKernel.to_int_list` / :meth:`ZKernel.from_ints`) — for leaf
-storage, pivot serialisation, and backwards-compatible codec calls —
-never inside the per-batch hot loops.
+(:meth:`ZKernel.to_int_list` / :meth:`ZKernel.from_ints`) — for pivot
+fitting and serialisation, and backwards-compatible codec calls — never
+in tree storage or inside the per-batch hot loops.
 
 Both forms share axis-0 indexing semantics (``batch[mask]``,
 ``np.concatenate([...], axis=0)``), which is what lets
@@ -226,6 +226,18 @@ class ZKernel:
         # lexsort's last key is primary, so feed bytes least- to
         # most-significant; lexsort is stable.
         return np.lexsort(tuple(zbatch[:, j] for j in reversed(range(width))))
+
+    def search_keys(self, zbatch: np.ndarray) -> np.ndarray:
+        """1-D keys that ``np.searchsorted`` orders like the addresses.
+
+        The fast path's ``uint64`` batch is its own key.  A wide row
+        becomes one fixed-width raw-bytes (``V``) item, which numpy
+        compares bytewise, i.e. big-endian; unlike an ``S`` string it
+        keeps trailing zero bytes.
+        """
+        if self.fast_path:
+            return zbatch
+        return np.ascontiguousarray(zbatch).view(f"V{self.width}").ravel()
 
     # ------------------------------------------------------------------
     # prefix / region arithmetic

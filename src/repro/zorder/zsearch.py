@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.dataset import Dataset
 from repro.core.point import pairwise_dominance, rows_per_chunk
 from repro.zorder.encoding import ZGridCodec
-from repro.zorder.zbtree import FlatView, OpCounter, ZBTree, build_zbtree
+from repro.zorder.zbtree import OpCounter, ZBTree, build_zbtree
 
 #: largest scan chunk of the acceptance pass (its in-chunk test is
 #: quadratic); chunks double up to it from 32, so the first chunk,
@@ -53,22 +53,21 @@ def zsearch(
     """
     counter = counter if counter is not None else OpCounter()
     d = tree.codec.dimensions
-    if tree.root is None:
+    if tree.is_empty:
         return np.empty((0, d)), np.empty(0, dtype=np.int64)
-    flat = tree.flat()
-    accepted = _accept(flat.points)
+    accepted = _accept(tree.leaf_points)
     # before[j]: points accepted ahead of scan position j (the buffer)
     before = np.concatenate(([0], np.cumsum(accepted)))
-    sky = flat.points[accepted]
-    buffered = before[flat.pstart]
-    pruned = _min_corner_dominated(sky, buffered, flat)
-    visited = ~flat.below(pruned)
-    scanned = visited & flat.is_leaf & ~pruned
+    sky = tree.leaf_points[accepted]
+    buffered = before[tree.pstart]
+    pruned = _min_corner_dominated(sky, buffered, tree)
+    visited = ~tree.below(pruned)
+    scanned = visited & tree.is_leaf & ~pruned
     counter.nodes_visited += int(visited.sum())
     counter.region_tests += int(visited.sum())
     counter.point_tests += int(buffered[visited].sum())
-    counter.point_tests += int(before[:-1][scanned[flat.point_node]].sum())
-    return sky, flat.ids[accepted]
+    counter.point_tests += int(before[:-1][scanned[tree.point_node]].sum())
+    return sky, tree.leaf_ids[accepted]
 
 
 def _accept(points: np.ndarray) -> np.ndarray:
@@ -104,15 +103,15 @@ def _accept(points: np.ndarray) -> np.ndarray:
 
 
 def _min_corner_dominated(
-    sky: np.ndarray, buffered: np.ndarray, flat: FlatView
+    sky: np.ndarray, buffered: np.ndarray, tree: ZBTree
 ) -> np.ndarray:
     """Per node: does one of the ``buffered[u]`` accepted rows ahead of
     it (the first rows of ``sky``) dominate its min corner?"""
-    pruned = np.zeros(flat.count, dtype=bool)
+    pruned = np.zeros(tree.num_nodes, dtype=bool)
     nodes = np.flatnonzero(buffered)
     if nodes.size == 0:
         return pruned
-    corners = flat.minpt[nodes]
+    corners = tree.minpt[nodes]
     limit = buffered[nodes]
     for start, dom in pairwise_dominance(
         sky[: limit.max()], corners, rows_per_chunk(nodes.size)

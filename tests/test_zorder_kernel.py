@@ -12,18 +12,23 @@ Pins the PR's two central equivalence claims:
   totals, which the simulated cost model and trace reconciliation rely
   on;
 * the flat ZB-tree walks (Z-search, the batched dominator probe and
-  the batched ``UDominate`` deletion) equal node-by-node walks, kept
-  below as reference oracles — answers, resulting tree structure and
-  every ``OpCounter`` field, on bulk-built, thinned and composite
+  the batched ``UDominate`` deletion) equal node-by-node walks over the
+  table's rows (a node's children are the rows whose ``parent`` it is),
+  kept below as reference oracles — answers, resulting tree structure
+  and every ``OpCounter`` field, on bulk-built, thinned and composite
   trees, and through whole ``run_plan`` jobs — and the batched probe
-  charges the dominance tests of one single-probe walk per probe.
+  charges the dominance tests of one single-probe walk per probe;
+* ``build_zbtree``'s table equals a node-by-node bottom-up build, and
+  equal trees pickle byte-identically.
 
 Plus the satellite fixes that ride along: the BNL empty-input shape,
 vectorised ``decode_many``/``dominance_counts``, Z-address carry through
 :class:`~repro.mapreduce.types.Block` and checkpoints, native-batch
-partition routing, and the kernel-path metrics wiring.
+partition routing (byte-key lookup on the wide path), and the
+kernel-path metrics wiring.
 """
 
+import bisect
 import functools
 import importlib
 import pickle
@@ -49,7 +54,7 @@ from repro.pipeline.driver import run_plan
 from repro.zorder.encoding import ZGridCodec
 from repro.zorder.kernel import KernelStats, ZKernel
 from repro.zorder.rzregion import RZRegion
-from repro.zorder.zbtree import OpCounter, ZBInternal, ZBLeaf, ZBTree, build_zbtree
+from repro.zorder.zbtree import OpCounter, ZBTree, build_zbtree
 from repro.zorder.zmerge import _zmerge_scan, zmerge, zmerge_all
 from repro.zorder.zsearch import zsearch
 
@@ -115,13 +120,23 @@ class _SkylineBuffer:
         return bool(_dominated_by_any(point[None, :], self.points)[0])
 
 
-def _buffer_dominates_region(buffer, node, counter):
+def _children(tree, row):
+    """A node's children: the rows whose parent it is, in row order."""
+    return np.flatnonzero(tree.parent == row).tolist()
+
+
+def _leaf_block(tree, row):
+    """A leaf's ``(points, ids, zaddresses)``."""
+    rows = slice(tree.pstart[row], tree.pstart[row] + tree.npoints[row])
+    return tree.leaf_points[rows], tree.leaf_ids[rows], tree.leaf_z[rows]
+
+
+def _buffer_dominates_region(buffer, tree, row, counter):
     """True when some buffered point dominates the whole node region."""
     if buffer.size == 0:
         return False
     counter.point_tests += buffer.size
-    minpt = node.region.minpt.astype(np.float64)
-    return bool(_dominated_by_any(minpt[None, :], buffer.points)[0])
+    return bool(_dominated_by_any(tree.minpt[row][None, :], buffer.points)[0])
 
 
 def _scalar_zsearch(tree, counter):
@@ -130,22 +145,23 @@ def _scalar_zsearch(tree, counter):
     flat implementation must reproduce exactly."""
     d = tree.codec.dimensions
     buffer = _SkylineBuffer(d)
-    if tree.root is None:
+    if tree.is_empty:
         return np.empty((0, d)), np.empty(0, dtype=np.int64)
-    stack = [tree.root]
+    stack = [0]
     while stack:
-        node = stack.pop()
+        row = stack.pop()
         counter.nodes_visited += 1
         counter.region_tests += 1
-        if _buffer_dominates_region(buffer, node, counter):
+        if _buffer_dominates_region(buffer, tree, row, counter):
             continue
-        if node.is_leaf:
-            for i in range(node.size):
-                if buffer.dominates(node.points[i], counter):
+        if tree.is_leaf[row]:
+            points, ids, _ = _leaf_block(tree, row)
+            for i in range(points.shape[0]):
+                if buffer.dominates(points[i], counter):
                     continue
-                buffer.append(node.points[i], int(node.ids[i]))
+                buffer.append(points[i], int(ids[i]))
         else:
-            stack.extend(reversed(node.children))
+            stack.extend(reversed(_children(tree, row)))
     return buffer.points.copy(), buffer.ids.copy()
 
 
@@ -157,30 +173,31 @@ def _walk_zsearch(tree, counter=None):
     counter = counter if counter is not None else OpCounter()
     d = tree.codec.dimensions
     buffer = _SkylineBuffer(d)
-    if tree.root is None:
+    if tree.is_empty:
         return np.empty((0, d)), np.empty(0, dtype=np.int64)
-    stack = [tree.root]
+    stack = [0]
     while stack:
-        node = stack.pop()
+        row = stack.pop()
         counter.nodes_visited += 1
         counter.region_tests += 1
-        if _buffer_dominates_region(buffer, node, counter):
+        if _buffer_dominates_region(buffer, tree, row, counter):
             continue
-        if not node.is_leaf:
-            stack.extend(reversed(node.children))
+        if not tree.is_leaf[row]:
+            stack.extend(reversed(_children(tree, row)))
             continue
+        points, ids, _ = _leaf_block(tree, row)
         s0 = buffer.size
-        mask0 = _dominated_by_any(node.points, buffer.points)
+        mask0 = _dominated_by_any(points, buffer.points)
         accepted = 0
-        for i in range(node.size):
+        for i in range(points.shape[0]):
             counter.point_tests += s0 + accepted
             if mask0[i]:
                 continue
             if accepted and _dominated_by_any(
-                node.points[i : i + 1], buffer.points[s0:]
+                points[i : i + 1], buffer.points[s0:]
             )[0]:
                 continue
-            buffer.append(node.points[i], int(node.ids[i]))
+            buffer.append(points[i], int(ids[i]))
             accepted += 1
     return buffer.points.copy(), buffer.ids.copy()
 
@@ -191,94 +208,150 @@ def _walk_dominated_mask(tree, points, counter=None):
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     out = np.zeros(n, dtype=bool)
-    if tree.root is None or n == 0:
+    if tree.is_empty or n == 0:
         return out
     counter = counter if counter is not None else OpCounter()
-    stack = [(tree.root, np.arange(n))]
+    stack = [(0, np.arange(n))]
     while stack:
-        node, probe_idx = stack.pop()
+        row, probe_idx = stack.pop()
         probe_idx = probe_idx[~out[probe_idx]]
         if probe_idx.size == 0:
             continue
         counter.nodes_visited += 1
         counter.region_tests += probe_idx.size
-        minpt = node.region.minpt.astype(np.float64)
+        minpt = tree.minpt[row]
         probe_idx = probe_idx[_dominated_by_any(points[probe_idx], minpt[None, :])]
         if probe_idx.size == 0:
             continue
-        if node.is_leaf:
-            counter.point_tests += probe_idx.size * node.size
-            hit = _dominated_by_any(points[probe_idx], node.points)
+        if tree.is_leaf[row]:
+            leaf_points, _, _ = _leaf_block(tree, row)
+            counter.point_tests += probe_idx.size * leaf_points.shape[0]
+            hit = _dominated_by_any(points[probe_idx], leaf_points)
             out[probe_idx[hit]] = True
         else:
-            stack.extend((kid, probe_idx) for kid in node.children)
+            stack.extend((kid, probe_idx) for kid in _children(tree, row))
     return out
 
 
+def _nested(tree, row=0):
+    """The subtree at ``row`` as nested lists, node by node: a leaf is
+    ``["leaf", minpt, maxpt, points, ids, zaddresses]``, an internal
+    node ``["node", minpt, maxpt, [children]]``."""
+    corners = (tree.minpt[row], tree.maxpt[row])
+    if tree.is_leaf[row]:
+        return ["leaf", *corners, *_leaf_block(tree, row)]
+    return ["node", *corners, [_nested(tree, kid) for kid in _children(tree, row)]]
+
+
+def _from_nested(codec, root, leaf_capacity=32, fanout=8):
+    """The pre-order table of a nested tree, built node by node."""
+    if root is None:
+        return ZBTree.empty(codec, leaf_capacity, fanout)
+    rows, leaves = [], []
+
+    def points_so_far():
+        return sum(leaf[3].shape[0] for leaf in leaves)
+
+    def visit(node, parent, depth):
+        row, first = len(rows), points_so_far()
+        rows.append([node[1], node[2], parent, depth, None, first, None])
+        if node[0] == "leaf":
+            leaves.append(node)
+        else:
+            for child in node[3]:
+                visit(child, row, depth + 1)
+        rows[row][4] = len(rows)                     # subtree end row
+        rows[row][6] = points_so_far() - first       # subtree point count
+
+    visit(root, -1, 0)
+    minpt, maxpt, *counts = zip(*rows)
+    d = codec.dimensions
+
+    def corners(values):
+        return np.array(values, dtype=np.float64).reshape(-1, d)
+
+    return ZBTree(
+        codec,
+        np.concatenate([leaf[5] for leaf in leaves]),
+        corners(np.concatenate([leaf[3] for leaf in leaves])),
+        np.concatenate([leaf[4] for leaf in leaves]).astype(np.int64),
+        corners(minpt), corners(maxpt),
+        *(np.array(values, dtype=np.int64) for values in counts),
+        leaf_capacity, fanout,
+    )
+
+
 def _walk_remove_block(tree, block, counter=None):
-    """The recursive batched ``UDominate`` deletion."""
+    """The recursive batched ``UDominate`` deletion, node by node on the
+    nested form of the tree; the tree then takes the surviving table."""
     block = np.asarray(block, dtype=np.float64)
-    if tree.root is None or block.shape[0] == 0:
+    if tree.is_empty or block.shape[0] == 0:
         return 0
     counter = counter if counter is not None else OpCounter()
-    removed, new_root = _remove_block_rec(tree.root, block, counter)
-    tree.root = new_root
+    removed, root = _remove_block_rec(_nested(tree), block, counter)
+    survivor = _from_nested(tree.codec, root, tree.leaf_capacity, tree.fanout)
+    vars(tree).update(vars(survivor))
     return removed
+
+
+def _node_size(node):
+    if node[0] == "leaf":
+        return node[3].shape[0]
+    return sum(_node_size(child) for child in node[3])
 
 
 def _remove_block_rec(node, block, counter):
     counter.nodes_visited += 1
     counter.region_tests += block.shape[0]
-    maxpt = node.region.maxpt.astype(np.float64)
-    feasible = np.all(block <= maxpt, axis=1)
+    feasible = np.all(block <= node[2], axis=1)
     if not feasible.any():
         return 0, node
     sub = block[feasible]
     counter.region_tests += sub.shape[0]
-    minpt = node.region.minpt.astype(np.float64)
-    if _dominated_by_any(minpt[None, :], sub)[0]:
-        return node.size, None
-    if node.is_leaf:
-        counter.point_tests += node.size * sub.shape[0]
-        dominated = _dominated_by_any(node.points, sub)
+    if _dominated_by_any(node[1][None, :], sub)[0]:
+        return _node_size(node), None
+    if node[0] == "leaf":
+        points, ids, zs = node[3:]
+        counter.point_tests += points.shape[0] * sub.shape[0]
+        dominated = _dominated_by_any(points, sub)
         n_removed = int(dominated.sum())
         if n_removed == 0:
             return 0, node
-        if n_removed == node.size:
+        if n_removed == points.shape[0]:
             return n_removed, None
         keep = ~dominated
-        node.points = node.points[keep]
-        node.ids = node.ids[keep]
-        node.zaddresses = [z for z, k in zip(node.zaddresses, keep) if k]
-        return n_removed, node
+        return n_removed, ["leaf", node[1], node[2], points[keep], ids[keep], zs[keep]]
     total = 0
     new_children = []
-    for child in node.children:
+    for child in node[3]:
         n_removed, new_child = _remove_block_rec(child, sub, counter)
         total += n_removed
         if new_child is not None:
             new_children.append(new_child)
     if not new_children:
         return total, None
-    node.children = new_children
-    return total, node
+    return total, ["node", node[1], node[2], new_children]
 
 
-def _shape(node):
-    """Full structural signature of a (sub)tree: regions, child order,
-    and each leaf's points, ids and Z-addresses."""
-    if node is None:
+def _shape(tree):
+    """Full structural signature of a tree, node by node: corners, child
+    order, and each leaf's points, ids and Z-addresses."""
+    if tree.is_empty:
         return None
-    corners = (tuple(node.region.minpt.tolist()), tuple(node.region.maxpt.tolist()))
-    if node.is_leaf:
-        return (
-            "leaf",
-            corners,
-            tuple(node.ids.tolist()),
-            tuple(node.zaddresses),
-            tuple(map(tuple, node.points.tolist())),
-        )
-    return ("node", corners, tuple(_shape(child) for child in node.children))
+
+    def sig(node):
+        corners = (tuple(node[1].tolist()), tuple(node[2].tolist()))
+        if node[0] == "leaf":
+            return (
+                "leaf",
+                corners,
+                tuple(node[4].tolist()),
+                tuple(tree.codec.kernel.to_int_list(node[5])),
+                tuple(map(tuple, node[3].tolist())),
+            )
+        return ("node", corners, tuple(sig(child) for child in node[3]))
+
+    return sig(_nested(tree))
 
 
 def _counts(counter):
@@ -390,34 +463,31 @@ def _case_grid(case, salt, n=None):
     return rng.integers(0, case["cells"], size=(rows, case["d"])).astype(float)
 
 
-def _composite(sky, grafts, accepted_points, accepted_ids, accepted_zs):
+def _composite(sky, src, grafts, accepted):
     """An un-rebuilt Z-merge fold: a root over the surviving skyline
     root, the grafted source subtrees and one (possibly oversized) leaf
     of accepted points.  Children are out of Z-order, heights differ and
     the root region is a conservative span of its children's — the
     stale, non-nested regions the flat walks must handle."""
-    children = [sky.root] if sky.root is not None else []
-    children.extend(grafts)
-    if accepted_points:
-        zs = list(accepted_zs)
-        children.append(
-            ZBLeaf(
-                zs,
-                np.vstack(accepted_points),
-                np.concatenate(accepted_ids).astype(np.int64),
-                sky.codec,
-                region=RZRegion(sky.codec, min(zs), max(zs)),
-            )
-        )
+    codec = sky.codec
+    children = [] if sky.is_empty else [_nested(sky)]
+    children.extend(_nested(src, row) for row in grafts.tolist())
+    if accepted.size:
+        zs = codec.kernel.to_int_list(src.leaf_z[accepted])
+        region = RZRegion(codec, min(zs), max(zs))
+        children.append([
+            "leaf", region.minpt.astype(float), region.maxpt.astype(float),
+            src.leaf_points[accepted], src.leaf_ids[accepted], src.leaf_z[accepted],
+        ])
     if len(children) > 1:
-        minz = min(child.region.minz for child in children)
-        maxz = max(child.region.maxz for child in children)
-        root = ZBInternal(
-            children, sky.codec, region=RZRegion(sky.codec, minz, maxz)
-        )
+        # a child's min/max corner encodes to its region's min/max address
+        minz = min(codec.encode_grid(child[1][None, :].astype(np.int64))[0] for child in children)
+        maxz = max(codec.encode_grid(child[2][None, :].astype(np.int64))[0] for child in children)
+        region = RZRegion(codec, minz, maxz)
+        root = ["node", region.minpt.astype(float), region.maxpt.astype(float), children]
     else:
         root = children[0] if children else None
-    return ZBTree(sky.codec, root, sky.leaf_capacity, sky.fanout)
+    return _from_nested(codec, root, sky.leaf_capacity, sky.fanout)
 
 
 def _case_tree(case):
@@ -444,19 +514,18 @@ def _case_tree(case):
             trees.append(build_zbtree(codec, sky_pts, ids=sky_ids, **shape))
     tree = trees[0]
     for other in trees[1:]:
-        tree = _composite(tree, *_zmerge_scan(tree, other, OpCounter()))
+        tree = _composite(tree, other, *_zmerge_scan(tree, other, OpCounter()))
     return tree
 
 
 def _node_corners(tree):
     """Every node's min corner (the probes Z-merge's frontier sends)."""
     out = []
-    stack = [tree.root] if tree.root is not None else []
+    stack = [] if tree.is_empty else [0]
     while stack:
-        node = stack.pop()
-        out.append(node.region.minpt.astype(float))
-        if not node.is_leaf:
-            stack.extend(node.children)
+        row = stack.pop()
+        out.append(tree.minpt[row])
+        stack.extend(_children(tree, row))
     return np.array(out).reshape(-1, tree.codec.dimensions)
 
 
@@ -654,7 +723,7 @@ class TestFlatWalksMatchReferences:
             want = _walk_remove_block(ref_tree, block, ref_counter)
             assert got == want
             assert _counts(flat_counter) == _counts(ref_counter)
-            assert _shape(flat_tree.root) == _shape(ref_tree.root)
+            assert _shape(flat_tree) == _shape(ref_tree)
         survivors = before[~_dominated_by_any(before, np.vstack(blocks))]
         assert sorted(map(tuple, flat_tree.points().tolist())) == sorted(
             map(tuple, survivors.tolist())
@@ -702,14 +771,14 @@ class TestFlatWalksMatchReferences:
         ids = iter(range(100))
 
         def node(minpt, maxpt, body):
-            region = RZRegion.from_corners(0, 0, np.array(minpt), np.array(maxpt))
+            corners = (np.array(minpt, dtype=float), np.array(maxpt, dtype=float))
             if body and isinstance(body[0], tuple):
-                return ZBInternal([node(*child) for child in body], codec, region=region)
+                return ["node", *corners, [node(*child) for child in body]]
             pts = np.array(body, dtype=float)
             leaf_ids = np.array([next(ids) for _ in body], dtype=np.int64)
-            return ZBLeaf([0] * len(body), pts, leaf_ids, codec, region=region)
+            return ["leaf", *corners, pts, leaf_ids, codec.kernel.from_ints([0] * len(body))]
 
-        return ZBTree(codec, node(*spec))
+        return _from_nested(codec, node(*spec))
 
     def _all_walks_match(self, spec, probes, block):
         tree = self._hand_tree(spec)
@@ -732,7 +801,7 @@ class TestFlatWalksMatchReferences:
             ref, block, c[1]
         )
         assert _counts(c[0]) == _counts(c[1])
-        assert _shape(tree.root) == _shape(ref.root)
+        assert _shape(tree) == _shape(ref)
         return tree
 
     def test_zsearch_prunes_only_on_points_scanned_earlier(self):
@@ -782,6 +851,146 @@ class TestFlatWalksMatchReferences:
         assert single.remove_dominated_by_block(np.zeros((1, 3)), c1) == 1
         assert single.is_empty
         assert _counts(c1) == (0, 2, 1)
+
+
+def _node_build(codec, points, ids, leaf_capacity, fanout):
+    """The bulk build node by node, as the nested form: a stable sort
+    on Python-int Z-addresses, leaves of ``leaf_capacity`` points,
+    levels of ``fanout`` nodes, and each node's region from the scalar
+    codec over its first and last address."""
+    zs = codec.encode_grid(points.astype(np.int64))
+    order = sorted(range(len(zs)), key=zs.__getitem__)
+    zs = [zs[i] for i in order]
+    points, ids = points[order], ids[order]
+
+    def corners(lo, hi):
+        region = RZRegion(codec, zs[lo], zs[hi - 1])
+        return region.minpt.astype(float), region.maxpt.astype(float)
+
+    level = []
+    for lo in range(0, len(zs), leaf_capacity):
+        hi = min(lo + leaf_capacity, len(zs))
+        level.append((lo, hi, [
+            "leaf", *corners(lo, hi), points[lo:hi], ids[lo:hi],
+            codec.kernel.from_ints(zs[lo:hi]),
+        ]))
+    while len(level) > 1:
+        level = [
+            (group[0][0], group[-1][1], [
+                "node", *corners(group[0][0], group[-1][1]),
+                [node for _, _, node in group],
+            ])
+            for group in (
+                level[i : i + fanout] for i in range(0, len(level), fanout)
+            )
+        ]
+    return level[0][2]
+
+
+def _columns(tree):
+    """Every table column of a tree, by name."""
+    cols = {
+        key: value for key, value in vars(tree).items()
+        if isinstance(value, np.ndarray)
+    }
+    cols["levels"] = tree.levels
+    return cols
+
+
+class TestBuildTable:
+    @given(
+        shape_and_grid(narrow=True, max_points=90),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=0, max_value=20),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_node_by_node_build_fast(self, sg, leaf_capacity, fanout, dups):
+        self._check(sg, leaf_capacity, fanout, dups)
+
+    @given(
+        shape_and_grid(narrow=False, max_points=90),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=0, max_value=20),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_node_by_node_build_wide(self, sg, leaf_capacity, fanout, dups):
+        self._check(sg, leaf_capacity, fanout, dups)
+
+    @staticmethod
+    def _check(sg, leaf_capacity, fanout, dups):
+        d, bits, grid = sg
+        codec = ZGridCodec.grid_identity(d, bits_per_dim=bits)
+        rng = np.random.default_rng(grid.shape[0])
+        # repeated rows make duplicate points (equal Z-addresses)
+        points = np.vstack([grid, grid[rng.integers(0, grid.shape[0], dups)]])
+        points = points.astype(float)
+        ids = rng.permutation(points.shape[0]).astype(np.int64)
+        got = build_zbtree(
+            codec, points, ids=ids, leaf_capacity=leaf_capacity, fanout=fanout
+        )
+        want = _from_nested(
+            codec, _node_build(codec, points, ids, leaf_capacity, fanout),
+            leaf_capacity, fanout,
+        )
+        got_cols, want_cols = _columns(got), _columns(want)
+        assert got_cols.keys() == want_cols.keys()
+        for key, value in want_cols.items():
+            if key == "levels":
+                assert len(got.levels) == len(value)
+                for mine, theirs in zip(got.levels, value):
+                    np.testing.assert_array_equal(mine, theirs)
+                continue
+            assert got_cols[key].dtype == value.dtype, key
+            np.testing.assert_array_equal(got_cols[key], value, err_msg=key)
+        got.validate()
+
+    def test_sizes_off_the_level_grid(self):
+        # n a multiple of neither the leaf capacity nor the fanout: the
+        # last leaf and the last node of every level are partial
+        codec = ZGridCodec.grid_identity(3, bits_per_dim=5)
+        rng = np.random.default_rng(4)
+        points = rng.integers(0, 32, (61, 3)).astype(float)
+        ids = np.arange(61, dtype=np.int64)
+        tree = build_zbtree(codec, points, ids=ids, leaf_capacity=4, fanout=3)
+        assert tree.height() == 4
+        assert tree.npoints[tree.is_leaf].tolist() == [4] * 15 + [1]
+        assert _shape(tree) == _shape(
+            _from_nested(codec, _node_build(codec, points, ids, 4, 3), 4, 3)
+        )
+
+
+class TestTreePickles:
+    @pytest.mark.parametrize("shape", [(3, 6), (8, 12)])
+    def test_equal_trees_pickle_identically(self, shape):
+        # The distributed cache's idempotent-republish check compares
+        # pickle bytes, so a tree must pickle as its table alone.
+        d, bits = shape
+        codec = ZGridCodec.grid_identity(d, bits_per_dim=bits)
+        rng = np.random.default_rng(8)
+        points = rng.integers(0, 1 << bits, (150, d)).astype(float)
+        ids = np.arange(150, dtype=np.int64)
+        perm = rng.permutation(150)
+        a = build_zbtree(codec, points, ids=ids, leaf_capacity=4, fanout=3)
+        b = build_zbtree(codec, points[perm], ids=ids[perm], leaf_capacity=4, fanout=3)
+        # walks leave no derived state behind
+        a.dominated_mask_tree(points[:20])
+        zsearch(a)
+        assert pickle.dumps(a) == pickle.dumps(b)
+        restored = pickle.loads(pickle.dumps(a))
+        assert pickle.dumps(restored) == pickle.dumps(b)
+        assert _shape(restored) == _shape(a)
+        block = points[:5] + 1
+        assert restored.remove_dominated_by_block(block) == a.remove_dominated_by_block(block)
+        assert _shape(restored) == _shape(a)
+
+    def test_emptied_tree_pickles_like_an_empty_build(self):
+        codec = ZGridCodec.grid_identity(3, bits_per_dim=4)
+        tree = build_zbtree(codec, np.full((10, 3), 5.0))
+        assert tree.remove_dominated_by_block(np.zeros((1, 3))) == 10
+        assert tree.is_empty and tree.height() == 0
+        assert pickle.dumps(tree) == pickle.dumps(build_zbtree(codec, np.empty((0, 3))))
 
 
 #: plans whose phase-1 Z-search, Z-merge probes and UDominate deletions
@@ -948,6 +1157,47 @@ class TestZCurveNativeRouting:
             rule.partition_of(pivot_batch),
             np.arange(1, len(pivots) + 1, dtype=np.int64),
         )
+
+
+    @staticmethod
+    def _assert_matches_bisect(codec, pivots, ints):
+        rule = ZCurveRule(codec, pivots)
+        got = rule.partition_of(codec.as_zbatch(ints))
+        want = np.array([bisect.bisect_right(pivots, z) for z in ints], dtype=np.int64)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, rule.partition_of(ints))
+
+    def test_padded_wide_shape(self):
+        # 5 x 13 = 65 bits: nine bytes per row, seven pad bits in byte 0
+        codec = ZGridCodec.grid_identity(5, bits_per_dim=13)
+        assert codec.kernel.width == 9 and codec.kernel.pad_bits == 7
+        rng = np.random.default_rng(21)
+        ints = codec.encode_grid(rng.integers(0, 1 << 13, size=(300, 5)))
+        pivots = sorted(set(ints[::23]))
+        top = (1 << 65) - 1
+        self._assert_matches_bisect(codec, pivots, ints + pivots + [0, top, 1 << 64])
+
+    @pytest.mark.parametrize("shape", [(6, 12), (5, 13)])
+    def test_trailing_zero_bytes(self, shape):
+        # Rows and pivots that end in zero bytes: a key that loses them
+        # on the way (a NUL-stripped byte string read back as an int)
+        # would misplace the rows.
+        codec = ZGridCodec.grid_identity(*shape)
+        bits = codec.total_bits
+        high = [v << (bits - 9) for v in (1, 2, 3, 255, 256, 511)]
+        pivots = sorted({high[1], high[3], high[4], high[3] + 1})
+        ints = high + [h + 1 for h in high] + [h - 1 for h in high] + [h + 256 for h in high]
+        self._assert_matches_bisect(codec, pivots, ints)
+
+    @pytest.mark.parametrize("shape", [(2, 8), (6, 12), (5, 13)])
+    def test_rows_outside_the_pivot_range(self, shape):
+        codec = ZGridCodec.grid_identity(*shape)
+        top = codec.max_zaddress
+        pivots = [top // 5, top // 3, top // 2]
+        ints = [0, 1, pivots[0] - 1, pivots[-1], pivots[-1] + 1, top - 1, top]
+        self._assert_matches_bisect(codec, pivots, ints)
+        rule = ZCurveRule(codec, pivots)
+        assert rule.partition_of(codec.as_zbatch([0, top])).tolist() == [0, 3]
 
 
 class TestKernelMetricsWiring:

@@ -40,7 +40,9 @@ class TestBuild:
     def test_points_come_back_in_z_order(self, codec, rng):
         tree, points = make_tree(codec, rng)
         zs, got, ids = tree.collect()
-        assert sorted(zs) == zs
+        ints = codec.kernel.to_int_list(zs)
+        assert sorted(ints) == ints
+        assert ints == codec.encode_grid(got.astype(np.int64))
         assert got.shape == points.shape
         # Content preserved as a multiset (ids map back to rows).
         assert np.array_equal(got[np.argsort(ids)], points)
@@ -49,11 +51,31 @@ class TestBuild:
         tree, _ = make_tree(codec, rng)
         tree.validate()
 
+    def test_validate_catches_corruption(self, codec):
+        def corner(tree, row):
+            # shrink a node's region to the single cell (63, 63, 63)
+            tree.minpt[row] = tree.maxpt[row] = 63.0
+
+        for corrupt in (
+            lambda t: t.leaf_points.__setitem__(0, t.leaf_points[0] + 1),
+            lambda t: corner(t, t.num_nodes - 1),   # a leaf
+            lambda t: corner(t, 0),                 # the root
+            lambda t: t.npoints.__setitem__(0, t.npoints[0] + 1),
+        ):
+            tree, _ = make_tree(
+                codec, np.random.default_rng(3), n=60, top=32,
+                leaf_capacity=4, fanout=3,
+            )
+            tree.validate()
+            corrupt(tree)
+            with pytest.raises(ZOrderError):
+                tree.validate()
+
     def test_size_and_leaf_capacity(self, codec, rng):
         tree, _ = make_tree(codec, rng, n=100, leaf_capacity=8, fanout=4)
         assert tree.size == 100
-        for leaf in tree.leaves():
-            assert leaf.size <= 8
+        assert tree.npoints[tree.is_leaf].max() <= 8
+        assert tree.npoints[tree.is_leaf].sum() == 100
 
     def test_height_grows_logarithmically(self, codec, rng):
         small, _ = make_tree(codec, rng, n=10, leaf_capacity=4, fanout=4)
