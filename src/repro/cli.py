@@ -241,12 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
              "crashes)",
     )
     serve.add_argument(
-        "--pooled-rebuilds", type=int, default=0, metavar="WORKERS",
-        help="run drift rebuilds asynchronously on a shared process "
-             "pool with WORKERS workers instead of inline in the "
-             "writer thread (0 = inline); pairs with --max-deletes",
-    )
-    serve.add_argument(
         "--retries", type=int, default=1, metavar="N",
         help="attempts per operation (1 = no retries); retryable "
              "failures back off with seeded deterministic jitter",
@@ -549,8 +543,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         AdmissionConfig,
         DatasetRegistry,
         DriftPolicy,
-        RebuildConfig,
-        RebuildPool,
         RouterConfig,
         ServiceConfig,
         ServingFaultPlan,
@@ -587,13 +579,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             cache_entries=args.cache_size,
             fault_plan=plan,
         )
-        pool: Optional[RebuildPool] = None
-        rebuild: Optional[RebuildConfig] = None
-        if args.pooled_rebuilds > 0:
-            pool = RebuildPool(num_workers=args.pooled_rebuilds)
-            rebuild = RebuildConfig(
-                pooled=True, num_workers=args.pooled_rebuilds
-            )
         if args.shards > 0:
             service_cm = ShardedSkylineService.from_dataset(
                 "bench",
@@ -609,8 +594,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 durability_dir=durability_dir,
                 fault_plan=plan,
                 drift=drift,
-                rebuild=rebuild,
-                rebuild_pool=pool,
                 tracer=tracer,
             )
         else:
@@ -618,11 +601,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 metrics=metrics,
                 durability_dir=durability_dir,
                 fault_plan=plan,
-                rebuild_pool=pool,
             )
             registry.register_dataset(
                 "bench", dataset, bits_per_dim=args.bits, drift=drift,
-                rebuild=rebuild,
             )
             service_cm = SkylineService(
                 registry, config=config, metrics=metrics, tracer=tracer
@@ -645,19 +626,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.shards > 0:
         print(f"shards    : {service_cm.num_shards}")
     router_stats: Optional[dict] = None
-    rebuild_states: Optional[dict] = None
     try:
         with service_cm as service:
             report = replay_workload(service, spec)
-            if pool is not None:
-                if args.shards > 0:
-                    service.flush_rebuilds()
-                    rebuild_states = service.rebuild_status()
-                else:
-                    service.registry.flush_rebuilds()
-                    rebuild_states = {
-                        0: service.registry.rebuild_status("bench")
-                    }
             if args.shards > 0:
                 stats = {}
                 shard_states = service.shard_states()
@@ -666,8 +637,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 stats = service.admission.stats()
                 shard_states = None
     finally:
-        if pool is not None:
-            pool.close()
         if scratch is not None:
             scratch.cleanup()
     print(f"dataset   : {dataset.name}")
@@ -749,14 +718,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             for key, value in sorted(router_stats["merge_cache"].items())
         )
         print(f"{'merge_cache':20s}: {parts}")
-    if rebuild_states is not None:
-        for sid, status in sorted(rebuild_states.items()):
-            print(
-                f"{'rebuilds ' + str(sid):20s}: "
-                f"pooled={status['pooled_rebuilds']} "
-                f"superseded={status['pooled_superseded']}"
-            )
-        print(f"{'rebuild_pool':20s}: {pool.stats()}")
     if args.trace_out:
         count = tracer.export_jsonl(args.trace_out)
         print(f"{'trace':20s}: wrote {count} spans to {args.trace_out}")

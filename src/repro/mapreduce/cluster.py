@@ -32,7 +32,11 @@ from typing import (
 
 import numpy as np
 
-from repro.core.exceptions import FaultInjectionError, MapReduceError
+from repro.core.exceptions import (
+    ConfigurationError,
+    FaultInjectionError,
+    MapReduceError,
+)
 from repro.mapreduce.faults import FaultPlan, TransientTaskError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -209,16 +213,12 @@ class SimulatedCluster:
         not abort the round: its result slot holds a :class:`LostTask`
         and the remaining tasks still run.
         """
-        if placement is None:
-            placement = [i % self.num_workers for i in range(len(tasks))]
-        elif len(placement) != len(tasks):
-            raise MapReduceError("placement must have one entry per task")
-        placement = self._reroute_failures(list(placement))
+        placement = self._reroute_failures(
+            self._placements(tasks, placement)
+        )
         executions: List[Tuple[int, float, int, int, float]] = []
         results: List[T] = []
         for index, (task, worker) in enumerate(zip(tasks, placement)):
-            if not (0 <= worker < self.num_workers):
-                raise MapReduceError(f"worker id {worker} out of range")
             result, cost, elapsed, failures, backoff = self._run_attempts(
                 phase, index, task, lenient=lenient
             )
@@ -235,6 +235,75 @@ class SimulatedCluster:
         self.history.append(metrics)
         return results
 
+    def _placements(
+        self, tasks: Sequence, placement: Optional[Sequence[int]]
+    ) -> List[int]:
+        """The worker id of each task, validated; round-robin by
+        default."""
+        if placement is None:
+            return [i % self.num_workers for i in range(len(tasks))]
+        if len(placement) != len(tasks):
+            raise MapReduceError("placement must have one entry per task")
+        for worker in placement:
+            if not (0 <= worker < self.num_workers):
+                raise MapReduceError(f"worker id {worker} out of range")
+        return list(placement)
+
+    def _check_unsupported(self) -> None:
+        """Simulation-only knobs must not be silently ignored.
+
+        Executors that run tasks for real (threads, processes) inherit
+        the ``slowdown_factors`` / ``failed_workers`` / ``speculative``
+        attributes, which can be set on an instance directly; honouring
+        them there is impossible (they model time, and real workers
+        measure it), so producing metrics that quietly ignore them would
+        be wrong.  Those executors call this to fail loudly instead.
+        """
+        unsupported = []
+        if any(f != 1.0 for f in self.slowdown_factors):
+            unsupported.append("slowdown_factors")
+        if self.failed_workers:
+            unsupported.append("failed_workers")
+        if self.speculative:
+            unsupported.append("speculative")
+        if unsupported:
+            raise ConfigurationError(
+                f"{type(self).__name__} does not support "
+                f"{', '.join(unsupported)}; use SimulatedCluster for "
+                f"straggler/failed-worker studies"
+            )
+
+    def _resolve_faults(
+        self, phase: str, index: int
+    ) -> Tuple[Optional[FaultInjectionError], int, float]:
+        """Resolve one task's injected-failure schedule.
+
+        Keyed draws are order-independent, so the schedule is the same
+        whether it is resolved mid-run or before dispatch.  Returns
+        ``(exhaustion_error_or_None, failed_attempts,
+        backoff_seconds)``.
+        """
+        plan = self.fault_plan
+        if plan is None:
+            return None, 0, 0.0
+        failures = 0
+        backoff = 0.0
+        attempt = 1
+        while plan.task_attempt_fails(phase, index, attempt):
+            failures += 1
+            backoff += plan.backoff_seconds(attempt)
+            if attempt >= plan.max_attempts:
+                error = FaultInjectionError(
+                    f"task {index} in phase {phase!r} exhausted "
+                    f"{plan.max_attempts} attempts"
+                )
+                error.__cause__ = TransientTaskError(
+                    f"injected failure on attempt {attempt}"
+                )
+                return error, failures, backoff
+            attempt += 1
+        return None, failures, backoff
+
     def _run_attempts(
         self, phase: str, index: int, task: Task, lenient: bool = False
     ) -> Tuple[T, int, float, int, float]:
@@ -247,39 +316,21 @@ class SimulatedCluster:
         lenient mode budget exhaustion yields a :class:`LostTask`
         result (cost 0) instead of raising.
         """
-        plan = self.fault_plan
-        failures = 0
-        backoff = 0.0
-        attempt = 1
-        while True:
-            if plan is not None and plan.task_attempt_fails(
-                phase, index, attempt
-            ):
-                failures += 1
-                backoff += plan.backoff_seconds(attempt)
-                if attempt >= plan.max_attempts:
-                    error = FaultInjectionError(
-                        f"task {index} in phase {phase!r} exhausted "
-                        f"{plan.max_attempts} attempts"
-                    )
-                    error.__cause__ = TransientTaskError(
-                        f"injected failure on attempt {attempt}"
-                    )
-                    if lenient:
-                        return (
-                            LostTask(index, error),  # type: ignore[return-value]
-                            0,
-                            0.0,
-                            failures,
-                            backoff,
-                        )
-                    raise error
-                attempt += 1
-                continue
-            start = time.perf_counter()
-            result, cost = task()
-            elapsed = time.perf_counter() - start
-            return result, int(cost), elapsed, failures, backoff
+        error, failures, backoff = self._resolve_faults(phase, index)
+        if error is not None:
+            if lenient:
+                return (
+                    LostTask(index, error),  # type: ignore[return-value]
+                    0,
+                    0.0,
+                    failures,
+                    backoff,
+                )
+            raise error
+        start = time.perf_counter()
+        result, cost = task()
+        elapsed = time.perf_counter() - start
+        return result, int(cost), elapsed, failures, backoff
 
     def _reroute_failures(self, placement: List[int]) -> List[int]:
         """Worker-crash fault injection: tasks placed on failed workers

@@ -22,12 +22,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.exceptions import ConfigurationError, MapReduceError
-from repro.mapreduce.cluster import (
-    ClusterMetrics,
-    SimulatedCluster,
-    WorkerLedger,
-)
+from repro.core.exceptions import MapReduceError
+from repro.mapreduce.cluster import ClusterMetrics, SimulatedCluster
 from repro.mapreduce.faults import FaultPlan
 
 
@@ -39,28 +35,6 @@ class ThreadedCluster(SimulatedCluster):
     ) -> None:
         super().__init__(num_workers, fault_plan=fault_plan)
 
-    def _check_unsupported(self) -> None:
-        """Simulation-only knobs must not be silently ignored.
-
-        The inherited ``slowdown_factors`` / ``failed_workers`` /
-        ``speculative`` attributes can be set on an instance directly;
-        honouring them here is impossible (they model time, and threads
-        measure it), so producing metrics that quietly ignore them would
-        be wrong.  Fail loudly instead.
-        """
-        unsupported = []
-        if any(f != 1.0 for f in self.slowdown_factors):
-            unsupported.append("slowdown_factors")
-        if self.failed_workers:
-            unsupported.append("failed_workers")
-        if self.speculative:
-            unsupported.append("speculative")
-        if unsupported:
-            raise ConfigurationError(
-                f"ThreadedCluster does not support {', '.join(unsupported)}; "
-                f"use SimulatedCluster for straggler/failed-worker studies"
-            )
-
     def run_round(
         self,
         phase: str,
@@ -69,13 +43,7 @@ class ThreadedCluster(SimulatedCluster):
         lenient: bool = False,
     ) -> List:
         self._check_unsupported()
-        if placement is None:
-            placement = [i % self.num_workers for i in range(len(tasks))]
-        elif len(placement) != len(tasks):
-            raise MapReduceError("placement must have one entry per task")
-        for worker in placement:
-            if not (0 <= worker < self.num_workers):
-                raise MapReduceError(f"worker id {worker} out of range")
+        placement = self._placements(tasks, placement)
 
         # One queue per worker preserves the deterministic attribution.
         queues: List[List[Tuple[int, object]]] = [
@@ -85,15 +53,16 @@ class ThreadedCluster(SimulatedCluster):
             queues[worker].append((index, task))
 
         results: List = [None] * len(tasks)
-        ledgers = [WorkerLedger(w) for w in range(self.num_workers)]
+        # (worker, elapsed, cost, failures, backoff) per finished task;
+        # each worker's entries stay in its queue order
+        executions: List[Tuple[int, float, int, int, float]] = []
         errors: List[Tuple[int, MapReduceError]] = []
-        errors_lock = threading.Lock()
+        lock = threading.Lock()
 
         def drain(worker_id: int) -> None:
             # One task's failure must not abort the rest of this
             # worker's queue: isolate per task, wrap with phase/task
             # context, keep draining.
-            ledger = ledgers[worker_id]
             for index, task in queues[worker_id]:
                 try:
                     result, cost, elapsed, failures, backoff = (
@@ -108,14 +77,13 @@ class ThreadedCluster(SimulatedCluster):
                             f"on worker {worker_id}: {exc!r}"
                         )
                         wrapped.__cause__ = exc
-                    with errors_lock:
+                    with lock:
                         errors.append((index, wrapped))
                     continue
-                ledger.wall_seconds += elapsed + backoff
-                ledger.tasks += 1
-                ledger.cost_units += cost
-                ledger.failed_attempts += failures
-                ledger.backoff_seconds += backoff
+                with lock:
+                    executions.append(
+                        (worker_id, elapsed, cost, failures, backoff)
+                    )
                 results[index] = result
                 # The registry is thread-safe; worker threads observe
                 # concurrently without coordination.
@@ -132,7 +100,9 @@ class ThreadedCluster(SimulatedCluster):
                 for future in futures:
                     future.result()  # re-raise drain-level failures
         metrics = ClusterMetrics(
-            phase=phase, ledgers=ledgers, placements=list(placement)
+            phase=phase,
+            ledgers=self._build_ledgers(executions),
+            placements=placement,
         )
         self.history.append(metrics)
         if errors:

@@ -38,17 +38,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.exceptions import (
-    ConfigurationError,
-    FaultInjectionError,
-    MapReduceError,
-)
+from repro.core.exceptions import MapReduceError
 from repro.mapreduce.cluster import (
     ClusterMetrics,
     LostTask,
     SimulatedCluster,
 )
-from repro.mapreduce.faults import FaultPlan, TransientTaskError
+from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.shm import pack_blocks
 
 
@@ -184,54 +180,7 @@ class ProcessPoolCluster(SimulatedCluster):
         except Exception:
             pass
 
-    # -- fault resolution ----------------------------------------------
-    def _resolve_faults(
-        self, phase: str, index: int, lenient: bool
-    ) -> Tuple[Optional[FaultInjectionError], int, float]:
-        """Replay the retry loop of ``_run_attempts`` without a body.
-
-        Keyed draws are order-independent, so resolving them up front
-        yields the same schedule the in-process executors compute
-        mid-run.  Returns ``(exhaustion_error_or_None, failed_attempts,
-        backoff_seconds)``.
-        """
-        plan = self.fault_plan
-        if plan is None:
-            return None, 0, 0.0
-        failures = 0
-        backoff = 0.0
-        attempt = 1
-        while plan.task_attempt_fails(phase, index, attempt):
-            failures += 1
-            backoff += plan.backoff_seconds(attempt)
-            if attempt >= plan.max_attempts:
-                error = FaultInjectionError(
-                    f"task {index} in phase {phase!r} exhausted "
-                    f"{plan.max_attempts} attempts"
-                )
-                error.__cause__ = TransientTaskError(
-                    f"injected failure on attempt {attempt}"
-                )
-                return error, failures, backoff
-            attempt += 1
-        return None, failures, backoff
-
     # -- execution -----------------------------------------------------
-    def _check_unsupported(self) -> None:
-        unsupported = []
-        if any(f != 1.0 for f in self.slowdown_factors):
-            unsupported.append("slowdown_factors")
-        if self.failed_workers:
-            unsupported.append("failed_workers")
-        if self.speculative:
-            unsupported.append("speculative")
-        if unsupported:
-            raise ConfigurationError(
-                f"ProcessPoolCluster does not support "
-                f"{', '.join(unsupported)}; use SimulatedCluster for "
-                f"straggler/failed-worker studies"
-            )
-
     def _externalize(self, tasks: Sequence) -> Tuple[List, Optional[object]]:
         """Swap each task's Blocks for shared-memory descriptors.
 
@@ -276,13 +225,7 @@ class ProcessPoolCluster(SimulatedCluster):
         lenient: bool = False,
     ) -> List:
         self._check_unsupported()
-        if placement is None:
-            placement = [i % self.num_workers for i in range(len(tasks))]
-        elif len(placement) != len(tasks):
-            raise MapReduceError("placement must have one entry per task")
-        for worker in placement:
-            if not (0 <= worker < self.num_workers):
-                raise MapReduceError(f"worker id {worker} out of range")
+        placement = self._placements(tasks, placement)
 
         results: List = [None] * len(tasks)
         errors: List[Tuple[int, MapReduceError]] = []
@@ -296,9 +239,7 @@ class ProcessPoolCluster(SimulatedCluster):
         shipping, segment = self._externalize(tasks)
         try:
             for index, worker in enumerate(placement):
-                error, failures, backoff = self._resolve_faults(
-                    phase, index, lenient
-                )
+                error, failures, backoff = self._resolve_faults(phase, index)
                 fault_of[index] = (failures, backoff)
                 if error is not None:
                     if lenient:
@@ -348,37 +289,4 @@ class ProcessPoolCluster(SimulatedCluster):
         return results
 
 
-class SharedProcessPoolCluster(ProcessPoolCluster):
-    """A process pool that survives the engine's per-run ``shutdown()``.
-
-    ``SkylineEngine.run`` tears its cluster down in a ``finally`` —
-    correct for per-run ownership, wasteful for a pool shared across
-    many runs (the serving registry's rebuild pool).  Here
-    :meth:`shutdown` is a no-op and the owner calls :meth:`close` when
-    it is done; worker processes and their installed distributed cache
-    persist between runs.  Publishing *different* cache bytes still
-    retires the current workers (they hold the stale cache), so the
-    next round starts fresh ones — correctness over reuse.
-    """
-
-    def publish_cache(self, cache) -> None:
-        payload = pickle.dumps(cache, protocol=pickle.HIGHEST_PROTOCOL)
-        if payload != self._cache_bytes:
-            super().shutdown()
-            self._cache_bytes = payload
-
-    def shutdown(self) -> None:
-        """No-op: per-run teardown must not kill a shared pool."""
-
-    def close(self) -> None:
-        """Really terminate the worker processes (owner-only)."""
-        super().shutdown()
-
-    def __del__(self) -> None:  # pragma: no cover - GC-order dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-__all__ = ["ProcessPoolCluster", "SharedProcessPoolCluster", "worker_cache"]
+__all__ = ["ProcessPoolCluster", "worker_cache"]

@@ -355,22 +355,14 @@ def _make_procpool(cfg: EngineConfig) -> SimulatedCluster:
     return ProcessPoolCluster(cfg.num_workers, fault_plan=cfg.fault_plan)
 
 
-#: executor plug-in registry: ``EngineConfig.executor`` selects one of
-#: these factories; :func:`register_executor` adds new ones without
-#: touching the engine (the executors are interchangeable because the
-#: engine boundary is stateless — see :func:`execute`)
+#: executor registry: ``EngineConfig.executor`` selects one of these
+#: factories (the executors are interchangeable because the engine
+#: boundary is stateless — see :func:`execute`)
 EXECUTORS: Dict[str, Callable[[EngineConfig], SimulatedCluster]] = {
     "simulated": _make_simulated,
     "threaded": _make_threaded,
     "procpool": _make_procpool,
 }
-
-
-def register_executor(
-    name: str, factory: Callable[[EngineConfig], SimulatedCluster]
-) -> None:
-    """Register a cluster factory under an ``EngineConfig.executor`` name."""
-    EXECUTORS[name] = factory
 
 
 def make_cluster(cfg: EngineConfig) -> SimulatedCluster:

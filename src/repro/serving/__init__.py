@@ -49,8 +49,6 @@ from repro.serving.registry import (
     DatasetRegistry,
     DriftPolicy,
     PublishResult,
-    RebuildConfig,
-    RebuildPool,
 )
 from repro.serving.resilience import (
     CircuitBreaker,
@@ -89,8 +87,6 @@ __all__ = [
     "PublishResult",
     "Query",
     "QueryResult",
-    "RebuildConfig",
-    "RebuildPool",
     "ReplayReport",
     "ResultCache",
     "RetryBudget",

@@ -10,9 +10,9 @@ dataset has
   republished atomically after every mutation batch (readers never
   block writers; a reader holding version N keeps reading version N);
 * a :class:`DriftPolicy` bounding how much incremental delete churn is
-  tolerated before the skyline is recomputed from scratch with the
-  full pipeline (:func:`repro.pipeline.supervisor.supervised_run`), so
-  incremental error can never compound silently;
+  tolerated before the skyline is recomputed from scratch (one Z-search
+  over a freshly built ZB-tree, inline in the writer), so incremental
+  error can never compound silently;
 * optionally, a durable home (:class:`~repro.serving.wal.DatasetStore`):
   every mutation batch is appended to a CRC32-framed WAL *before* it is
   applied, and the full state is checkpointed (tmp+rename) every
@@ -28,24 +28,13 @@ mutations fail fast with a typed
 :class:`~repro.core.exceptions.WriterDownError` whose ``applied`` field
 tells the caller whether the batch already reached the durable WAL
 (and will therefore take effect on recovery).
-
-The drift rebuild feeds the alive set back through the paper's
-three-phase engine and adopts only the returned skyline *ids* — the
-registry's own grid points are kept, so a rebuild changes no stored
-coordinates.  (The pipeline re-quantises onto its own grid, but for
-integer grid input with matching ``bits_per_dim`` that mapping is
-strictly monotone per dimension, hence dominance-isomorphic, hence the
-id set is exact.)
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
-import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
@@ -127,151 +116,6 @@ class DriftPolicy:
 
 
 @dataclass(frozen=True)
-class RebuildConfig:
-    """How drift rebuilds run the offline pipeline."""
-
-    #: pipeline plan for the recompute
-    plan: str = "ZHG+ZS"
-    num_workers: int = 4
-    num_groups: int = 16
-    executor: str = "simulated"
-    seed: int = 0
-    #: below this alive-set size the rebuild short-circuits to a direct
-    #: Z-search (the MapReduce pipeline has per-job overhead that only
-    #: pays off at scale)
-    min_pipeline_size: int = 512
-    #: run the recompute asynchronously on the registry's
-    #: :class:`RebuildPool` instead of inline in the writer thread;
-    #: ignored when the registry has no pool.  Pooled mode never blocks
-    #: a mutation on the recompute: the maintainer swap happens when the
-    #: pooled result lands, and only if its base version is still
-    #: current (incremental maintenance is exact, so a deferred swap is
-    #: compaction, never correction).
-    pooled: bool = False
-
-    def __post_init__(self) -> None:
-        if self.num_workers <= 0 or self.num_groups <= 0:
-            raise ConfigurationError(
-                "num_workers and num_groups must be positive"
-            )
-        if self.min_pipeline_size < 0:
-            raise ConfigurationError("min_pipeline_size must be >= 0")
-
-
-class RebuildPool:
-    """Shared executor for :class:`DriftPolicy` recomputes.
-
-    Inline drift rebuilds run the full pipeline in the writer thread
-    under the dataset lock, so mutation p99 becomes the recompute's
-    wall-clock.  The pool instead ships each recompute through the
-    stateless ``RunRequest → execute()`` engine boundary onto a shared
-    :class:`~repro.mapreduce.procpool.SharedProcessPoolCluster`
-    (registered under a private executor name), sequenced by a single
-    dispatch thread; writer threads keep accepting mutations and
-    publishing incrementally-maintained snapshots the whole time.
-
-    One pool can serve many registries (e.g. every shard registry of a
-    :class:`~repro.serving.router.ShardedSkylineService`).  Pass
-    ``executor="simulated"`` (or any registered executor name) to run
-    recomputes in-process — same lifecycle, no worker processes; the
-    deterministic choice for tests.  The owner calls :meth:`close`.
-    """
-
-    _seq = itertools.count()
-
-    def __init__(
-        self, num_workers: int = 4, executor: Optional[str] = None
-    ) -> None:
-        if num_workers <= 0:
-            raise ConfigurationError("num_workers must be positive")
-        self.num_workers = num_workers
-        self._cluster = None
-        self._owned_name: Optional[str] = None
-        if executor is None:
-            from repro.mapreduce.procpool import SharedProcessPoolCluster
-            from repro.pipeline.driver import register_executor
-
-            self._cluster = SharedProcessPoolCluster(num_workers)
-            name = f"rebuild-pool-{next(self._seq)}"
-            register_executor(
-                name, lambda cfg, cluster=self._cluster: cluster
-            )
-            self._owned_name = name
-            self.executor_name = name
-        else:
-            self.executor_name = executor
-        self._dispatch = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="rebuild-pool"
-        )
-        self._lock = threading.Lock()
-        self._closed = False
-        self.submitted = 0
-        self.completed = 0
-        self.superseded = 0
-        self.failed = 0
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
-
-    def submit(self, fn) -> Future:
-        with self._lock:
-            if self._closed:
-                raise ConfigurationError("rebuild pool is closed")
-            self.submitted += 1
-        return self._dispatch.submit(fn)
-
-    def note(self, outcome: str) -> None:
-        with self._lock:
-            if outcome == "completed":
-                self.completed += 1
-            elif outcome == "superseded":
-                self.superseded += 1
-            else:
-                self.failed += 1
-
-    def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "executor": self.executor_name,
-                "num_workers": self.num_workers,
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "superseded": self.superseded,
-                "failed": self.failed,
-                "closed": self._closed,
-            }
-
-    def close(self) -> None:
-        """Drain in-flight jobs, stop the dispatch thread, terminate the
-        owned worker processes, and unregister the private executor."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._dispatch.shutdown(wait=True)
-        if self._cluster is not None:
-            self._cluster.close()
-        if self._owned_name is not None:
-            from repro.pipeline.driver import EXECUTORS
-
-            EXECUTORS.pop(self._owned_name, None)
-
-    def __enter__(self) -> "RebuildPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"RebuildPool(executor={self.executor_name!r}, "
-            f"workers={self.num_workers}, stats={self.stats()})"
-        )
-
-
-@dataclass(frozen=True)
 class PublishResult:
     """Outcome of one mutation batch: the newly published version."""
 
@@ -290,29 +134,25 @@ class _DatasetState:
 
     __slots__ = (
         "name", "codec", "maintainer", "snapshot", "lock",
-        "drift", "rebuild", "deletes_since_rebuild", "history",
+        "drift", "deletes_since_rebuild", "history",
         "store", "writer_down", "pending_batches",
         "publishes_since_checkpoint", "recoveries",
-        "rebuild_in_flight", "rebuild_future",
-        "pooled_rebuilds", "pooled_superseded",
     )
 
     def __init__(
         self,
         name: str,
         codec: ZGridCodec,
-        maintainer: SkylineMaintainer,
         drift: DriftPolicy,
-        rebuild: RebuildConfig,
         keep_versions: int,
     ) -> None:
         self.name = name
         self.codec = codec
-        self.maintainer: Optional[SkylineMaintainer] = maintainer
+        #: set by register() or recover(); None while the writer is down
+        self.maintainer: Optional[SkylineMaintainer] = None
         self.snapshot: Optional[Snapshot] = None
         self.lock = threading.Lock()
         self.drift = drift
-        self.rebuild = rebuild
         self.deletes_since_rebuild = 0
         self.history: Deque[Snapshot] = deque(maxlen=max(1, keep_versions))
         self.store: Optional[DatasetStore] = None
@@ -322,11 +162,6 @@ class _DatasetState:
         self.pending_batches = 0
         self.publishes_since_checkpoint = 0
         self.recoveries = 0
-        #: a pooled drift recompute is out with the RebuildPool
-        self.rebuild_in_flight = False
-        self.rebuild_future: Optional[Future] = None
-        self.pooled_rebuilds = 0
-        self.pooled_superseded = 0
 
 
 class DatasetRegistry:
@@ -349,7 +184,6 @@ class DatasetRegistry:
         durability_dir: Optional[str] = None,
         checkpoint_every: int = 8,
         fault_plan: Optional[ServingFaultPlan] = None,
-        rebuild_pool: Optional[RebuildPool] = None,
     ) -> None:
         if checkpoint_every < 1:
             raise ConfigurationError("checkpoint_every must be >= 1")
@@ -358,10 +192,6 @@ class DatasetRegistry:
         self.durability_dir = durability_dir
         self.checkpoint_every = checkpoint_every
         self.fault_plan = fault_plan
-        #: shared drift-recompute executor; datasets opt in per
-        #: ``RebuildConfig.pooled``.  The pool's lifecycle belongs to
-        #: whoever constructed it, not to this registry.
-        self.rebuild_pool = rebuild_pool
         self._states: Dict[str, _DatasetState] = {}
         self._lock = threading.Lock()
         #: called with each freshly published Snapshot (see
@@ -382,14 +212,13 @@ class DatasetRegistry:
         ids: Optional[np.ndarray] = None,
         codec: Optional[ZGridCodec] = None,
         drift: Optional[DriftPolicy] = None,
-        rebuild: Optional[RebuildConfig] = None,
     ) -> PublishResult:
         """Register grid-resident points as version 1 of ``name``.
 
         ``points`` must already hold integer grid coordinates for
         ``codec`` (like everywhere else in the z-order stack); use
         :meth:`register_dataset` for raw float data.  The initial
-        skyline is computed with the same machinery drift rebuilds use.
+        skyline is computed with the same recompute drift rebuilds use.
         """
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[0] == 0:
@@ -420,17 +249,12 @@ class DatasetRegistry:
                 "(see register_dataset)"
             )
         state = _DatasetState(
-            name,
-            codec,
-            SkylineMaintainer(codec, metrics=self.metrics),
-            drift or DriftPolicy.bounded(),
-            rebuild or RebuildConfig(),
-            self._keep_versions,
+            name, codec, drift or DriftPolicy.bounded(), self._keep_versions
         )
         # Build the whole version-1 state before the name becomes
         # visible, so a reader can never observe a half-registered
         # dataset.
-        sky_ids = self._compute_skyline_ids(state, points, ids)
+        sky_ids = _skyline_ids(codec, points, ids)
         state.maintainer = SkylineMaintainer.from_state(
             codec, points, ids, sky_ids, metrics=self.metrics
         )
@@ -455,7 +279,6 @@ class DatasetRegistry:
         dataset: Dataset,
         bits_per_dim: int = 12,
         drift: Optional[DriftPolicy] = None,
-        rebuild: Optional[RebuildConfig] = None,
     ) -> PublishResult:
         """Quantise a raw float dataset and register the grid version."""
         snapped, codec = quantize_dataset(dataset, bits_per_dim=bits_per_dim)
@@ -465,7 +288,6 @@ class DatasetRegistry:
             ids=snapped.ids,
             codec=codec,
             drift=drift,
-            rebuild=rebuild,
         )
 
     # ------------------------------------------------------------------
@@ -610,7 +432,6 @@ class DatasetRegistry:
         self,
         name: str,
         drift: Optional[DriftPolicy] = None,
-        rebuild: Optional[RebuildConfig] = None,
     ) -> PublishResult:
         """Cold-start ``name`` from its durable home (checkpoint + WAL).
 
@@ -634,9 +455,7 @@ class DatasetRegistry:
         state = _DatasetState(
             name,
             baseline.codec,
-            None,  # recover() rebuilds the maintainer from the baseline
             drift or DriftPolicy.bounded(),
-            rebuild or RebuildConfig(),
             self._keep_versions,
         )
         state.store = store
@@ -726,7 +545,7 @@ class DatasetRegistry:
                     state.deletes_since_rebuild += applied.exited_ids.size
                 if record.seq > published:
                     delta = applied if delta is None else delta.then(applied)
-                self._maybe_rebuild(state, allow_pooled=False)
+                self._maybe_rebuild(state)
                 # a drift rebuild swaps the maintainer object
                 maintainer = state.maintainer
                 version = record.seq
@@ -928,18 +747,10 @@ class DatasetRegistry:
         if self.metrics is not None:
             self.metrics.inc(SERVING_GROUP, "checkpoints")
 
-    def _maybe_rebuild(
-        self, state: _DatasetState, allow_pooled: bool = True
-    ) -> bool:
-        """Drift check + rebuild.  Inline mode recomputes here, in the
-        writer thread, and returns True so the publish is flagged
-        ``rebuilt``.  Pooled mode (``RebuildConfig.pooled`` on a
-        registry with a :class:`RebuildPool`) only *requests* the
-        recompute and returns False — the publish proceeds from
-        incremental state immediately, and the maintainer swap happens
-        when the pooled result lands (if still current).  Recovery
-        passes ``allow_pooled=False``: WAL replay must stay a
-        deterministic, single-threaded reconstruction."""
+    def _maybe_rebuild(self, state: _DatasetState) -> bool:
+        """Drift check + rebuild: recompute the skyline of the alive set
+        from scratch, here in the writer thread, and return True so the
+        publish is flagged ``rebuilt``."""
         assert state.maintainer is not None
         if not state.drift.should_rebuild(
             state.deletes_since_rebuild, state.maintainer.size
@@ -949,244 +760,18 @@ class DatasetRegistry:
         if points.shape[0] == 0:
             state.deletes_since_rebuild = 0
             return False
-        if (
-            allow_pooled
-            and state.rebuild.pooled
-            and self.rebuild_pool is not None
-            and not self.rebuild_pool.closed
-        ):
-            # Called from _mutate after the batch applied but before its
-            # publish, so this alive set becomes version current+1.
-            base = (
-                state.snapshot.version + 1
-                if state.snapshot is not None
-                else 1
-            )
-            self._request_pooled_rebuild(state, points, ids, base)
-            return False
-        sky_ids = self._compute_skyline_ids(state, points, ids)
+        sky_ids = _skyline_ids(state.codec, points, ids)
         state.maintainer = SkylineMaintainer.from_state(
             state.codec, points, ids, sky_ids, metrics=self.metrics
         )
         state.deletes_since_rebuild = 0
         return True
 
-    def _request_pooled_rebuild(
-        self,
-        state: _DatasetState,
-        points: np.ndarray,
-        ids: np.ndarray,
-        base_version: int,
-    ) -> None:
-        """Ship one recompute to the pool (caller holds ``state.lock``).
 
-        At most one job per dataset is in flight; while one is out,
-        further drift triggers are absorbed (``deletes_since_rebuild``
-        is not reset, so if the job comes back superseded the very next
-        mutation re-arms the rebuild with fresher state).
-        """
-        if state.rebuild_in_flight:
-            return
-        assert self.rebuild_pool is not None
-        state.rebuild_in_flight = True
-        state.rebuild_future = self.rebuild_pool.submit(
-            lambda: self._pooled_recompute(state, points, ids, base_version)
-        )
-        if self.metrics is not None:
-            self.metrics.inc(SERVING_GROUP, "pooled_rebuild_requests")
-
-    def _pooled_recompute(
-        self,
-        state: _DatasetState,
-        points: np.ndarray,
-        ids: np.ndarray,
-        base_version: int,
-    ) -> bool:
-        """Pool-side recompute + version-checked adoption.
-
-        Runs on the pool's dispatch thread *without* the dataset lock —
-        writers publish freely meanwhile.  The swap takes the lock only
-        at the end and lands only when the published version still
-        equals the recompute's base: the captured alive set is then
-        exactly the current alive set, so swapping maintainers changes
-        no observable state (the recomputed skyline equals the
-        incrementally maintained one — maintenance is exact; the swap
-        buys a compacted tree and a reset drift budget).  Anything else
-        — newer publish, writer crash — discards the result.
-        """
-        assert self.rebuild_pool is not None
-        try:
-            sky_ids = self._pooled_skyline_ids(state, points, ids)
-        except Exception:
-            with state.lock:
-                state.rebuild_in_flight = False
-            self.rebuild_pool.note("failed")
-            if self.metrics is not None:
-                self.metrics.inc(SERVING_GROUP, "pooled_rebuild_failures")
-            return False
-        with state.lock:
-            state.rebuild_in_flight = False
-            current = (
-                state.snapshot.version if state.snapshot is not None else 0
-            )
-            if (
-                state.writer_down
-                or state.maintainer is None
-                or current != base_version
-            ):
-                state.pooled_superseded += 1
-                self.rebuild_pool.note("superseded")
-                if self.metrics is not None:
-                    self.metrics.inc(
-                        SERVING_GROUP, "pooled_rebuilds_superseded"
-                    )
-                return False
-            state.maintainer = SkylineMaintainer.from_state(
-                state.codec, points, ids, sky_ids, metrics=self.metrics
-            )
-            state.deletes_since_rebuild = 0
-            state.pooled_rebuilds += 1
-        self.rebuild_pool.note("completed")
-        if self.metrics is not None:
-            self.metrics.inc(SERVING_GROUP, "drift_rebuilds")
-            self.metrics.inc(SERVING_GROUP, "pooled_rebuilds")
-        return True
-
-    def _pooled_skyline_ids(
-        self, state: _DatasetState, points: np.ndarray, ids: np.ndarray
-    ) -> np.ndarray:
-        """Exact skyline ids via the stateless ``RunRequest →
-        execute()`` boundary on the pool's executor (small sets
-        Z-search directly, mirroring the inline path)."""
-        cfg = state.rebuild
-        pool = self.rebuild_pool
-        assert pool is not None
-        n = points.shape[0]
-        if n < cfg.min_pipeline_size:
-            tree = build_zbtree(state.codec, points, ids=ids)
-            _, sky_ids = zsearch(tree)
-            return np.asarray(sky_ids, dtype=np.int64)
-        from repro.pipeline.driver import EngineConfig, RunRequest, execute
-
-        sample_ratio = min(1.0, max(0.05, 256.0 / n))
-        num_groups = max(1, min(cfg.num_groups, n // 32))
-        config = EngineConfig.from_plan_string(
-            cfg.plan,
-            bits_per_dim=state.codec.bits_per_dim,
-            num_workers=pool.num_workers,
-            num_groups=num_groups,
-            sample_ratio=sample_ratio,
-            executor=pool.executor_name,
-            seed=cfg.seed,
-        )
-        result = execute(
-            RunRequest(
-                dataset=Dataset(
-                    points, ids=ids, name=f"{state.name}[rebuild]"
-                ),
-                config=config,
-            )
-        )
-        if self.metrics is not None:
-            self.metrics.inc(SERVING_GROUP, "pipeline_rebuilds")
-        return np.asarray(result.skyline.ids, dtype=np.int64)
-
-    def flush_rebuilds(
-        self, name: Optional[str] = None, timeout: float = 60.0
-    ) -> None:
-        """Quiesce pooled rebuilds: block until no job is in flight for
-        ``name`` (default: every dataset) *and* drift no longer wants
-        one — outstanding drift is re-armed and awaited here, so tests
-        and benchmarks get a deterministic final state.  No-op without
-        a pool."""
-        if self.rebuild_pool is None:
-            return
-        deadline = time.monotonic() + timeout
-        with self._lock:
-            names = [name] if name is not None else list(self._states)
-        for dataset in names:
-            state = self._state(dataset)
-            while True:
-                future: Optional[Future] = None
-                with state.lock:
-                    if (
-                        state.writer_down
-                        or state.maintainer is None
-                        or not state.rebuild.pooled
-                    ):
-                        break
-                    if state.rebuild_in_flight:
-                        future = state.rebuild_future
-                    elif state.drift.should_rebuild(
-                        state.deletes_since_rebuild, state.maintainer.size
-                    ):
-                        points, ids = state.maintainer.alive()
-                        if points.shape[0] == 0:
-                            state.deletes_since_rebuild = 0
-                            break
-                        version = (
-                            state.snapshot.version
-                            if state.snapshot is not None
-                            else 0
-                        )
-                        self._request_pooled_rebuild(
-                            state, points, ids, version
-                        )
-                        future = state.rebuild_future
-                    else:
-                        break
-                if future is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise DatasetError(
-                            f"flush_rebuilds({dataset!r}) timed out "
-                            f"after {timeout}s"
-                        )
-                    future.result(timeout=remaining)
-
-    def rebuild_status(self, name: str) -> Dict[str, Any]:
-        """Pooled-rebuild bookkeeping for one dataset."""
-        state = self._state(name)
-        with state.lock:
-            return {
-                "pooled": (
-                    state.rebuild.pooled and self.rebuild_pool is not None
-                ),
-                "in_flight": state.rebuild_in_flight,
-                "pooled_rebuilds": state.pooled_rebuilds,
-                "pooled_superseded": state.pooled_superseded,
-                "deletes_since_rebuild": state.deletes_since_rebuild,
-            }
-
-    def _compute_skyline_ids(
-        self, state: _DatasetState, points: np.ndarray, ids: np.ndarray
-    ) -> np.ndarray:
-        """Exact skyline ids of ``(points, ids)``.
-
-        Large sets go through the full supervised pipeline (the paper's
-        engine, with its partitioning/prefilter machinery); small sets
-        Z-search a freshly built tree directly.
-        """
-        cfg = state.rebuild
-        n = points.shape[0]
-        if n >= cfg.min_pipeline_size:
-            from repro.pipeline.supervisor import supervised_run
-
-            sample_ratio = min(1.0, max(0.05, 256.0 / n))
-            num_groups = max(1, min(cfg.num_groups, n // 32))
-            report = supervised_run(
-                cfg.plan,
-                Dataset(points, ids=ids, name=f"{state.name}[rebuild]"),
-                bits_per_dim=state.codec.bits_per_dim,
-                num_workers=cfg.num_workers,
-                num_groups=num_groups,
-                sample_ratio=sample_ratio,
-                executor=cfg.executor,
-                seed=cfg.seed,
-            )
-            if self.metrics is not None:
-                self.metrics.inc(SERVING_GROUP, "pipeline_rebuilds")
-            return np.asarray(report.skyline.ids, dtype=np.int64)
-        tree = build_zbtree(state.codec, points, ids=ids)
-        _, sky_ids = zsearch(tree)
-        return np.asarray(sky_ids, dtype=np.int64)
+def _skyline_ids(
+    codec: ZGridCodec, points: np.ndarray, ids: np.ndarray
+) -> np.ndarray:
+    """Exact skyline ids of ``(points, ids)``: one Z-search (the paper's
+    ZS) over a freshly built ZB-tree."""
+    _, sky_ids = zsearch(build_zbtree(codec, points, ids=ids))
+    return np.asarray(sky_ids, dtype=np.int64)

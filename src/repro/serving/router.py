@@ -95,8 +95,6 @@ from repro.serving.registry import (
     DatasetRegistry,
     DriftPolicy,
     PublishResult,
-    RebuildConfig,
-    RebuildPool,
 )
 from repro.serving.resilience import CircuitBreaker
 from repro.serving.service import (
@@ -337,8 +335,6 @@ class ShardedSkylineService:
         durability_dir: Optional[str] = None,
         fault_plan: Optional[ServingFaultPlan] = None,
         drift: Optional[DriftPolicy] = None,
-        rebuild: Optional[RebuildConfig] = None,
-        rebuild_pool: Optional[RebuildPool] = None,
         tracer: Any = None,
     ) -> None:
         self.name = name
@@ -348,11 +344,6 @@ class ShardedSkylineService:
         self.fault_plan = fault_plan
         self.durability_dir = durability_dir
         self._drift = drift
-        self._rebuild = rebuild
-        #: shared across all shard registries — writer threads ship
-        #: drift recomputes here and keep accepting mutations; lifecycle
-        #: belongs to the caller (the router never closes it)
-        self.rebuild_pool = rebuild_pool
         self._service_config = self.config.service_config or ServiceConfig()
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[0] == 0:
@@ -391,11 +382,9 @@ class ShardedSkylineService:
                 keep_versions=self.config.keep_versions,
                 durability_dir=shard_dir,
                 checkpoint_every=self.config.checkpoint_every,
-                rebuild_pool=rebuild_pool,
             )
             publish = registry.register(
-                name, shard_pts, ids=shard_ids, codec=codec,
-                drift=drift, rebuild=rebuild,
+                name, shard_pts, ids=shard_ids, codec=codec, drift=drift,
             )
             service = SkylineService(
                 registry, config=self._service_config, metrics=metrics,
@@ -572,11 +561,8 @@ class ShardedSkylineService:
                 keep_versions=self.config.keep_versions,
                 durability_dir=shard.durability_dir,
                 checkpoint_every=self.config.checkpoint_every,
-                rebuild_pool=self.rebuild_pool,
             )
-            publish = registry.adopt(
-                self.name, drift=self._drift, rebuild=self._rebuild
-            )
+            publish = registry.adopt(self.name, drift=self._drift)
         except Exception:
             self._count("shard_failover_failed")
             return False
@@ -1237,28 +1223,6 @@ class ShardedSkylineService:
             if shard.service is None:
                 continue
             out[sid] = shard.service.admission.stats()
-        return out
-
-    def flush_rebuilds(self, timeout: float = 60.0) -> None:
-        """Quiesce pooled rebuilds on every live shard registry (no-op
-        without a :class:`RebuildPool`); deterministic final state for
-        tests and benchmarks."""
-        if self.rebuild_pool is None:
-            return
-        for sid in sorted(self._shards):
-            shard = self._shards[sid]
-            if shard.down or shard.registry is None:
-                continue
-            shard.registry.flush_rebuilds(self.name, timeout=timeout)
-
-    def rebuild_status(self) -> Dict[int, Dict[str, Any]]:
-        """Per-shard pooled-rebuild bookkeeping (down shards omitted)."""
-        out: Dict[int, Dict[str, Any]] = {}
-        for sid in sorted(self._shards):
-            shard = self._shards[sid]
-            if shard.down or shard.registry is None:
-                continue
-            out[sid] = shard.registry.rebuild_status(self.name)
         return out
 
     def stats(self) -> Dict[str, Any]:

@@ -95,6 +95,30 @@ class TestThreadedCluster:
         assert cluster.run_round("p", []) == []
         assert cluster.metrics_for("p").makespan_cost == 0
 
+    def test_ledgers_exact_under_thread_contention(self):
+        # Worker threads record their executions into one shared list;
+        # a lost update would drop a task from its worker's ledger.
+        import sys
+
+        workers, tasks_n = 8, 400
+        placement = [(i * 7) % workers for i in range(tasks_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cluster = ThreadedCluster(workers)
+            cluster.run_round(
+                "p",
+                [lambda i=i: (i, i + 1) for i in range(tasks_n)],
+                placement=placement,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        ledgers = cluster.metrics_for("p").ledgers
+        for worker in range(workers):
+            mine = [i for i in range(tasks_n) if placement[i] == worker]
+            assert ledgers[worker].tasks == len(mine)
+            assert ledgers[worker].cost_units == sum(i + 1 for i in mine)
+
 
 class TestCountersConcurrency:
     def test_inc_hammered_from_worker_threads(self):

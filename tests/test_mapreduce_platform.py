@@ -220,6 +220,19 @@ class TestCluster:
         with pytest.raises(MapReduceError):
             cluster.metrics_for("never-ran")
 
+    def test_bad_placement_rejected_before_any_task_runs(self):
+        cluster = SimulatedCluster(2)
+        ran = []
+
+        def task():
+            ran.append(1)
+            return None, 1
+
+        with pytest.raises(MapReduceError, match="out of range"):
+            cluster.run_round("p", [task, task], placement=[0, 9])
+        assert ran == []
+        assert cluster.history == []
+
     def test_empty_round_has_metrics(self):
         cluster = SimulatedCluster(2)
         cluster.run_round("empty", [])

@@ -7,11 +7,14 @@ or not, incremental or drift-rebuilt, whatever the codec.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.dataset import Dataset
 from repro.core.exceptions import (
     ConfigurationError,
     DatasetError,
@@ -30,15 +33,16 @@ from repro.serving import (
     DriftPolicy,
     Mutation,
     Query,
-    RebuildConfig,
     ResultCache,
+    RouterConfig,
     ServiceConfig,
+    ShardedSkylineService,
     SkylineClient,
     SkylineService,
     WorkloadSpec,
     replay_workload,
 )
-from repro.zorder.encoding import ZGridCodec
+from repro.zorder.encoding import ZGridCodec, quantize_dataset
 
 
 def grid_points(rng, n, d, top=16):
@@ -184,7 +188,7 @@ class TestRegistry:
             np.sort(snap.sky_ids), oracle_sky_ids(snap.points, snap.ids)
         )
 
-    def test_drift_rebuild_uses_pipeline_at_scale(self, rng):
+    def test_drift_rebuild_is_exact_at_scale(self, rng):
         metrics = MetricsRegistry()
         registry = DatasetRegistry(metrics=metrics)
         points = grid_points(rng, 700, 3, top=64)
@@ -194,12 +198,10 @@ class TestRegistry:
             codec=ZGridCodec.grid_identity(3, bits_per_dim=6),
             drift=DriftPolicy.bounded(max_deletes=3,
                                       max_delete_fraction=None),
-            rebuild=RebuildConfig(num_workers=2, num_groups=4,
-                                  min_pipeline_size=512),
         )
         pub = registry.delete("a", list(range(8)))
         assert pub.rebuilt
-        assert metrics.counter("serving", "pipeline_rebuilds") >= 1
+        assert metrics.counter("serving", "drift_rebuilds") == 1
         snap = registry.snapshot("a")
         assert np.array_equal(
             np.sort(snap.sky_ids), oracle_sky_ids(snap.points, snap.ids)
@@ -215,6 +217,97 @@ class TestRegistry:
         snap = registry.snapshot("a")
         assert snap.size == 80
         assert np.all(snap.points == np.floor(snap.points))
+
+
+class TestDriftRebuildDigests:
+    """A drift rebuild is a from-scratch recompute of a skyline that
+    incremental maintenance already holds exactly, so it must change no
+    observable state: a rebuilding dataset and a never-rebuilding twin
+    fed the same churn publish identical digests at every version."""
+
+    N, D = 600, 4
+
+    def _churn(self, rounds=30):
+        """Seeded ops: each round deletes 4 alive ids and inserts 2
+        fresh points."""
+        rng = np.random.default_rng(21)
+        raw = rng.random((self.N + 2 * rounds, self.D))
+        snapped, codec = quantize_dataset(
+            Dataset(raw, name="churn"), bits_per_dim=10
+        )
+        points = snapped.points
+        alive = list(range(self.N))
+        ops = []
+        for r in range(rounds):
+            picked = sorted(
+                int(i) for i in rng.choice(alive, size=4, replace=False)
+            )
+            alive = [i for i in alive if i not in picked]
+            ops.append(("delete", None, picked))
+            new = [self.N + 2 * r, self.N + 2 * r + 1]
+            ops.append(("insert", points[new], new))
+            alive.extend(new)
+        return points[: self.N], codec, ops
+
+    @staticmethod
+    def _registry(stack, points, codec, drift):
+        registry = DatasetRegistry()
+        registry.register("ds", points, codec=codec, drift=drift)
+
+        def apply(kind, pts, ids):
+            if kind == "insert":
+                return registry.insert("ds", pts, ids).rebuilt
+            return registry.delete("ds", ids).rebuilt
+
+        def digests():
+            return {0: registry.snapshot("ds").state_digest()}
+
+        return apply, digests
+
+    @staticmethod
+    def _router(stack, points, codec, drift):
+        router = stack.enter_context(
+            ShardedSkylineService(
+                "ds", points, codec=codec,
+                config=RouterConfig(num_shards=2), drift=drift,
+            )
+        )
+
+        def apply(kind, pts, ids):
+            ids = np.asarray(ids, dtype=np.int64)
+            mutation = (
+                Mutation.insert("ds", pts, ids)
+                if kind == "insert"
+                else Mutation.delete("ds", ids)
+            )
+            return router.mutate(mutation).publish.rebuilt
+
+        def digests():
+            return {
+                sid: shard.registry.snapshot("ds").state_digest()
+                for sid, shard in router._shards.items()
+            }
+
+        return apply, digests
+
+    @pytest.mark.parametrize("build", ["_registry", "_router"])
+    def test_drift_rebuild_digests_match_never_twin(self, build):
+        points, codec, ops = self._churn()
+        make = getattr(self, build)
+        rebuilds = 0
+        with ExitStack() as stack:
+            apply, digests = make(
+                stack, points.copy(), codec, DriftPolicy(max_deletes=8)
+            )
+            apply_never, digests_never = make(
+                stack, points.copy(), codec, DriftPolicy.never()
+            )
+            assert digests() == digests_never()
+            for kind, pts, ids in ops:
+                rebuilds += apply(kind, pts, ids)
+                assert not apply_never(kind, pts, ids)
+                assert digests() == digests_never()
+        assert rebuilds >= 1
 
 
 # ----------------------------------------------------------------------

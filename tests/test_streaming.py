@@ -456,9 +456,8 @@ class TestSubscriptionHub:
 
 
 class TestWriterNeverBlocksOnSubscribers:
-    """Satellite (b): the publish hook is O(diff) and offers are
-    non-blocking, so a stalled/slow subscriber cannot stall mutations
-    (the stalled-hook pattern from test_serving_rebuild_pool)."""
+    """The publish hook is O(diff) and offers are non-blocking, so a
+    stalled/slow subscriber cannot stall mutations."""
 
     def test_mutations_proceed_while_consumer_blocked_in_get(self):
         rng = np.random.default_rng(10)

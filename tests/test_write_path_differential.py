@@ -411,7 +411,9 @@ class TestBatchValidation:
         assert after.version == before.version
         assert after.state_digest() == before.state_digest()
         assert DatasetStore(str(tmp_path), DATASET).wal.replay().records == ()
-        registry.delete(DATASET, [3])
-        status = registry.rebuild_status(DATASET)
-        assert status["deletes_since_rebuild"] == 1
+        # The rejected batch spent none of the drift budget
+        # (max_deletes=1): the next delete is the first to count, and
+        # only the one after it crosses the budget.
+        assert not registry.delete(DATASET, [3]).rebuilt
         assert registry.snapshot(DATASET).version == before.version + 1
+        assert registry.delete(DATASET, [4]).rebuilt
