@@ -647,6 +647,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     ):
         print(f"{key:20s}: {summary[key]}")
     print(f"{'cache_hit_rate':20s}: {summary['cache_hit_rate']:.3f}")
+    print(
+        f"{'drift_rebuilds':20s}: "
+        f"{metrics.counter('serving', 'drift_rebuilds')}"
+    )
     if plan is not None or args.retries > 1:
         print(f"{'availability':20s}: {report.availability:.4f}")
         print(f"{'retries':20s}: {report.retries}")

@@ -32,11 +32,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.exceptions import (
-    ConfigurationError,
-    FaultInjectionError,
-    MapReduceError,
-)
+from repro.core.exceptions import FaultInjectionError, MapReduceError
 from repro.mapreduce.faults import FaultPlan, TransientTaskError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -181,10 +177,6 @@ class SimulatedCluster:
             raise MapReduceError("at least one worker must survive")
         self.num_workers = num_workers
         self.slowdown_factors = factors
-        #: class marker: remote executors ship tasks across a process
-        #: boundary, so the runtime must send picklable task payloads
-        #: instead of closures (see ``MapReduceRuntime``)
-        self.remote = False
         self.speculative = speculative
         self.speculation_threshold = speculation_threshold
         self.failed_workers = failed
@@ -222,7 +214,8 @@ class SimulatedCluster:
             result, cost, elapsed, failures, backoff = self._run_attempts(
                 phase, index, task, lenient=lenient
             )
-            if self.observer is not None:
+            # a lost task never ran: no wall sample, as on real executors
+            if self.observer is not None and not isinstance(result, LostTask):
                 self.observer.observe("cluster.task_seconds", elapsed)
             executions.append((worker, elapsed, cost, failures, backoff))
             results.append(result)
@@ -248,30 +241,6 @@ class SimulatedCluster:
             if not (0 <= worker < self.num_workers):
                 raise MapReduceError(f"worker id {worker} out of range")
         return list(placement)
-
-    def _check_unsupported(self) -> None:
-        """Simulation-only knobs must not be silently ignored.
-
-        Executors that run tasks for real (threads, processes) inherit
-        the ``slowdown_factors`` / ``failed_workers`` / ``speculative``
-        attributes, which can be set on an instance directly; honouring
-        them there is impossible (they model time, and real workers
-        measure it), so producing metrics that quietly ignore them would
-        be wrong.  Those executors call this to fail loudly instead.
-        """
-        unsupported = []
-        if any(f != 1.0 for f in self.slowdown_factors):
-            unsupported.append("slowdown_factors")
-        if self.failed_workers:
-            unsupported.append("failed_workers")
-        if self.speculative:
-            unsupported.append("speculative")
-        if unsupported:
-            raise ConfigurationError(
-                f"{type(self).__name__} does not support "
-                f"{', '.join(unsupported)}; use SimulatedCluster for "
-                f"straggler/failed-worker studies"
-            )
 
     def _resolve_faults(
         self, phase: str, index: int
@@ -413,6 +382,10 @@ class SimulatedCluster:
             ledgers[slowest].wall_seconds -= saved / 2.0  # killed halfway
             ledgers[backup].wall_seconds += added
             ledgers[backup].speculative_copies += 1
+
+    def publish_cache(self, cache) -> None:
+        """Make the distributed cache readable by every worker (no-op
+        in process: tasks read the coordinator's cache directly)."""
 
     def shutdown(self) -> None:
         """Release executor resources (no-op for in-process clusters)."""

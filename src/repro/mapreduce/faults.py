@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.core.exceptions import ConfigurationError, MapReduceError
 from repro.mapreduce.types import Block
 
-__all__ = ["FaultPlan", "TransientTaskError", "keyed_draw"]
+__all__ = ["FaultPlan", "TransientTaskError", "keyed_draw", "parse_spec"]
 
 
 class TransientTaskError(MapReduceError):
@@ -58,6 +58,44 @@ def keyed_draw(seed: int, *key: object) -> float:
     material = ":".join(str(part) for part in (seed,) + key)
     digest = hashlib.blake2b(material.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") / _DRAW_DENOM
+
+
+#: spec key -> (constructor field, cast from the raw value text)
+SpecKeys = Mapping[str, Tuple[str, Callable[[str], object]]]
+
+
+def parse_spec(spec: str, keys: SpecKeys) -> Dict[str, object]:
+    """Parse a ``"key=value,key=value"`` fault spec into constructor
+    keyword arguments (the CLI ``--faults`` syntax of both fault plans).
+
+    Keys are case-insensitive; a cast raising ``ValueError`` is a bad
+    value.  Every malformed token raises
+    :class:`~repro.core.exceptions.ConfigurationError`.
+    """
+    kwargs: Dict[str, object] = {}
+    for token in spec.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        if "=" not in token:
+            raise ConfigurationError(
+                f"fault spec token {token!r} must look like key=value"
+            )
+        key, _, raw = token.partition("=")
+        key = key.strip().lower()
+        raw = raw.strip()
+        if key not in keys:
+            raise ConfigurationError(
+                f"unknown fault spec key {key!r}; choose from {sorted(keys)}"
+            )
+        attr, cast = keys[key]
+        try:
+            kwargs[attr] = cast(raw)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"bad value {raw!r} for fault spec key {key!r}"
+            ) from exc
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -197,30 +235,7 @@ class FaultPlan:
         Keys: ``seed``, ``task`` (failure rate), ``crash``, ``corrupt``,
         ``attempts``, ``backoff``.
         """
-        kwargs: Dict[str, object] = {}
-        for token in spec.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if "=" not in token:
-                raise ConfigurationError(
-                    f"fault spec token {token!r} must look like key=value"
-                )
-            key, _, raw = token.partition("=")
-            key = key.strip().lower()
-            if key not in cls._SPEC_KEYS:
-                raise ConfigurationError(
-                    f"unknown fault spec key {key!r}; "
-                    f"choose from {sorted(cls._SPEC_KEYS)}"
-                )
-            attr, cast = cls._SPEC_KEYS[key]
-            try:
-                kwargs[attr] = cast(raw.strip())
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"bad value {raw.strip()!r} for fault spec key {key!r}"
-                ) from exc
-        return cls(**kwargs)  # type: ignore[arg-type]
+        return cls(**parse_spec(spec, cls._SPEC_KEYS))  # type: ignore[arg-type]
 
     def describe(self) -> str:
         """Compact one-line summary (CLI/report headers)."""

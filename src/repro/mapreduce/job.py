@@ -45,10 +45,10 @@ Reducer = Callable[[int, List[Block], "TaskContext"], Any]
 class TaskContext:
     """Per-task execution context.
 
-    ``metrics`` (optional) is the run's
-    :class:`~repro.observability.metrics.MetricsRegistry`; ``span`` is
-    the task's trace span — both are ``None`` on untraced runs, and
-    :meth:`observe` degrades to a no-op so job code never branches.
+    ``metrics`` (optional) is a
+    :class:`~repro.observability.metrics.MetricsRegistry` collecting the
+    task's samples; without one :meth:`observe` degrades to a no-op so
+    job code never branches.
     """
 
     def __init__(
@@ -56,13 +56,11 @@ class TaskContext:
         cache: DistributedCache,
         counters: Counters,
         metrics: Optional["MetricsRegistry"] = None,
-        span: Optional[Any] = None,
     ) -> None:
         self.cache = cache
         self.counters = counters
         self.ops = OpCounter()
         self.metrics = metrics
-        self.span = span
 
     def observe(self, name: str, value: float) -> None:
         """Record one histogram sample (no-op when metrics are off)."""

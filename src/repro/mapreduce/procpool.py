@@ -3,30 +3,27 @@
 :class:`ProcessPoolCluster` is the third executor.  Where the threaded
 cluster relies on numpy releasing the GIL, this one ships each worker's
 task queue to a real worker *process*, so Python-level work parallelises
-too.  The model is share-nothing, Hadoop-style:
+too.  It runs the round every real executor shares
+(:class:`~repro.mapreduce.parallel.PooledCluster`) and differs only in
+its drain, which is share-nothing, Hadoop-style:
 
 * the distributed cache is pickled once per pool and installed in every
-  worker by the pool initializer (:func:`publish_cache`);
-* task payloads must be **picklable** — the runtime sends small payload
-  objects (see ``MapReduceRuntime``'s remote dispatch path) instead of
-  closures;
+  worker by the pool initializer (:meth:`ProcessPoolCluster.publish_cache`);
+  tasks must be picklable — the runtime's one task form
+  (``MapTask`` / ``ReduceTask``) is, and drops its cache reference when
+  pickled, so a task in a worker reads the published copy;
 * large Block arrays ride a per-round ``multiprocessing.shared_memory``
   segment as zero-copy views (:mod:`repro.mapreduce.shm`) instead of the
   pickle pipe;
-* results come back as plain data: each task's counters, metric
-  observations, and kernel-stats deltas travel explicitly and are merged
-  coordinator-side — nothing depends on shared mutable state.
+* results come back as plain data.  Two process-local clocks travel
+  with each task: its CPU seconds (the ``cluster.task_cpu_seconds``
+  histogram) and the kernel-stats delta the worker's cache codec
+  accrued, which the drain merges into the coordinator cache's codec.
 
-Determinism: seeded :class:`~repro.mapreduce.faults.FaultPlan` draws are
-keyed and order-independent, so the coordinator resolves every task's
-fault schedule *before* dispatch — injected failures strike before the
-task body runs, exactly like the other executors — and only the
-surviving attempts cross the process boundary.  Cost accounting and
-counters therefore match the simulated cluster bit for bit; only the
-measured wall seconds differ.
-
-Straggler injection (slowdown factors, pre-declared failed workers,
-speculation) is rejected, as on the threaded cluster.
+Determinism: the shared round resolves every task's fault schedule
+before dispatch, so only the surviving attempts cross the process
+boundary.  Cost accounting and counters match the simulated cluster bit
+for bit; only the measured wall seconds differ.
 """
 
 from __future__ import annotations
@@ -34,18 +31,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.exceptions import MapReduceError
-from repro.mapreduce.cluster import (
-    ClusterMetrics,
-    LostTask,
-    SimulatedCluster,
-)
 from repro.mapreduce.faults import FaultPlan
-from repro.mapreduce.shm import pack_blocks
+from repro.mapreduce.parallel import Drained, PooledCluster, Queue, drain_queue
+from repro.mapreduce.shm import RoundSegment, pack_blocks
+from repro.mapreduce.types import Block
 
 
 # ----------------------------------------------------------------------
@@ -81,63 +74,68 @@ def _process_cpu_seconds() -> float:
         return float(times.user + times.system)
 
 
-def _drain_worker(
-    phase: str, worker_id: int, items: List[Tuple[int, object]]
-) -> List[Tuple[int, str, object, float, float]]:
-    """Run one worker's task queue serially inside a pool process.
+def _kernel_stats_objects(cache) -> List:
+    """Distinct ``KernelStats`` objects reachable from cache entries
+    (deterministic key order, deduplicated by identity — the codec is
+    typically referenced by several entries)."""
+    found: List = []
+    for key in sorted(cache or ()):
+        stats = getattr(cache.get(key), "kernel_stats", None)
+        if stats is not None and all(stats is not seen for seen in found):
+            found.append(stats)
+    return found
 
-    Mirrors ``ThreadedCluster``'s drain: one task's failure must not
-    abort the rest of the queue, so each task is isolated and errors
-    come back as data (exceptions must cross the pickle boundary, so
-    context is folded into the message instead of ``__cause__``).
 
-    Each surviving task carries two clocks home: wall-clock ``elapsed``
-    and the process's *CPU* delta (``getrusage``) across the task body.
-    The queue is drained serially in a dedicated process, so the delta
-    is attributable to the task; it is what lets the fig-7 load-balance
-    bench compare the simulated cost model against real core-seconds.
+def _measured(task):
+    """Wrap one task with the process-local clocks it carries home.
+
+    ``KernelStats`` deliberately pickles empty, so the cache codec's
+    kernel counts a task accrues must travel as an explicit delta:
+    reset before the body, snapshot after.  The queue is drained
+    serially in a dedicated process, so both that delta and the
+    process's CPU delta (``getrusage``) are attributable to the task —
+    the CPU seconds are what let the fig-7 load-balance bench compare
+    the simulated cost model against real core-seconds.
     """
-    out: List[Tuple[int, str, object, float, float]] = []
-    for index, task in items:
-        start = time.perf_counter()
+
+    def run():
+        stats_objects = _kernel_stats_objects(_WORKER_CACHE)
+        for stats in stats_objects:
+            stats.reset()
         cpu_start = _process_cpu_seconds()
-        try:
-            result, cost = task()
-        except Exception as exc:  # noqa: BLE001 — isolation point
-            if isinstance(exc, MapReduceError):
-                wrapped = exc
-            else:
-                wrapped = MapReduceError(
-                    f"task {index} in phase {phase!r} failed "
-                    f"on worker {worker_id}: {exc!r}"
-                )
-            out.append((index, "error", wrapped, 0.0, 0.0))
-            continue
-        elapsed = time.perf_counter() - start
+        result, cost = task()
         cpu = max(0.0, _process_cpu_seconds() - cpu_start)
-        if hasattr(result, "cpu_seconds"):
-            result.cpu_seconds = cpu
-        out.append((index, "ok", (result, int(cost)), elapsed, cpu))
-    return out
+        delta: Dict[str, int] = {}
+        for stats in stats_objects:
+            for name, value in stats.snapshot().items():
+                delta[name] = delta.get(name, 0) + int(value)
+        return (result, cpu, delta), cost
+
+    return run
+
+
+def _drain_worker(phase: str, worker_id: int, items: Queue) -> List[Drained]:
+    """Pool entry point: one worker's queue through :func:`drain_queue`,
+    each task measured by :func:`_measured`."""
+    return drain_queue(
+        phase, worker_id, [(index, _measured(task)) for index, task in items]
+    )
 
 
 # ----------------------------------------------------------------------
 # coordinator side
 # ----------------------------------------------------------------------
-class ProcessPoolCluster(SimulatedCluster):
+class ProcessPoolCluster(PooledCluster):
     """A cluster whose workers are real processes."""
 
     def __init__(
-        self,
-        num_workers: int,
-        fault_plan: Optional[FaultPlan] = None,
-        use_shm: bool = True,
+        self, num_workers: int, fault_plan: Optional[FaultPlan] = None
     ) -> None:
         super().__init__(num_workers, fault_plan=fault_plan)
-        self.remote = True
-        self.use_shm = use_shm
         self._pool: Optional[ProcessPoolExecutor] = None
         self._cache_bytes: Optional[bytes] = None
+        #: the coordinator's cache, where worker kernel-stats deltas land
+        self._cache = None
 
     # -- pool lifecycle ------------------------------------------------
     def publish_cache(self, cache) -> None:
@@ -149,6 +147,7 @@ class ProcessPoolCluster(SimulatedCluster):
         bytes retire the current pool so the next round starts workers
         with the new cache.
         """
+        self._cache = cache
         payload = pickle.dumps(cache, protocol=pickle.HIGHEST_PROTOCOL)
         if payload != self._cache_bytes:
             self.shutdown()
@@ -181,112 +180,61 @@ class ProcessPoolCluster(SimulatedCluster):
             pass
 
     # -- execution -----------------------------------------------------
-    def _externalize(self, tasks: Sequence) -> Tuple[List, Optional[object]]:
-        """Swap each task's Blocks for shared-memory descriptors.
+    def _externalize(
+        self, queues: List[Queue]
+    ) -> Tuple[List[Queue], Optional[RoundSegment]]:
+        """Swap each queued task's Blocks for shared-memory descriptors.
 
-        Returns shipping copies (originals keep their inline Blocks so a
-        later re-dispatch — e.g. lineage recovery — can re-pack into a
-        fresh segment) plus the round's segment handle, if one was
-        worth creating.
+        Returns shipping queues of task copies (originals keep their
+        inline Blocks so a later re-dispatch — e.g. lineage recovery —
+        can re-pack into a fresh segment) plus the round's segment, if
+        the payload was large enough to be worth one.
         """
-        shipping = list(tasks)
-        if not self.use_shm:
-            return shipping, None
-        blocks: List = []
-        spans: List[Optional[Tuple[int, int]]] = []
+        tasks = [task for queue in queues for _index, task in queue]
+        blocks: List[Block] = []
+        spans: List[Tuple[int, int]] = []
         for task in tasks:
             getter = getattr(task, "shm_payload_blocks", None)
-            if getter is None:
-                spans.append(None)
-                continue
-            task_blocks = getter()
+            task_blocks = getter() if getter is not None else []
             spans.append((len(blocks), len(task_blocks)))
             blocks.extend(task_blocks)
-        if not blocks:
-            return shipping, None
         segment, refs = pack_blocks(blocks)
         if segment is None:
-            return shipping, None
-        for position, task in enumerate(tasks):
-            span = spans[position]
-            if span is None:
-                continue
-            start, count = span
-            shipping[position] = task.with_shm_blocks(
-                refs[start:start + count]
-            )
-        return shipping, segment
+            return queues, None
+        shipping = iter([
+            task.with_shm_blocks(refs[start:start + count]) if count else task
+            for task, (start, count) in zip(tasks, spans)
+        ])
+        return [
+            [(index, next(shipping)) for index, _task in queue]
+            for queue in queues
+        ], segment
 
-    def run_round(
-        self,
-        phase: str,
-        tasks: Sequence,
-        placement: Optional[Sequence[int]] = None,
-        lenient: bool = False,
-    ) -> List:
-        self._check_unsupported()
-        placement = self._placements(tasks, placement)
-
-        results: List = [None] * len(tasks)
-        errors: List[Tuple[int, MapReduceError]] = []
-        # (worker, elapsed, cost, failures, backoff) per surviving task —
-        # the same execution tuples the simulated cluster ledgers.
-        executions: List[Tuple[int, float, int, int, float]] = []
-        fault_of = {}
-        queues: List[List[Tuple[int, object]]] = [
-            [] for _ in range(self.num_workers)
-        ]
-        shipping, segment = self._externalize(tasks)
+    def _drain(self, phase: str, queues: List[Queue]) -> List[Drained]:
+        queues, segment = self._externalize(queues)
         try:
-            for index, worker in enumerate(placement):
-                error, failures, backoff = self._resolve_faults(phase, index)
-                fault_of[index] = (failures, backoff)
-                if error is not None:
-                    if lenient:
-                        results[index] = LostTask(index, error)
-                        executions.append((worker, 0.0, 0, failures, backoff))
-                    else:
-                        errors.append((index, error))
-                    continue
-                queues[worker].append((index, shipping[index]))
-
             pool = self._ensure_pool()
             futures = [
                 pool.submit(_drain_worker, phase, worker_id, queue)
                 for worker_id, queue in enumerate(queues)
                 if queue
             ]
-            for future in futures:
-                for index, status, payload, elapsed, cpu in future.result():
-                    worker = placement[index]
-                    if status == "error":
-                        errors.append((index, payload))
-                        continue
-                    result, cost = payload
-                    failures, backoff = fault_of[index]
-                    executions.append(
-                        (worker, elapsed, cost, failures, backoff)
-                    )
-                    results[index] = result
-                    if self.observer is not None:
-                        self.observer.observe("cluster.task_seconds", elapsed)
-                        self.observer.observe(
-                            "cluster.task_cpu_seconds", cpu
-                        )
+            drained = [item for future in futures for item in future.result()]
         finally:
             if segment is not None:
                 segment.close()
-
-        metrics = ClusterMetrics(
-            phase=phase,
-            ledgers=self._build_ledgers(executions),
-            placements=list(placement),
-        )
-        self.history.append(metrics)
-        if errors:
-            errors.sort(key=lambda pair: pair[0])
-            raise errors[0][1]
-        return results
+        stats_objects = _kernel_stats_objects(self._cache)
+        out: List[Drained] = []
+        for index, error, measured, cost, elapsed in drained:
+            result = None
+            if error is None:
+                result, cpu, delta = measured  # type: ignore[misc]
+                if self.observer is not None:
+                    self.observer.observe("cluster.task_cpu_seconds", cpu)
+                if delta and stats_objects:
+                    stats_objects[0].merge_snapshot(delta)
+            out.append((index, error, result, cost, elapsed))
+        return out
 
 
 __all__ = ["ProcessPoolCluster", "worker_cache"]

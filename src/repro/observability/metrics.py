@@ -211,6 +211,18 @@ class MetricsRegistry:
                 handle.write("\n")
         return len(rows)
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # The lock cannot cross a pickle boundary (a pool task ships its
+        # task-local registry home); the rest is plain data.
+        with self._lock:
+            state = dict(self.__dict__)
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
     def __repr__(self) -> str:
         with self._lock:
             return (

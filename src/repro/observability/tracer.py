@@ -206,6 +206,22 @@ class Tracer:
     #: alias reading naturally in ``with tracer.span(...) as s:`` form
     span = start_span
 
+    def add_span(
+        self,
+        name: str,
+        start: float,
+        end: float,
+        parent: Optional[Span] = None,
+        **attributes: Any,
+    ) -> Span:
+        """Register a finished span timed elsewhere (a task's own
+        ``perf_counter`` stamps, measured on a worker thread or in a
+        pool process)."""
+        span = self.start_span(name, parent=parent, **attributes)
+        span.start = start
+        span.end = end
+        return span
+
     # -- inspection ----------------------------------------------------
     @property
     def spans(self) -> List[Span]:

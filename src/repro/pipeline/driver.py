@@ -496,8 +496,8 @@ class SkylineEngine:
 
         skyline = result2.outputs.get(0, Block.empty(snapped.dimensions))
         # On the procpool path the per-worker deltas were merged back
-        # into this stats object by the runtime, so the snapshot covers
-        # remote work too.
+        # into this stats object by the pool's drain, so the snapshot
+        # covers work done in worker processes too.
         kernel_stats = codec.kernel_stats.snapshot()
         if registry is not None:
             # Which kernel path (uint64 fast vs packed-byte wide) served

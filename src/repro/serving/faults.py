@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.exceptions import ConfigurationError
-from repro.mapreduce.faults import keyed_draw
+from repro.mapreduce.faults import keyed_draw, parse_spec
 
 __all__ = ["ServingFaultPlan", "WRITER_PHASES"]
 
@@ -53,6 +53,19 @@ __all__ = ["ServingFaultPlan", "WRITER_PHASES"]
 #: snapshot publish (readers already see it; recovery is a no-op
 #: replay to the same state).
 WRITER_PHASES = ("before", "during", "after")
+
+
+def _scripted_shard_crashes(raw: str) -> Dict[int, int]:
+    """``crashshard`` spec value: ``SID:OP`` entries joined by ``+``."""
+    return {
+        int(sid): int(op)
+        for sid, _, op in (entry.partition(":") for entry in raw.split("+"))
+    }
+
+
+def _shard_ids(raw: str) -> Tuple[int, ...]:
+    """``terminal`` spec value: shard ids joined by ``+``."""
+    return tuple(int(sid) for sid in raw.split("+"))
 
 
 @dataclass(frozen=True)
@@ -301,7 +314,7 @@ class ServingFaultPlan:
         )
 
     # ------------------------------------------------------------------
-    # CLI spec parsing (mirrors FaultPlan.parse)
+    # CLI spec parsing (shared with FaultPlan: ``parse_spec``)
     # ------------------------------------------------------------------
     _SPEC_KEYS = {
         "seed": ("seed", int),
@@ -315,6 +328,8 @@ class ServingFaultPlan:
         "shardslow": ("shard_slow_rate", float),
         "shardslowsec": ("shard_slow_seconds", float),
         "heartbeat": ("heartbeat_loss_rate", float),
+        "crashshard": ("scripted_shard_crashes", _scripted_shard_crashes),
+        "terminal": ("terminal_shards", _shard_ids),
     }
 
     @classmethod
@@ -329,43 +344,7 @@ class ServingFaultPlan:
         ``SID:OP`` entries joined by ``+``), ``terminal`` (shard ids
         joined by ``+``).
         """
-        kwargs: Dict[str, object] = {}
-        for token in spec.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if "=" not in token:
-                raise ConfigurationError(
-                    f"fault spec token {token!r} must look like key=value"
-                )
-            key, _, raw = token.partition("=")
-            key = key.strip().lower()
-            raw = raw.strip()
-            try:
-                if key == "crashshard":
-                    scripted: Dict[int, int] = {}
-                    for entry in raw.split("+"):
-                        sid, _, op = entry.partition(":")
-                        scripted[int(sid)] = int(op)
-                    kwargs["scripted_shard_crashes"] = scripted
-                    continue
-                if key == "terminal":
-                    kwargs["terminal_shards"] = tuple(
-                        int(s) for s in raw.split("+")
-                    )
-                    continue
-                if key not in cls._SPEC_KEYS:
-                    raise ConfigurationError(
-                        f"unknown serving fault spec key {key!r}; choose "
-                        f"from {sorted(cls._SPEC_KEYS) + ['crashshard', 'terminal']}"
-                    )
-                attr, cast = cls._SPEC_KEYS[key]
-                kwargs[attr] = cast(raw)
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"bad value {raw!r} for fault spec key {key!r}"
-                ) from exc
-        return cls(**kwargs)  # type: ignore[arg-type]
+        return cls(**parse_spec(spec, cls._SPEC_KEYS))  # type: ignore[arg-type]
 
     def describe(self) -> str:
         """Compact one-line summary (CLI/report headers)."""

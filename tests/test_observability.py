@@ -27,6 +27,7 @@ from repro.mapreduce.counters import Counters
 from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.parallel import ThreadedCluster
+from repro.mapreduce.procpool import ProcessPoolCluster
 from repro.mapreduce.runtime import MapReduceRuntime
 from repro.mapreduce.types import Block
 from repro.observability import (
@@ -379,6 +380,64 @@ class TestSpanTreeProperties:
         # surviving map spans carry the only-successful-attempt records
         assert tracer.totals("records_in")["records_in"] == (
             n_blocks * per_block + sum(b.size for b in blocks)
+        )
+
+
+class TestSpanTreeAcrossExecutors:
+    """One task form runs on every executor, so a crash-recovered map
+    round leaves the same span tree on each: lost attempts superseded,
+    re-executions live, and the same trace totals."""
+
+    EXECUTORS = {
+        "simulated": SimulatedCluster,
+        "threaded": ThreadedCluster,
+        "procpool": ProcessPoolCluster,
+    }
+    N_BLOCKS, PER_BLOCK, WORKERS = 8, 5, 3
+    NAMES = (
+        "records_in", "records_out",
+        "dominance_point_tests", "dominance_region_tests",
+    )
+
+    def run_probe(self, executor):
+        blocks = [
+            Block(
+                np.arange(i * self.PER_BLOCK, (i + 1) * self.PER_BLOCK),
+                np.zeros((self.PER_BLOCK, 2)),
+            )
+            for i in range(self.N_BLOCKS)
+        ]
+        cluster = self.EXECUTORS[executor](
+            self.WORKERS, fault_plan=FaultPlan(seed=1, worker_crash_rate=0.3)
+        )
+        tracer = Tracer()
+        try:
+            result = MapReduceRuntime(cluster, tracer=tracer).run(
+                MapReduceJob("probe", parity_mapper, count_reducer), blocks
+            )
+        finally:
+            cluster.shutdown()
+        return tracer, result
+
+    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    def test_superseded_attempts_traced_on_every_executor(self, executor):
+        tracer, result = self.run_probe(executor)
+        tracer.validate()
+        reexecuted = result.counters.get("map", "reexecuted_tasks")
+        assert reexecuted > 0  # the seed must exercise recovery
+        map_spans = tracer.named("map.task")
+        superseded = [s for s in map_spans if s.attributes.get(SUPERSEDED)]
+        assert len(map_spans) - len(superseded) == self.N_BLOCKS
+        assert len(superseded) == reexecuted
+        assert len(tracer.named("reduce.task")) == len(result.outputs)
+        # task spans carry the tasks' own clocks, inside their phase
+        for phase in tracer.named("map") + tracer.named("reduce"):
+            for span in tracer.children_of(phase):
+                assert phase.start <= span.start <= span.end <= phase.end
+        reference, _ = self.run_probe("simulated")
+        assert tracer.totals(*self.NAMES) == reference.totals(*self.NAMES)
+        assert tracer.totals("records_in")["records_in"] == (
+            2 * self.N_BLOCKS * self.PER_BLOCK
         )
 
 

@@ -7,6 +7,7 @@ answer is ever wrong — any result whose certificate is ``fresh`` or
 the snapshot version it names.
 """
 
+import re
 import threading
 
 import numpy as np
@@ -14,11 +15,11 @@ import pytest
 
 from repro.core.exceptions import (
     CircuitOpenError,
+    ConfigurationError,
     DatasetError,
     DeadlineExceededError,
     OverloadedError,
     QueryPoisonedError,
-    ServingError,
     WriterDownError,
 )
 from repro.observability.metrics import MetricsRegistry
@@ -242,6 +243,49 @@ class TestChaosHammer:
             result = service.query(Query.full("ds"))
             assert result.certificate["kind"] == "stale"
             assert result.certificate["writer_down"] is True
+
+
+class TestServingFaultSpec:
+    def test_every_key_parses(self):
+        plan = ServingFaultPlan.parse(
+            "seed=7, worker=0.05,writer=0.1,cache=0.2,delay=0.3,"
+            "delaysec=0.004,requeues=3,shard=0.01,shardslow=0.4,"
+            "shardslowsec=0.06,heartbeat=0.5,crashshard=2:120+0:5,"
+            "terminal=1+3"
+        )
+        assert plan == ServingFaultPlan(
+            seed=7,
+            worker_crash_rate=0.05,
+            writer_crash_rate=0.1,
+            cache_corruption_rate=0.2,
+            queue_delay_rate=0.3,
+            queue_delay_seconds=0.004,
+            max_requeues=3,
+            shard_crash_rate=0.01,
+            shard_slow_rate=0.4,
+            shard_slow_seconds=0.06,
+            heartbeat_loss_rate=0.5,
+            scripted_shard_crashes={2: 120, 0: 5},
+            terminal_shards=(1, 3),
+        )
+
+    def test_rate_of_one_is_allowed(self):
+        assert ServingFaultPlan.parse("worker=1").worker_crash_rate == 1.0
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("seed=1,worker", "must look like key=value"),
+            ("seed=1,bogus=2", "unknown fault spec key 'bogus'"),
+            ("worker=lots", "bad value 'lots'"),
+            ("crashshard=2", "bad value '2'"),
+            ("terminal=1+x", "bad value '1+x'"),
+            ("cache=1.5", "must be in [0, 1]"),
+        ],
+    )
+    def test_bad_specs_rejected(self, spec, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            ServingFaultPlan.parse(spec)
 
 
 class TestReplayDeterminism:
