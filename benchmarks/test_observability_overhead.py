@@ -2,10 +2,12 @@
 
 Two claims, both load-bearing for the tracing design:
 
-* **off is free** — with the default ``NULL_TRACER`` the runtime pays a
-  single boolean check per task, so a run with tracing disabled must be
-  no slower (within noise) than a fully traced run minus its span cost;
-  the assertion bounds the disabled path at 5% of the traced wall time.
+* **off is cheap** — with the default ``NULL_TRACER`` the runtime
+  materialises no task spans (one ``tracer.enabled`` check per task
+  record) and builds no task-local metrics registry, so a run with
+  tracing disabled must be no slower (within noise) than a fully traced
+  run; the assertion bounds the disabled path at 5% of the traced wall
+  time.
 * **on is bounded** — enabling tracing + metrics may not blow up the
   run either; the table records the measured ratio so regressions are
   visible in the CSV history.

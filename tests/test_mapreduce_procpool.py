@@ -349,8 +349,8 @@ class TestPoolBoundaryPickling:
 
     def test_kernel_stats_pickle_empty_by_design(self):
         # Cache payloads must be byte-stable across runs, so a codec's
-        # embedded stats never travel; deltas ride RemoteTaskResult and
-        # are merged back explicitly.
+        # embedded stats never travel; the pool drain carries each
+        # task's delta home and merges it back explicitly.
         stats = KernelStats()
         stats.merge_snapshot({"encode_fast_calls": 9})
         clone = pickle.loads(pickle.dumps(stats))
