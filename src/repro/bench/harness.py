@@ -26,8 +26,8 @@ from repro.core.dataset import Dataset
 from repro.pipeline.driver import (
     EngineConfig,
     RunReport,
-    SkylineEngine,
     export_observability,
+    run_plan,
 )
 from repro.pipeline.gpmrs import run_gpmrs
 from repro.pipeline.plans import parse_plan
@@ -153,8 +153,9 @@ def run_plan_measured(
         # benchmark row has the same evidence trail.
         export_observability(config, report)
         return report
-    config = EngineConfig(
-        plan=parse_plan(plan),
+    return run_plan(
+        plan,
+        dataset,
         num_groups=num_groups,
         num_workers=num_workers,
         sample_ratio=sample_ratio,
@@ -162,6 +163,5 @@ def run_plan_measured(
         seed=seed,
         trace_out=trace_out,
         metrics_out=metrics_out,
-        **kwargs,  # type: ignore[arg-type]
+        **kwargs,
     )
-    return SkylineEngine(config).run(dataset)

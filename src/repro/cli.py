@@ -329,8 +329,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.core.exceptions import ConfigurationError
+    from repro.core.exceptions import (
+        ConfigurationError,
+        DeadlineExceededError,
+        FaultInjectionError,
+    )
     from repro.mapreduce.faults import FaultPlan
+    from repro.pipeline.supervisor import (
+        PartialRunReport,
+        SupervisorConfig,
+        supervised_run,
+    )
 
     try:
         fault_plan = (
@@ -345,24 +354,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     dataset = generate(
         args.dist, args.num_points, args.dimensions, seed=args.seed
     )
+    run_kwargs = dict(
+        num_groups=args.groups,
+        num_workers=args.workers,
+        sample_ratio=args.sample_ratio,
+        seed=args.seed,
+        executor=args.executor,
+        fault_plan=fault_plan,
+        num_input_splits=args.splits,
+        trace_out=args.trace_out,
+        metrics_out=args.metrics_out,
+    )
     supervised = (
         args.checkpoint_dir is not None
         or args.deadline is not None
         or args.degraded_ok
     )
-    if supervised:
-        from repro.pipeline.supervisor import (
-            PartialRunReport,
-            SupervisorConfig,
-            supervised_run,
-        )
-
-        from repro.core.exceptions import (
-            DeadlineExceededError,
-            FaultInjectionError,
-        )
-
-        try:
+    try:
+        if supervised:
             report = supervised_run(
                 args.plan,
                 dataset,
@@ -372,47 +381,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     deadline_seconds=args.deadline,
                     degraded_ok=args.degraded_ok,
                 ),
-                num_groups=args.groups,
-                num_workers=args.workers,
-                sample_ratio=args.sample_ratio,
-                seed=args.seed,
-                executor=args.executor,
-                fault_plan=fault_plan,
-                num_input_splits=args.splits,
-                trace_out=args.trace_out,
-                metrics_out=args.metrics_out,
+                **run_kwargs,
             )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except (DeadlineExceededError, FaultInjectionError) as exc:
-            print(f"run failed: {exc}", file=sys.stderr)
-            if args.checkpoint_dir:
-                print(
-                    f"completed stages are durable in "
-                    f"{args.checkpoint_dir!r}; rerun with --resume to "
-                    "continue from there",
-                    file=sys.stderr,
-                )
-            return 1
-    else:
-        try:
-            report = run_plan_measured(
-                args.plan,
-                dataset,
-                num_groups=args.groups,
-                num_workers=args.workers,
-                sample_ratio=args.sample_ratio,
-                seed=args.seed,
-                executor=args.executor,
-                fault_plan=fault_plan,
-                num_input_splits=args.splits,
-                trace_out=args.trace_out,
-                metrics_out=args.metrics_out,
+        else:
+            report = run_plan_measured(args.plan, dataset, **run_kwargs)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (DeadlineExceededError, FaultInjectionError) as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        if args.checkpoint_dir:
+            print(
+                f"completed stages are durable in "
+                f"{args.checkpoint_dir!r}; rerun with --resume to "
+                "continue from there",
+                file=sys.stderr,
             )
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        return 1
     print(f"dataset   : {dataset.name}")
     for key, value in report.summary().items():
         print(f"{key:14s}: {value}")
@@ -424,28 +409,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
     ):
         if path:
             print(f"{label:10s}: wrote {path}")
-    if supervised:
-        resumed = report.details.get("resumed_stages") or []
-        if resumed:
-            print(f"resumed   : {', '.join(resumed)}")
-        quarantined = report.details.get("input", {}).get(
-            "quarantined_records", 0
+    resumed = report.details.get("resumed_stages") or []
+    if resumed:
+        print(f"resumed   : {', '.join(resumed)}")
+    quarantined = report.details.get("input", {}).get(
+        "quarantined_records", 0
+    )
+    if quarantined:
+        print(f"quarantined: {quarantined} malformed input records")
+    if isinstance(report, PartialRunReport):
+        detail = report.completeness_detail
+        print(
+            "DEGRADED  : partial skyline "
+            f"(completeness {report.completeness:.2f}, "
+            f"candidate coverage "
+            f"{detail.get('candidate_coverage', 0.0):.2f})"
         )
-        if quarantined:
-            print(f"quarantined: {quarantined} malformed input records")
-        if isinstance(report, PartialRunReport):
-            detail = report.completeness_detail
-            print(
-                "DEGRADED  : partial skyline "
-                f"(completeness {report.completeness:.2f}, "
-                f"candidate coverage "
-                f"{detail.get('candidate_coverage', 0.0):.2f})"
-            )
-            print(
-                f"  lost groups {detail.get('groups_lost')} may still "
-                "hide skyline points; "
-                f"{report.masked_candidates} uncertain candidates masked"
-            )
+        print(
+            f"  lost groups {detail.get('groups_lost')} may still "
+            "hide skyline points; "
+            f"{report.masked_candidates} uncertain candidates masked"
+        )
     return 0
 
 

@@ -9,14 +9,14 @@
 * :mod:`repro.pipeline.phase2` — the 2nd MapReduce job merging
   candidates via Z-merge / Z-search / sort-based (§5.3);
 * :mod:`repro.pipeline.driver` — :class:`~repro.pipeline.driver.SkylineEngine`
-  tying the phases together and producing a
+  (the supervisor with every policy off) producing a
   :class:`~repro.pipeline.driver.RunReport`;
 * :mod:`repro.pipeline.gpmrs` — the MR-GPMRS baseline (grid + bitstring
   + multi-reducer merge) [12];
 * :mod:`repro.pipeline.checkpoint` — versioned on-disk stage
   checkpoints (atomic manifest + CRC-guarded block payloads);
-* :mod:`repro.pipeline.supervisor` — the checkpointed, resumable,
-  gracefully-degrading driver around the same three phases.
+* :mod:`repro.pipeline.supervisor` — the one driver of the three
+  phases, optionally checkpointed, resumable and gracefully degrading.
 """
 
 from repro.pipeline.advisor import Advice, advise

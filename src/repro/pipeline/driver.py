@@ -1,36 +1,29 @@
-"""The end-to-end skyline engine.
+"""The end-to-end skyline engine: configuration, report and entry point.
 
-:class:`SkylineEngine` wires the three phases over the simulated
-platform and returns a :class:`RunReport` carrying the final skyline and
+:class:`SkylineEngine` runs the paper's three-phase pipeline for one
+plan and returns a :class:`RunReport` carrying the final skyline and
 every measurement the paper's figures plot: per-phase wall and abstract
 cost, candidate counts, shuffle volume, prefilter/pruning counts, worker
-skew, and preprocessing time.
+skew, and preprocessing time.  The stage machine itself lives in
+:mod:`repro.pipeline.supervisor`; the engine is that supervisor with
+no checkpoint store, deadline, degradation or stage retry.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.core.dataset import Dataset
 from repro.core.exceptions import ConfigurationError
-from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.cluster import SimulatedCluster
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.faults import FaultPlan
-from repro.mapreduce.job import FAULT_COUNTER_KEYS
-from repro.mapreduce.hdfs import InMemoryDFS
-from repro.mapreduce.job import JobResult
-from repro.mapreduce.runtime import MapReduceRuntime
-from repro.mapreduce.types import Block, split_dataset
+from repro.mapreduce.job import FAULT_COUNTER_KEYS, JobResult
+from repro.mapreduce.types import Block
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import NULL_TRACER, Tracer
-from repro.pipeline.phase1 import make_phase1_job
-from repro.pipeline.phase2 import make_phase2_job
 from repro.pipeline.plans import PlanConfig, parse_plan
-from repro.pipeline.preprocess import PreprocessResult, preprocess
-from repro.zorder.encoding import quantize_dataset
+from repro.pipeline.preprocess import PreprocessResult
 
 
 @dataclass
@@ -356,25 +349,12 @@ def _make_procpool(cfg: EngineConfig) -> SimulatedCluster:
 
 
 #: executor registry: ``EngineConfig.executor`` selects one of these
-#: factories (the executors are interchangeable because the engine
-#: boundary is stateless — see :func:`execute`)
+#: interchangeable factories
 EXECUTORS: Dict[str, Callable[[EngineConfig], SimulatedCluster]] = {
     "simulated": _make_simulated,
     "threaded": _make_threaded,
     "procpool": _make_procpool,
 }
-
-
-def make_cluster(cfg: EngineConfig) -> SimulatedCluster:
-    """Build the configured executor (shared by engine and supervisor)."""
-    try:
-        factory = EXECUTORS[cfg.executor]
-    except KeyError:
-        names = ", ".join(repr(name) for name in sorted(EXECUTORS))
-        raise ConfigurationError(
-            f"executor must be one of {names}; got {cfg.executor!r}"
-        ) from None
-    return factory(cfg)
 
 
 def export_observability(
@@ -400,134 +380,19 @@ class SkylineEngine:
 
         The dataset is grid-snapped once (see
         :func:`repro.zorder.encoding.quantize_dataset`); the report's
-        skyline holds grid coordinates with original row ids.
+        skyline holds grid coordinates with original row ids.  The run
+        is all-or-nothing: a terminal fault propagates, and the
+        executor's workers are released either way.
         """
-        cfg = self.config
-        started = time.perf_counter()
-        tracer = cfg.resolve_tracer()
-        registry = (
-            MetricsRegistry() if cfg.observability_enabled else None
-        )
-        run_span = tracer.start_span(
-            "run", plan=cfg.plan.label, n=dataset.size,
-            d=dataset.dimensions,
+        from repro.pipeline.supervisor import (
+            PipelineSupervisor,
+            SupervisorConfig,
         )
 
-        snapped, codec = quantize_dataset(
-            dataset, bits_per_dim=cfg.bits_per_dim
-        )
-
-        with tracer.span("preprocess", parent=run_span) as pre_span:
-            pre = preprocess(
-                snapped,
-                codec,
-                cfg.plan.partitioner,
-                cfg.num_groups,
-                sample_ratio=cfg.sample_ratio,
-                expansion=cfg.expansion,
-                seed=cfg.seed,
-            )
-            pre_span.update(
-                sample_size=pre.sample.size,
-                sample_skyline=int(pre.sample_skyline.shape[0]),
-                seconds=pre.seconds,
-            )
-
-        cluster = make_cluster(cfg)
-        cluster.observer = registry
-        try:
-            cache = DistributedCache()
-            pre.publish(cache)
-            runtime = MapReduceRuntime(
-                cluster, dfs=InMemoryDFS(), cache=cache,
-                fault_plan=cfg.fault_plan,
-                tracer=tracer, metrics=registry,
-            )
-
-            splits = split_dataset(
-                snapped, cfg.num_input_splits or cfg.num_workers * 2
-            )
-
-            job1 = make_phase1_job(cfg.plan)
-            with tracer.span("phase1", parent=run_span) as stage_span:
-                result1 = runtime.run(
-                    job1, splits, output_path="phase1/candidates",
-                    parent_span=stage_span,
-                )
-
-            candidate_blocks = [
-                block
-                for block in result1.outputs.values()
-                if isinstance(block, Block) and block.size > 0
-            ]
-            if not candidate_blocks:
-                candidate_blocks = [Block.empty(snapped.dimensions)]
-
-            partial_result: Optional[JobResult] = None
-            if cfg.plan.merge_algorithm == "ZMP":
-                # Parallel merge extension: first fold candidate trees on
-                # every worker, then fold the few partial skylines once.
-                from repro.pipeline.phase2 import make_partial_merge_job
-
-                partial_job = make_partial_merge_job(cfg.num_workers)
-                with tracer.span(
-                    "partial-merge", parent=run_span
-                ) as stage_span:
-                    partial_result = runtime.run(
-                        partial_job, candidate_blocks,
-                        parent_span=stage_span,
-                    )
-                candidate_blocks = [
-                    block
-                    for block in partial_result.outputs.values()
-                    if isinstance(block, Block) and block.size > 0
-                ] or [Block.empty(snapped.dimensions)]
-
-            job2 = make_phase2_job(cfg.plan)
-            with tracer.span("phase2", parent=run_span) as stage_span:
-                result2 = runtime.run(
-                    job2, candidate_blocks, output_path="skyline",
-                    parent_span=stage_span,
-                )
-        finally:
-            # Remote executors own worker processes; the in-process ones
-            # make this a no-op.
-            cluster.shutdown()
-
-        skyline = result2.outputs.get(0, Block.empty(snapped.dimensions))
-        # On the procpool path the per-worker deltas were merged back
-        # into this stats object by the pool's drain, so the snapshot
-        # covers work done in worker processes too.
-        kernel_stats = codec.kernel_stats.snapshot()
-        if registry is not None:
-            # Which kernel path (uint64 fast vs packed-byte wide) served
-            # this run, and how many rows went through it.
-            for name, value in kernel_stats.items():
-                registry.inc("zkernel", name, value)
-        total_seconds = time.perf_counter() - started
-        run_span.set("skyline", skyline.size)
-        run_span.finish()
-        report = RunReport(
-            plan=cfg.plan,
-            skyline=skyline,
-            preprocess_result=pre,
-            phase1=result1,
-            phase2=result2,
-            total_seconds=total_seconds,
-            details={
-                "n": dataset.size,
-                "d": dataset.dimensions,
-                "num_groups": pre.rule.num_groups,
-                "num_workers": cfg.num_workers,
-                "executor": cfg.executor,
-                "kernel_stats": kernel_stats,
-            },
-            phase2_partial=partial_result,
-            trace=tracer if tracer.enabled else None,
-            observed_metrics=registry,
-        )
-        export_observability(cfg, report)
-        return report
+        with PipelineSupervisor(
+            self.config, SupervisorConfig(max_stage_retries=0)
+        ) as supervisor:
+            return supervisor.run(dataset)
 
 
 def run_plan(
@@ -536,72 +401,3 @@ def run_plan(
     """One-call convenience: ``run_plan("ZDG+ZS+ZM", dataset)``."""
     config = EngineConfig.from_plan_string(plan, **config_kwargs)
     return SkylineEngine(config).run(dataset)
-
-
-# ----------------------------------------------------------------------
-# the stateless engine boundary
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RunRequest:
-    """A pure, picklable description of one engine run.
-
-    ``execute(request)`` is a function of this value alone: the engine
-    keeps no per-run instance state, so requests can be executed in any
-    process — the coordinator, a worker, a batch harness — and under any
-    registered executor interchangeably.  Live observability handles
-    (an explicit ``tracer`` instance) are rejected because they cannot
-    cross a process boundary; use ``trace_out`` / ``metrics_out`` file
-    exports instead.
-    """
-
-    dataset: Dataset
-    config: EngineConfig
-
-    def __post_init__(self) -> None:
-        if self.config.tracer is not None:
-            raise ConfigurationError(
-                "RunRequest must be pure data: pass trace_out instead of "
-                "a live tracer instance"
-            )
-
-
-@dataclass
-class RunResult:
-    """The picklable distillation of a :class:`RunReport`.
-
-    Everything here is plain data (the skyline block, the summary row,
-    merged counters, and the kernel-stats snapshot carried explicitly —
-    ``KernelStats`` pickles empty by design, so the stats ride this
-    result instead of the codec).
-    """
-
-    plan: str
-    executor: str
-    skyline: Block
-    summary: Dict[str, object]
-    counters: Dict[str, Dict[str, int]]
-    kernel_stats: Dict[str, int]
-    details: Dict[str, object]
-
-    @classmethod
-    def from_report(cls, report: RunReport) -> "RunResult":
-        merged = Counters()
-        for job in report._jobs():
-            merged.merge(job.counters)
-        details = dict(report.details)
-        kernel_stats = dict(details.pop("kernel_stats", {}))
-        return cls(
-            plan=report.plan.label,
-            executor=str(details.get("executor", "simulated")),
-            skyline=report.skyline,
-            summary=report.summary(),
-            counters=merged.as_dict(),
-            kernel_stats=kernel_stats,
-            details=details,
-        )
-
-
-def execute(request: RunRequest) -> RunResult:
-    """Run one request end to end: the stateless engine entry point."""
-    report = SkylineEngine(request.config).run(request.dataset)
-    return RunResult.from_report(report)

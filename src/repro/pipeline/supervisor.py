@@ -1,13 +1,13 @@
-"""The pipeline supervisor: checkpointed, resumable, degradable runs.
-
-:class:`SkylineEngine` is all-or-nothing: any terminal fault discards
-the preprocessing rule, every phase-1 candidate block, and any partial
-merge.  The supervisor drives the same stage machine —
+"""The pipeline supervisor: the one driver of the stage machine
 
     preprocess -> phase1 -> partial-merge (ZMP) -> phase2
 
-— but makes each completed stage **durable** in a
-:class:`~repro.pipeline.checkpoint.CheckpointStore`, so that:
+:class:`~repro.pipeline.driver.SkylineEngine` is this supervisor with
+every policy off — no checkpoint store, no deadline, no degradation, no
+stage retry — so it is all-or-nothing: any terminal fault discards the
+preprocessing rule, every phase-1 candidate block, and any partial
+merge.  Turned on, the supervisor makes each completed stage **durable**
+in a :class:`~repro.pipeline.checkpoint.CheckpointStore`, so that:
 
 * **resume** — a restarted run picks up from the last durable stage and
   produces a bit-identical skyline (candidate blocks round-trip through
@@ -62,10 +62,10 @@ from repro.pipeline.checkpoint import (
     CheckpointStore,
 )
 from repro.pipeline.driver import (
+    EXECUTORS,
     EngineConfig,
     RunReport,
     export_observability,
-    make_cluster,
 )
 from repro.pipeline.phase1 import make_phase1_job
 from repro.pipeline.phase2 import make_partial_merge_job, make_phase2_job
@@ -220,7 +220,7 @@ class PipelineSupervisor:
         )
         run_span = tracer.start_span(
             "run", plan=cfg.plan.label, n=dataset.size,
-            d=dataset.dimensions, supervised=True, resume=sup.resume,
+            d=dataset.dimensions, resume=sup.resume,
         )
 
         store: Optional[CheckpointStore] = None
@@ -395,10 +395,15 @@ class PipelineSupervisor:
                     extra_payload={"degradation": degrade_meta},
                 )
 
+        # The jobs encode with the published codec — the checkpointed
+        # one on a resumed run.  On the procpool path the per-worker
+        # deltas were merged back into its stats by the pool's drain,
+        # so the snapshot covers work done in worker processes too.
+        kernel_stats = pre.codec.kernel_stats.snapshot()
         if registry is not None:
-            # Record which kernel path (uint64 fast vs packed-byte
-            # wide) served this run, mirroring the unsupervised driver.
-            for name, value in codec.kernel_stats.snapshot().items():
+            # Which kernel path (uint64 fast vs packed-byte wide) served
+            # this run, and how many rows went through it.
+            for name, value in kernel_stats.items():
                 registry.inc("zkernel", name, value)
 
         total_seconds = time.perf_counter() - started
@@ -407,7 +412,8 @@ class PipelineSupervisor:
             "d": dataset.dimensions,
             "num_groups": pre.rule.num_groups,
             "num_workers": cfg.num_workers,
-            "supervised": True,
+            "executor": cfg.executor,
+            "kernel_stats": kernel_stats,
             "checkpoint_dir": sup.checkpoint_dir,
             "resumed_stages": resumed,
             "input": dict(quarantine),
@@ -461,7 +467,7 @@ class PipelineSupervisor:
         runtime = self._runtime
         if runtime is None:
             runtime = MapReduceRuntime(
-                make_cluster(cfg),
+                EXECUTORS[cfg.executor](cfg),
                 dfs=InMemoryDFS(),
                 cache=DistributedCache(),
                 fault_plan=cfg.fault_plan,

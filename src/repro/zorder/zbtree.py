@@ -34,7 +34,7 @@ pre-order positions encode (docs/INTERNALS.md §4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 

@@ -65,6 +65,18 @@ class TestCommands:
         assert code == 0
         assert trace.exists()
 
+    def test_run_reports_a_terminal_fault_without_a_traceback(
+        self, capsys
+    ):
+        # Every task fails and no retry is allowed: the run fails the
+        # same way with or without the supervisor's options.
+        code = main(
+            ["run", "-n", "2000", "-d", "4",
+             "--faults", "seed=3,task=0.9,attempts=1"]
+        )
+        assert code == 1
+        assert "run failed" in capsys.readouterr().err
+
     def test_run_gpmrs_plan(self, capsys):
         code = main(
             ["run", "--plan", "MR-GPMRS", "-n", "400", "-d", "3",

@@ -43,7 +43,6 @@ from repro.mapreduce.shm import (
     resolve_block,
 )
 from repro.mapreduce.types import Block
-from repro.pipeline.driver import EngineConfig, RunRequest, execute
 from repro.pipeline.phase1 import Phase1Combiner, Phase1Mapper, Phase1Reducer
 from repro.pipeline.phase2 import AlgorithmReducer, PartialMergeMapper
 from repro.zorder.encoding import quantize_dataset
@@ -474,25 +473,6 @@ class TestProcessPoolEngine:
             "ZDG+ZS+ZM", dataset, num_groups=8, num_workers=4, seed=0
         )
         assert stats == base.details["kernel_stats"]
-
-    def test_stateless_execute_boundary(self, dataset):
-        cfg = EngineConfig.from_plan_string(
-            "ZDG+ZS+ZM", num_groups=8, num_workers=4, seed=0,
-            executor="procpool",
-        )
-        result = execute(RunRequest(dataset, cfg))
-        assert result.executor == "procpool"
-        assert result.skyline.size > 0
-        assert sum(result.kernel_stats.values()) > 0
-        assert result.counters  # merged across phases
-
-    def test_request_rejects_live_tracer(self, dataset):
-        from repro.observability import Tracer
-
-        cfg = EngineConfig.from_plan_string("ZHG+ZS")
-        cfg.tracer = Tracer()
-        with pytest.raises(ConfigurationError):
-            RunRequest(dataset, cfg)
 
     def test_engine_run_reaps_its_pool(self, dataset):
         import multiprocessing

@@ -20,6 +20,7 @@ from repro.core.exceptions import ConfigurationError, DeadlineExceededError
 from repro.core.skyline import skyline_indices_oracle
 from repro.data.synthetic import generate, independent
 from repro.mapreduce.faults import FaultPlan
+from repro.observability import Tracer
 from repro.pipeline.driver import run_plan
 from repro.pipeline.supervisor import (
     PartialRunReport,
@@ -68,17 +69,53 @@ def interrupted_then_resumed(plan, ds, stage, executor, tmp_path,
     )
 
 
-class TestCleanSupervisedRun:
-    @pytest.mark.parametrize(
-        "plan", ["Naive-Z+ZS", "ZHG+SB", "ZDG+ZS+ZM", "ZDG+ZS+ZMP"]
+def report_fingerprint(report):
+    """Everything a run computes, minus wall-clock time: the ordered
+    skyline, every job's counters and per-worker ledgers, the cost
+    model, shuffle volume and the multiset of trace span names."""
+    jobs = [report.phase1, report.phase2]
+    if report.phase2_partial is not None:
+        jobs.append(report.phase2_partial)
+    return {
+        "skyline_ids": report.skyline.ids.tolist(),
+        "skyline_points": report.skyline.points.tobytes(),
+        "counters": [job.counters.as_dict() for job in jobs],
+        "ledgers": [
+            [
+                (ledger.tasks, ledger.cost_units)
+                for ledger in metrics.ledgers
+            ]
+            for job in jobs
+            for metrics in (job.map_metrics, job.reduce_metrics)
+        ],
+        "total_cost": report.total_cost,
+        "makespan_cost": report.makespan_cost,
+        "shuffle_records": report.shuffle_records,
+        "spans": sorted(span.name for span in report.trace.spans),
+    }
+
+
+#: the plans compared on every executor; the default executor keeps
+#: the bare plan id
+CLEAN_RUN_CASES = [
+    pytest.param(
+        plan, executor,
+        id=plan if executor == "simulated" else f"{plan}-{executor}",
     )
-    def test_matches_unsupervised_engine(self, plan):
+    for executor in ("simulated", "threaded", "procpool")
+    for plan in ("Naive-Z+ZS", "ZHG+SB", "ZDG+ZS+ZM", "ZDG+ZS+ZMP")
+]
+
+
+class TestCleanSupervisedRun:
+    @pytest.mark.parametrize("plan, executor", CLEAN_RUN_CASES)
+    def test_matches_unsupervised_engine(self, plan, executor):
         ds = tiny()
-        base = run_plan(plan, ds, num_groups=6, num_workers=3)
-        rep = supervised_run(plan, ds, num_groups=6, num_workers=3)
-        assert sorted(rep.skyline.ids) == sorted(base.skyline.ids)
+        kwargs = dict(num_groups=6, num_workers=3, executor=executor)
+        base = run_plan(plan, ds, tracer=Tracer(), **kwargs)
+        rep = supervised_run(plan, ds, tracer=Tracer(), **kwargs)
+        assert report_fingerprint(rep) == report_fingerprint(base)
         assert not isinstance(rep, PartialRunReport)
-        assert rep.details["supervised"] is True
 
     def test_checkpointing_does_not_change_the_answer(self, tmp_path):
         ds = tiny()
@@ -116,6 +153,17 @@ class TestResumeEquivalence:
         # killing the final merge means phase 1 was already durable
         if stage == "final":
             assert "phase1" in rep.details["resumed_stages"]
+
+    def test_resumed_run_counts_its_kernel_work(self, tmp_path):
+        """Regression: the kernel stats were read from the codec this
+        run quantized with, not the checkpointed codec the resumed jobs
+        encode with, so a resumed run reported no kernel work."""
+        rep = interrupted_then_resumed(
+            "ZDG+ZS", tiny(), "phase1", "simulated", tmp_path,
+            num_groups=5, num_workers=3,
+        )
+        assert rep.details["resumed_stages"] == ["preprocess"]
+        assert sum(rep.details["kernel_stats"].values()) > 0
 
     def test_resume_across_executors(self, tmp_path):
         """The skyline is executor-independent, so a checkpoint written
@@ -227,6 +275,25 @@ class TestStagePolicies:
         summary = rep.summary()
         assert summary["phase2_attempt"] == 1
         assert summary["phase1_attempt"] == 0
+
+    def test_engine_never_retries_a_whole_job(self):
+        """The engine is the supervisor with every policy off: a
+        terminal stage fault escapes ``run_plan`` that the default
+        supervisor recovers from by retrying the job once."""
+        from repro.core.exceptions import FaultInjectionError
+
+        ds = tiny()
+        with pytest.raises(FaultInjectionError):
+            run_plan(
+                "ZDG+ZS", ds, num_groups=5, num_workers=3,
+                fault_plan=interrupting_plan("final"),
+            )
+        rep = supervised_run(
+            "ZDG+ZS", ds, num_groups=5, num_workers=3,
+            fault_plan=interrupting_plan("final"),
+            supervisor=SupervisorConfig(),
+        )
+        assert rep.summary()["phase2_attempt"] == 1
 
     def test_attempt_round_trips_through_checkpoint(self, tmp_path):
         ds = tiny()
