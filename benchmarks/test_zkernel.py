@@ -2,9 +2,10 @@
 
 Measures encode/decode throughput of both kernel paths against an
 in-process scalar reference (the per-row Python-int implementation the
-kernel replaced), plus end-to-end wall clock on three fig-9/fig-12-shaped
-pipeline workloads, and writes everything to ``BENCH_zkernel.json`` at
-the repo root (a CI artifact).
+kernel replaced), the grid dominance kernel against the float
+two-comparison reduction it replaced, plus end-to-end wall clock on
+three fig-9/fig-12-shaped pipeline workloads, and writes everything to
+``BENCH_zkernel.json`` at the repo root (a CI artifact).
 
 Guards:
 
@@ -14,6 +15,10 @@ Guards:
 * measured against the *committed* ``BENCH_zkernel.json``, the current
   speedup ratio may not regress by more than **20%** (ratios compare a
   machine against itself, so the guard is host-independent);
+* the grid dominance kernel (narrow-int columns and row sums, one
+  ``<=`` pass per dimension) must answer exactly like the float
+  ``dominance_blocks`` reduction on a 512 x 6,000 block at d=8 and 12
+  bits, and at least **2x** faster (again a same-host ratio);
 * the end-to-end runs must reproduce their recorded skyline sizes
   exactly (the cheap bit-identity canary), and the two wide-path runs
   (d=6 and d=8) must stay at or under their baseline seconds.
@@ -29,6 +34,7 @@ from typing import Dict, List
 import numpy as np
 import pytest
 
+from repro.core.point import dominance_blocks, kernel_rows, pairwise_dominance
 from repro.data.synthetic import generate
 from repro.pipeline.driver import run_plan
 from repro.zorder.kernel import ZKernel
@@ -40,6 +46,8 @@ BENCH_PATH = os.path.join(REPO_ROOT, "BENCH_zkernel.json")
 MIN_SPEEDUP = 5.0
 #: largest tolerated relative drop vs the recorded speedup ratio
 MAX_REGRESSION = 0.20
+#: minimum grid-kernel-vs-float-reduction speedup (dominance kernel)
+MIN_DOMINANCE_SPEEDUP = 2.0
 
 
 # ----------------------------------------------------------------------
@@ -164,6 +172,49 @@ class TestEncodeDecodeThroughput:
                     f"{key}: speedup regressed to {speedup:.2f}x from the "
                     f"recorded {prior:.2f}x (floor {floor:.2f}x)"
                 )
+
+
+# ----------------------------------------------------------------------
+# dominance kernel: grid columns vs the float two-comparison reduction
+# ----------------------------------------------------------------------
+class TestDominanceKernel:
+    def test_grid_kernel_beats_float_reduction(self):
+        rows, cols, d, bits = 512, 6_000, 8, 12
+        rng = np.random.default_rng(23)
+        a = rng.integers(0, 1 << bits, (rows, d)).astype(np.float64)
+        b = rng.integers(0, 1 << bits, (cols, d)).astype(np.float64)
+        # the columns are stored once per tree, so they are built
+        # outside the timed region
+        ga, gb = kernel_rows(a, b)
+
+        def grid():
+            return next(pairwise_dominance(ga, gb, rows))[1]
+
+        def reference():
+            _, le, lt = next(dominance_blocks(a, b, rows))
+            return (le == d) & lt
+
+        grid_dom, grid_s = _timed(grid, repeats=5)
+        float_dom, float_s = _timed(reference, repeats=5)
+        assert np.array_equal(grid_dom, float_dom)
+        assert grid_dom.any()
+        speedup = float_s / grid_s
+        _update_bench(
+            "dominance_kernel",
+            {
+                "block": [rows, cols],
+                "dimensions": d,
+                "bits_per_dim": bits,
+                "column_dtype": str(ga.cols.dtype),
+                "float_reduction_ms": round(float_s * 1e3, 2),
+                "grid_kernel_ms": round(grid_s * 1e3, 2),
+                "speedup": round(speedup, 2),
+            },
+        )
+        assert speedup >= MIN_DOMINANCE_SPEEDUP, (
+            f"grid dominance kernel is only {speedup:.2f}x faster than the "
+            f"float reduction (need >= {MIN_DOMINANCE_SPEEDUP}x)"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -19,18 +19,17 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.exceptions import DatasetError
-from repro.core.point import dominance_blocks
+from repro.core.point import kernel_rows, pairwise_dominance
 
 
 def dominance_scores(
     skyline_points: np.ndarray, dataset_points: np.ndarray
 ) -> np.ndarray:
     """Number of dataset points each skyline point dominates."""
-    sky = np.asarray(skyline_points, dtype=np.float64)
-    d = sky.shape[1]
-    scores = np.zeros(sky.shape[0], dtype=np.int64)
-    for start, le, lt in dominance_blocks(sky, dataset_points):
-        scores[start : start + le.shape[0]] = ((le == d) & lt).sum(axis=1)
+    sky, data = kernel_rows(skyline_points, dataset_points)
+    scores = np.zeros(len(sky), dtype=np.int64)
+    for start, dom in pairwise_dominance(sky, data):
+        scores[start : start + dom.shape[0]] = dom.sum(axis=1)
     return scores
 
 
@@ -96,10 +95,9 @@ def top_k_skyline(
     if k <= 0:
         raise DatasetError(f"k must be positive; got {k}")
     k = min(k, sky.shape[0])
-    d = sky.shape[1]
     coverage = np.zeros((sky.shape[0], data.shape[0]), dtype=bool)
-    for start, le, lt in dominance_blocks(sky, data):
-        coverage[start : start + le.shape[0]] = (le == d) & lt
+    for start, dom in pairwise_dominance(*kernel_rows(sky, data)):
+        coverage[start : start + dom.shape[0]] = dom
     covered = np.zeros(data.shape[0], dtype=bool)
     available = np.ones(sky.shape[0], dtype=bool)
     chosen: list = []

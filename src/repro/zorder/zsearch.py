@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.dataset import Dataset
-from repro.core.point import pairwise_dominance, rows_per_chunk
+from repro.core.point import GridRows, pairwise_dominance, rows_per_chunk
 from repro.zorder.encoding import ZGridCodec
 from repro.zorder.zbtree import OpCounter, ZBTree, build_zbtree
 
@@ -55,22 +55,21 @@ def zsearch(
     d = tree.codec.dimensions
     if tree.is_empty:
         return np.empty((0, d)), np.empty(0, dtype=np.int64)
-    accepted = _accept(tree.leaf_points)
+    accepted = _accept(tree.grid_points)
     # before[j]: points accepted ahead of scan position j (the buffer)
     before = np.concatenate(([0], np.cumsum(accepted)))
-    sky = tree.leaf_points[accepted]
     buffered = before[tree.pstart]
-    pruned = _min_corner_dominated(sky, buffered, tree)
+    pruned = _min_corner_dominated(tree.grid_points[accepted], buffered, tree)
     visited = ~tree.below(pruned)
     scanned = visited & tree.is_leaf & ~pruned
     counter.nodes_visited += int(visited.sum())
     counter.region_tests += int(visited.sum())
     counter.point_tests += int(buffered[visited].sum())
     counter.point_tests += int(before[:-1][scanned[tree.point_node]].sum())
-    return sky, tree.leaf_ids[accepted]
+    return tree.leaf_points[accepted], tree.leaf_ids[accepted]
 
 
-def _accept(points: np.ndarray) -> np.ndarray:
+def _accept(points: GridRows) -> np.ndarray:
     """Scan-order acceptance: rows no earlier row dominates.
 
     Per chunk of the scan: first against the rows accepted before it,
@@ -79,15 +78,15 @@ def _accept(points: np.ndarray) -> np.ndarray:
     survivor (its own accepted dominator would dominate that survivor
     too), so the second test needs only the survivors.
     """
-    n = points.shape[0]
+    n = len(points)
     accepted = np.zeros(n, dtype=bool)
     lo = 0
     while lo < n:
         part = points[lo : lo + min(_SCAN_CHUNK, max(32, lo))]
-        dead = np.zeros(part.shape[0], dtype=bool)
-        step = rows_per_chunk(part.shape[0])
+        dead = np.zeros(len(part), dtype=bool)
+        step = rows_per_chunk(len(part))
         if lo:
-            prior = points[:lo][accepted[:lo]]
+            prior = points[np.flatnonzero(accepted[:lo])]
             for _start, dom in pairwise_dominance(prior, part, step):
                 dead |= dom.any(axis=0)
         alive = (~dead).nonzero()[0]
@@ -97,13 +96,13 @@ def _accept(points: np.ndarray) -> np.ndarray:
             for start, dom in pairwise_dominance(rest, rest, rows_per_chunk(alive.size)):
                 dom &= later > later[start : start + dom.shape[0], None]
                 dead[alive] |= dom.any(axis=0)
-        accepted[lo : lo + part.shape[0]] = ~dead
-        lo += part.shape[0]
+        accepted[lo : lo + len(part)] = ~dead
+        lo += len(part)
     return accepted
 
 
 def _min_corner_dominated(
-    sky: np.ndarray, buffered: np.ndarray, tree: ZBTree
+    sky: GridRows, buffered: np.ndarray, tree: ZBTree
 ) -> np.ndarray:
     """Per node: does one of the ``buffered[u]`` accepted rows ahead of
     it (the first rows of ``sky``) dominate its min corner?"""
@@ -111,7 +110,7 @@ def _min_corner_dominated(
     nodes = np.flatnonzero(buffered)
     if nodes.size == 0:
         return pruned
-    corners = tree.minpt[nodes]
+    corners = tree.grid_min[nodes]
     limit = buffered[nodes]
     for start, dom in pairwise_dominance(
         sky[: limit.max()], corners, rows_per_chunk(nodes.size)

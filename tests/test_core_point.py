@@ -1,9 +1,15 @@
 """Unit tests for dominance primitives."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.point as point_module
 from repro.core.point import (
+    EXIT_BLOCK,
     DominanceRelation,
+    GridRows,
     any_dominates,
     block_dominates,
     compare,
@@ -12,6 +18,8 @@ from repro.core.point import (
     dominates,
     dominates_block,
     dominates_or_equal,
+    kernel_rows,
+    pairwise_dominance,
     strictly_dominates,
 )
 
@@ -126,3 +134,183 @@ class TestDominanceCounts:
     def test_duplicates_do_not_count(self):
         points = np.array([[1.0, 1.0], [1.0, 1.0]])
         assert dominance_counts(points).tolist() == [0, 0]
+
+
+# ----------------------------------------------------------------------
+# the grid dominance kernel
+# ----------------------------------------------------------------------
+#: value palettes: small values make equal rows and duplicates common;
+#: the others straddle the uint16/uint32 column switch and the top of
+#: the 32-bit grid
+PALETTES = (
+    (0, 1, 2),
+    (0, (1 << 16) - 2, (1 << 16) - 1),
+    ((1 << 16) - 1, 1 << 16, (1 << 16) + 1),
+    (0, 1, (1 << 32) - 1, (1 << 32) - 2),
+)
+
+
+def _float_reference(a, b, reverse):
+    """``all(<=) & any(<)`` by broadcasting, in the kernel's layout."""
+    lo, hi = (b[None], a[:, None]) if reverse else (a[:, None], b[None])
+    return np.all(lo <= hi, axis=2) & np.any(lo < hi, axis=2)
+
+
+def _kernel_matrix(a, b, chunk, reverse, strict=True, budget=None):
+    """The kernel's answer as one matrix; ``budget=1`` forces the
+    per-dimension passes (with early exit) even on tiny blocks."""
+    saved = point_module.PAIR_BUDGET
+    point_module.PAIR_BUDGET = budget or saved
+    try:
+        out = np.zeros((len(a), len(b)), dtype=bool)
+        for start, dom in pairwise_dominance(a, b, chunk, reverse=reverse, strict=strict):
+            out[start : start + dom.shape[0]] = dom
+        return out
+    finally:
+        point_module.PAIR_BUDGET = saved
+
+
+#: one broadcast over all dimensions, or one pass per dimension
+BUDGETS = st.sampled_from((None, 1))
+
+
+@st.composite
+def grid_blocks(draw):
+    d = draw(st.sampled_from((1, 2, 3, 8, EXIT_BLOCK, 2 * EXIT_BLOCK, 40)))
+    palette = draw(st.sampled_from(PALETTES))
+    values = st.sampled_from(palette)
+    row = st.lists(values, min_size=d, max_size=d)
+    a, b = (
+        np.array(draw(st.lists(row, max_size=9)), dtype=np.float64).reshape(-1, d)
+        for _ in range(2)
+    )
+    na, nb = len(a), len(b)
+    if na and nb and draw(st.booleans()):
+        # an exact duplicate across the two blocks
+        b[draw(st.integers(0, nb - 1))] = a[draw(st.integers(0, na - 1))]
+    return a, b
+
+
+class TestGridKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        blocks=grid_blocks(),
+        chunk=st.integers(1, 12),
+        reverse=st.booleans(),
+        budget=BUDGETS,
+    )
+    def test_matches_float_reference(self, blocks, chunk, reverse, budget):
+        a, b = blocks
+        ga, gb = kernel_rows(a, b)
+        assert isinstance(ga, GridRows) and isinstance(gb, GridRows)
+        wide = max(a.max(initial=0), b.max(initial=0)) >= 1 << 16
+        assert ga.cols.dtype == (np.uint32 if wide else np.uint16)
+        assert np.array_equal(
+            _kernel_matrix(ga, gb, chunk, reverse, budget=budget),
+            _float_reference(a, b, reverse),
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(blocks=grid_blocks(), reverse=st.booleans(), budget=BUDGETS)
+    def test_weak_form_is_all_less_equal(self, blocks, reverse, budget):
+        a, b = blocks
+        lo, hi = (b[None], a[:, None]) if reverse else (a[:, None], b[None])
+        expected = np.all(lo <= hi, axis=2)
+        got = _kernel_matrix(*kernel_rows(a, b), 5, reverse, strict=False, budget=budget)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("top", [(1 << 16) - 1, 1 << 16, (1 << 32) - 1])
+    def test_column_switch_and_top_of_grid(self, top):
+        a = np.array([[top, 0.0], [top, top], [0.0, 0.0]])
+        ga, gb = kernel_rows(a, a)
+        assert ga.cols.dtype == (np.uint16 if top < 1 << 16 else np.uint32)
+        assert np.array_equal(ga.sums, a.sum(axis=1))
+        for reverse in (False, True):
+            for budget in (None, 1):
+                assert np.array_equal(
+                    _kernel_matrix(ga, gb, 2, reverse, budget=budget),
+                    _float_reference(a, a, reverse),
+                )
+
+    def test_early_exit_stops_after_a_dead_block(self):
+        # every pair dies within the first block of dimensions, so no
+        # later dimension is read
+        d = 3 * EXIT_BLOCK
+        a = np.zeros((4, d))
+        a[:, 0] = 5.0
+        b = np.ones((6, d))
+        ga, gb = kernel_rows(a, b)
+        read = set()
+
+        class Spy(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, int):
+                    read.add(key)
+                return super().__getitem__(key)
+
+        gb.cols = gb.cols.view(Spy)
+        assert not _kernel_matrix(ga, gb, 4, False, budget=1).any()
+        assert read and max(read) < EXIT_BLOCK
+        b[:, 0] = 9.0
+        ga, gb = kernel_rows(a, b)
+        gb.cols = gb.cols.view(Spy)
+        assert _kernel_matrix(ga, gb, 4, False, budget=1).all()
+        assert max(read) == d - 1
+
+    def test_rows_select_and_convert_like_points(self):
+        pts = np.array([[3.0, 1.0], [0.0, 2.0], [4.0, 4.0]])
+        (rows,) = kernel_rows(pts)
+        assert len(rows) == 3
+        assert np.array_equal(np.asarray(rows[1:]), pts[1:])
+        assert np.array_equal(rows[np.array([True, False, True])].sums, [4.0, 8.0])
+
+
+class TestNonGridRoute:
+    FLOATS = np.array(
+        [[0.5, 1.25], [0.5, 1.0], [0.25, 2.0], [0.5, 1.25], [1.0, 0.75], [-1.0, 3.0]]
+    )
+
+    def test_non_grid_blocks_stay_float(self):
+        a, b = kernel_rows(self.FLOATS, np.ones((2, 2)))
+        assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+        (neg,) = kernel_rows(np.array([[-1.0, 2.0]]))
+        assert isinstance(neg, np.ndarray)
+
+    @pytest.fixture
+    def float_calls(self, monkeypatch):
+        """Counts the calls that take the float two-comparison path."""
+        calls = []
+        original = point_module.dominance_blocks
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(point_module, "dominance_blocks", spy)
+        return calls
+
+    def test_dominated_mask_on_floats_matches_scalar(self, float_calls):
+        pts = self.FLOATS
+        mask = dominated_mask(pts, pts[::-1])
+        expected = [any(dominates(q, p) for q in pts[::-1]) for p in pts]
+        assert mask.tolist() == expected
+        assert float_calls
+
+    def test_dominance_counts_on_floats_matches_scalar(self, float_calls):
+        pts = self.FLOATS
+        expected = [sum(dominates(q, p) for q in pts) for p in pts]
+        assert dominance_counts(pts).tolist() == expected
+        assert float_calls
+
+    def test_grid_input_never_takes_the_float_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("float two-comparison path used")
+
+        monkeypatch.setattr(point_module, "dominance_blocks", refuse)
+        rng = np.random.default_rng(5)
+        pts = rng.integers(0, 6, (30, 3)).astype(float)
+        expected = [sum(dominates(q, p) for q in pts) for p in pts]
+        assert dominance_counts(pts).tolist() == expected
+        assert dominated_mask(pts, pts[:5]).tolist() == [
+            any(dominates(q, p) for q in pts[:5]) for p in pts
+        ]
