@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.exceptions import DatasetError
+from repro.core.exceptions import DatasetError, ZOrderError
 from repro.core.point import dominated_mask
 from repro.observability.metrics import MetricsRegistry
 from repro.zorder.encoding import ZGridCodec
@@ -219,7 +219,9 @@ class SkylineMaintainer:
     def validate_insert(
         self, points: np.ndarray, ids: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Raise ``DatasetError`` unless the batch inserts cleanly."""
+        """Raise ``DatasetError`` unless the batch inserts cleanly: grid
+        points of the codec (:meth:`ZGridCodec.check_grid`) under fresh,
+        distinct ids."""
         points = np.asarray(points, dtype=np.float64)
         ids = np.asarray(ids, dtype=np.int64)
         if (
@@ -228,6 +230,10 @@ class SkylineMaintainer:
             or ids.shape != (points.shape[0],)
         ):
             raise DatasetError("need (n, d) points and matching ids")
+        try:
+            self.codec.check_grid(points)
+        except ZOrderError as exc:
+            raise DatasetError(str(exc)) from exc
         id_list = ids.tolist()
         if len(set(id_list)) != len(id_list):
             raise DatasetError("duplicate ids within insert batch")

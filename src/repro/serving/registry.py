@@ -45,6 +45,7 @@ from repro.core.exceptions import (
     ConfigurationError,
     DatasetError,
     WriterDownError,
+    ZOrderError,
 )
 from repro.maintenance.maintainer import BatchDelta, SkylineMaintainer
 from repro.observability.metrics import MetricsRegistry
@@ -238,16 +239,12 @@ class DatasetRegistry:
             raise DatasetError(
                 f"codec is {codec.dimensions}-D but points are {d}-D"
             )
-        if not (
-            np.all(points == np.floor(points))
-            and points.min() >= 0
-            and points.max() < codec.cells_per_dim
-        ):
+        try:
+            codec.check_grid(points)
+        except ZOrderError as exc:
             raise DatasetError(
-                "points must be integer grid coordinates in "
-                f"[0, {codec.cells_per_dim}) — quantise first "
-                "(see register_dataset)"
-            )
+                f"{exc} — quantise first (see register_dataset)"
+            ) from exc
         state = _DatasetState(
             name, codec, drift or DriftPolicy.bounded(), self._keep_versions
         )

@@ -32,7 +32,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.exceptions import ConfigurationError, DatasetError
+from repro.core.exceptions import ConfigurationError, DatasetError, ZOrderError
 from repro.partitioning.zcurve import ZCurveRule, equidepth_pivots
 from repro.zorder.encoding import ZGridCodec
 
@@ -67,7 +67,7 @@ class ShardMap:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[0] == 0:
             raise DatasetError("need a non-empty (n, d) point matrix")
-        zbatch = codec.encode_grid_batch(points.astype(np.int64))
+        zbatch = _encode(codec, points)
         kernel = codec.kernel
         sorted_z = kernel.to_int_list(zbatch[kernel.argsort(zbatch)])
         pivots = equidepth_pivots(sorted_z, num_shards)
@@ -80,8 +80,7 @@ class ShardMap:
     def shard_of(self, points: np.ndarray) -> np.ndarray:
         """Shard id per point (vectorised pivot search)."""
         points = np.asarray(points, dtype=np.float64)
-        zbatch = self.codec.encode_grid_batch(points.astype(np.int64))
-        return self.rule.partition_of(zbatch)
+        return self.rule.partition_of(_encode(self.codec, points))
 
     def split(
         self, points: np.ndarray, ids: np.ndarray
@@ -118,6 +117,15 @@ class ShardMap:
             "pivots": [int(p) for p in self.rule.pivots],
             "bits_per_dim": self.codec.bits_per_dim,
         }
+
+
+def _encode(codec: ZGridCodec, points: np.ndarray) -> np.ndarray:
+    """Z-addresses of grid points; ``DatasetError`` for points off the
+    codec's grid, which are rejected, never truncated onto it."""
+    try:
+        return codec.encode_grid_batch(points)
+    except ZOrderError as exc:
+        raise DatasetError(str(exc)) from exc
 
 
 def floor_dominated_mask(

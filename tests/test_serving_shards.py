@@ -309,6 +309,21 @@ class TestScatterGatherIdentity:
             with pytest.raises(DatasetError, match="not alive"):
                 router.mutate(Mutation.delete("ds", [99_999]))
 
+    def test_off_grid_insert_rejected_before_any_shard(self):
+        rng = np.random.default_rng(14)
+        points = _grid(rng, 60)
+        ids = np.arange(60, dtype=np.int64)
+        with _router(points, ids, 3) as router:
+            version = router.logical_version()
+            bad = _grid(rng, 4)
+            bad[2, 1] += 0.5
+            with pytest.raises(DatasetError, match="integers"):
+                router.mutate(Mutation.insert("ds", bad, np.arange(700, 704)))
+            assert router.logical_version() == version
+            bad[2, 1] -= 0.5
+            router.mutate(Mutation.insert("ds", bad, np.arange(700, 704)))
+            assert router.logical_version() > version
+
     def test_wrong_dataset_rejected(self):
         rng = np.random.default_rng(12)
         with _router(_grid(rng, 30), np.arange(30), 2) as router:

@@ -319,6 +319,38 @@ class TestRegistryDurability:
         result = registry.recover("ds")
         assert result.version == 3
 
+    def test_off_grid_insert_is_rejected_before_the_wal(self, tmp_path):
+        # A point off the codec's grid (non-integral or out of range)
+        # cannot apply either: it is rejected before the WAL append and
+        # before any id turns alive, so a corrected retry succeeds.
+        from repro.core.exceptions import DatasetError
+
+        rng = np.random.default_rng(7)
+        registry = DatasetRegistry(
+            durability_dir=str(tmp_path), checkpoint_every=100
+        )
+        registry.register(
+            "ds", _points(rng, 40, d=2),
+            codec=ZGridCodec.grid_identity(2, bits_per_dim=6),
+            drift=DriftPolicy.never(),
+        )
+        version = registry.snapshot("ds").version
+        for bad in ([[1.5, 2.0]], [[-1.0, 2.0]], [[64.0, 2.0]]):
+            with pytest.raises(DatasetError, match="integers"):
+                registry.insert("ds", bad, [500])
+        assert registry.snapshot("ds").version == version
+        store = DatasetStore(str(tmp_path), "ds")
+        assert store.wal.replay().records == ()
+        assert registry.insert("ds", [[1.0, 2.0]], [500]).version == version + 1
+        assert registry.recover("ds").version == version + 1
+        assert 500 in registry.snapshot("ds").ids.tolist()
+
+    def test_register_rejects_off_grid_points(self):
+        from repro.core.exceptions import DatasetError
+
+        with pytest.raises(DatasetError, match="quantise first"):
+            DatasetRegistry().register("ds", np.array([[1.0, 2.5]]))
+
     def test_writer_crash_draw_varies_by_incarnation(self):
         plan = ServingFaultPlan(seed=9, writer_crash_rate=0.4)
         phases = {
