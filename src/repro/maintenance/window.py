@@ -4,9 +4,23 @@
 driver, :class:`WindowSkyline`, runs every window over a
 :class:`~repro.maintenance.maintainer.SkylineMaintainer` keyed by
 arrival sequence: a :class:`WindowSpec` says which arrivals are still
-inside (the last N, or those from the last ``horizon`` time units); a
-batch enters as one maintainer insert and what fell out leaves as one
-delete.  A :class:`WindowLedger` maps the window back to caller ids.
+inside (the last N, or those from the last ``horizon`` time units), and
+a :class:`WindowLedger` holds every window entry's id, timestamp and
+row, oldest first, and maps the window back to caller ids.
+
+The maintainer holds only the window's *skybuffer*: the rows that no
+younger row dominates (Tao & Papadias, *Maintaining Sliding Window
+Skylines on Data Streams*, TKDE 2006).  Both window kinds expire
+oldest-first, so a row's younger dominator stays inside at least as
+long as the row does, and a row dominated by a younger one can never
+reach the skyline again.  Every row outside the buffer has a younger
+dominator, that one is in the buffer or has a younger dominator of its
+own, and so on; dominance is transitive, so a buffer row dominates it,
+and skyline(buffer) = skyline(window).  A batch therefore enters as:
+drop its rows that a later row of the same batch dominates; insert the
+rest; delete the older buffer rows one of them dominates (already off
+the skyline, so that delete re-promotes nothing).  Expiry deletes only
+the expired rows still in the buffer.
 
 Timestamps are **logical** (sequence numbers, event times, published
 registry versions), never the wall clock, so expiry is a deterministic
@@ -15,11 +29,19 @@ function of the replayed stream — WAL recovery relies on that.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.exceptions import DatasetError
+from repro.core.point import (
+    GridRows,
+    grid_dtype,
+    kernel_rows,
+    pairwise_dominance,
+    rows_per_chunk,
+)
+from repro.core.skyline import skyline_indices_oracle
 from repro.maintenance.maintainer import SkylineMaintainer
 from repro.zorder.encoding import ZGridCodec
 
@@ -81,20 +103,30 @@ class WindowSpec:
 
 
 class WindowLedger:
-    """The ids and non-decreasing timestamps of a window's entries,
-    oldest first, with the :class:`WindowSpec` expiry step."""
+    """The ids, non-decreasing timestamps and rows of a window's
+    entries, oldest first, with the :class:`WindowSpec` expiry step.
+    ``points`` keeps the rows of entries pushed with them (``dimensions``
+    columns); an owner that pushes none keeps none."""
 
-    def __init__(self) -> None:
+    def __init__(self, dimensions: int = 0) -> None:
         self.ids = np.empty(0, dtype=np.int64)
         self.stamps = np.empty(0)
+        self.points = np.empty((0, dimensions))
 
     @property
     def size(self) -> int:
         return int(self.ids.shape[0])
 
-    def push(self, ids: np.ndarray, stamps: np.ndarray) -> None:
+    def push(
+        self,
+        ids: np.ndarray,
+        stamps: np.ndarray,
+        points: Optional[np.ndarray] = None,
+    ) -> None:
         self.ids = np.concatenate([self.ids, ids])
         self.stamps = np.concatenate([self.stamps, stamps])
+        if points is not None:
+            self.points = np.concatenate([self.points, points])
 
     def expire(self, spec: WindowSpec, now: float) -> np.ndarray:
         """Pop and return the ids ``spec`` expires at ``now``."""
@@ -102,23 +134,26 @@ class WindowLedger:
         expired = self.ids[:out]
         self.ids = self.ids[out:]
         self.stamps = self.stamps[out:]
+        self.points = self.points[out:]
         return expired
 
 
 class WindowSkyline:
     """Skyline over the arrivals a :class:`WindowSpec` keeps.
 
-    The maintainer is keyed by arrival sequence, not by the caller's
-    ids, so an id may arrive again while an older arrival of it is
-    still inside the window; :meth:`skyline` translates back.  ``now``
-    only moves forward: it is the newest timestamp observed, or
-    whatever :meth:`advance_to` pushed it to.
+    The maintainer holds the window's skybuffer (see the module
+    docstring), keyed by arrival sequence, not by the caller's ids, so
+    an id may arrive again while an older arrival of it is still inside
+    the window; :meth:`skyline` translates back.  ``now`` only moves
+    forward: it is the newest timestamp observed, or whatever
+    :meth:`advance_to` pushed it to.
     """
 
     def __init__(self, codec: ZGridCodec, spec: WindowSpec) -> None:
         self.spec = spec
         self._maintainer = SkylineMaintainer(codec)
-        self._ledger = WindowLedger()
+        self._grid_dtype = grid_dtype(codec.cells_per_dim - 1)
+        self._ledger = WindowLedger(codec.dimensions)
         #: arrival sequence of the next entry; the window holds the
         #: contiguous sequences ``[_next_seq - size, _next_seq)``
         self._next_seq = 0
@@ -129,6 +164,11 @@ class WindowSkyline:
     def size(self) -> int:
         """Number of points currently inside the window."""
         return self._ledger.size
+
+    @property
+    def buffer_size(self) -> int:
+        """Window rows in the skybuffer (no younger row dominates them)."""
+        return self._maintainer.size
 
     @property
     def skyline_size(self) -> int:
@@ -159,12 +199,16 @@ class WindowSkyline:
         points: np.ndarray,
         ids: Sequence[int],
         timestamps: Sequence[float],
+        zaddresses: Optional[np.ndarray] = None,
     ) -> List[int]:
         """Append a batch in arrival order; one maintainer insert and
-        (at most) one delete regardless of batch size.
+        at most two deletes (dominated and expired buffer rows)
+        regardless of batch size.
 
         ``timestamps`` must be non-decreasing within the batch and not
-        precede the newest window entry.  Batch rows the window would
+        precede the newest window entry.  ``zaddresses``, when given,
+        are the rows' native Z-addresses (a registry delta's), so the
+        buffer does not encode them again.  Batch rows the window would
         already have expired by the batch's newest timestamp are never
         inserted (they would enter and immediately leave), so the final
         state equals per-point appends.  Returns the ids expired by this
@@ -193,15 +237,44 @@ class WindowSkyline:
         enter = slice(max(0, out - self.size), None)
         entering = ids_arr[enter]
         if entering.size:
+            rows = points[enter]
             seqs = np.arange(self._next_seq, self._next_seq + entering.size)
-            self._maintainer.insert_block(points[enter], seqs)
+            self._buffer(
+                rows, seqs, None if zaddresses is None else zaddresses[enter]
+            )
             self._next_seq += entering.size
-            self._ledger.push(entering, ts[enter])
+            self._ledger.push(entering, ts[enter], rows)
         return self.advance_to(new_now)
+
+    def _buffer(
+        self, rows: np.ndarray, seqs: np.ndarray, zaddresses: Optional[np.ndarray]
+    ) -> None:
+        """Add a batch to the skybuffer: the rows no later row of the
+        batch dominates go in, then the older buffer rows one of them
+        dominates leave."""
+        maintainer = self._maintainer
+        # the whole batch is checked before its grid columns are taken;
+        # insert_block below checks the rows that go in once more
+        rows, seqs = maintainer.validate_insert(rows, seqs)
+        grid = GridRows.of(rows, self._grid_dtype)
+        order = np.arange(len(grid))
+        shadowed = np.zeros(len(grid), dtype=bool)
+        for start, dom in pairwise_dominance(grid, grid, rows_per_chunk(len(grid))):
+            dom &= order[start : start + dom.shape[0], None] > order
+            shadowed |= dom.any(axis=0)
+        keep = np.flatnonzero(~shadowed)
+        stale = maintainer.dominated_by(grid[keep])
+        maintainer.insert_block(
+            rows[keep], seqs[keep],
+            None if zaddresses is None else zaddresses[keep],
+        )
+        if stale.size:
+            maintainer.delete(stale)
 
     def advance_to(self, now: float) -> List[int]:
         """Move the clock forward and expire what fell out of the
-        window in a single maintainer delete."""
+        window; a single maintainer delete drops the expired rows that
+        are still in the skybuffer."""
         now = float(now)
         if now < self.now:
             raise DatasetError(
@@ -212,14 +285,38 @@ class WindowSkyline:
         oldest = self._next_seq - self.size
         expired = self._ledger.expire(self.spec, now)
         if expired.size:
-            self._maintainer.delete(np.arange(oldest, oldest + expired.size))
+            # buffer rows sit in arrival order, so the expired ones lead
+            buffered = self._maintainer.alive_ids()
+            gone = buffered[: np.searchsorted(buffered, oldest + expired.size)]
+            if gone.size:
+                self._maintainer.delete(gone)
         return expired.tolist()
 
     # ------------------------------------------------------------------
     def verify(self) -> None:
-        """Testing hook: cross-check against the oracle."""
-        if self._maintainer.size != self.size:
-            raise DatasetError("window ledger out of sync with its skyline")
+        """Testing hook: the ledger holds one row per window entry, the
+        skybuffer is exactly the window rows no younger row dominates,
+        the skyline equals the oracle's over *every* window row, and the
+        maintainer passes its own check."""
+        ledger = self._ledger
+        rows = ledger.points
+        if rows.shape[0] != self.size or ledger.stamps.shape != (self.size,):
+            raise DatasetError("window ledger out of sync with its rows")
+        seqs = np.arange(self._next_seq - self.size, self._next_seq)
+        (grid,) = kernel_rows(rows)
+        younger = np.zeros(self.size, dtype=bool)
+        for start, dom in pairwise_dominance(grid, grid, rows_per_chunk(self.size)):
+            dom &= seqs[start : start + dom.shape[0], None] > seqs
+            younger |= dom.any(axis=0)
+        if not np.array_equal(self._maintainer.alive_ids(), seqs[~younger]):
+            raise DatasetError(
+                "skybuffer is not the window rows no younger row dominates"
+            )
+        _, sky_seqs = self._maintainer.skyline()
+        if not np.array_equal(
+            np.sort(sky_seqs), seqs[skyline_indices_oracle(rows)]
+        ):
+            raise DatasetError("window skyline diverged from the oracle")
         self._maintainer.verify()
 
     def __repr__(self) -> str:

@@ -53,8 +53,6 @@ from repro.serving.faults import ServingFaultPlan
 from repro.serving.snapshot import Snapshot
 from repro.serving.wal import DatasetStore, WalRecord
 from repro.zorder.encoding import ZGridCodec, quantize_dataset
-from repro.zorder.zbtree import build_zbtree
-from repro.zorder.zsearch import zsearch
 
 #: metrics group for registry-level events
 SERVING_GROUP = "serving"
@@ -251,9 +249,8 @@ class DatasetRegistry:
         # Build the whole version-1 state before the name becomes
         # visible, so a reader can never observe a half-registered
         # dataset.
-        sky_ids = _skyline_ids(codec, points, ids)
-        state.maintainer = SkylineMaintainer.from_state(
-            codec, points, ids, sky_ids, metrics=self.metrics
+        state.maintainer = SkylineMaintainer.from_points(
+            codec, points, ids, metrics=self.metrics
         )
         if self.durable:
             state.store = DatasetStore(self.durability_dir, name)
@@ -543,8 +540,6 @@ class DatasetRegistry:
                 if record.seq > published:
                     delta = applied if delta is None else delta.then(applied)
                 self._maybe_rebuild(state)
-                # a drift rebuild swaps the maintainer object
-                maintainer = state.maintainer
                 version = record.seq
                 replayed += 1
             state.writer_down = False
@@ -690,11 +685,9 @@ class DatasetRegistry:
         if version is None:
             version = 1 if previous is None else previous.version + 1
         points, ids = state.maintainer.alive()
-        sky_points, sky_ids = state.maintainer.skyline()
         snapshot = Snapshot.build(
-            state.name, version, state.codec,
-            points, ids, sky_points, sky_ids,
-            meta=meta, delta=delta,
+            state.name, version, state.codec, points, ids,
+            sky_tree=state.maintainer.sky_tree, meta=meta, delta=delta,
         )
         if state.history and state.history[-1].version == version:
             # Recovery republish of an already-published version:
@@ -730,7 +723,7 @@ class DatasetRegistry:
         assert state.store is not None and state.maintainer is not None
         assert state.snapshot is not None
         points, ids = state.maintainer.alive()
-        _, sky_ids = state.maintainer.skyline()
+        sky_ids = state.maintainer.sky_tree.leaf_ids
         state.store.save_checkpoint(
             state.codec,
             seq=state.snapshot.version,
@@ -746,29 +739,16 @@ class DatasetRegistry:
 
     def _maybe_rebuild(self, state: _DatasetState) -> bool:
         """Drift check + rebuild: recompute the skyline of the alive set
-        from scratch, here in the writer thread, and return True so the
-        publish is flagged ``rebuilt``."""
+        from scratch (one Z-search over the stored rows), here in the
+        writer thread, and return True so the publish is flagged
+        ``rebuilt``."""
         assert state.maintainer is not None
         if not state.drift.should_rebuild(
             state.deletes_since_rebuild, state.maintainer.size
         ):
             return False
-        points, ids = state.maintainer.alive()
-        if points.shape[0] == 0:
-            state.deletes_since_rebuild = 0
-            return False
-        sky_ids = _skyline_ids(state.codec, points, ids)
-        state.maintainer = SkylineMaintainer.from_state(
-            state.codec, points, ids, sky_ids, metrics=self.metrics
-        )
         state.deletes_since_rebuild = 0
+        if state.maintainer.size == 0:
+            return False
+        state.maintainer.recompute()
         return True
-
-
-def _skyline_ids(
-    codec: ZGridCodec, points: np.ndarray, ids: np.ndarray
-) -> np.ndarray:
-    """Exact skyline ids of ``(points, ids)``: one Z-search (the paper's
-    ZS) over a freshly built ZB-tree."""
-    _, sky_ids = zsearch(build_zbtree(codec, points, ids=ids))
-    return np.asarray(sky_ids, dtype=np.int64)

@@ -57,7 +57,8 @@ class ContinuousQuery:
         #: last registry version this query advanced to
         self.version = 0
         self._window = WindowSkyline(codec, spec)
-        self._last_sky: FrozenSet[int] = frozenset()
+        #: the skyline ids at ``version``, sorted, without repeats
+        self._last_sky = np.empty(0, dtype=np.int64)
         #: recent per-advance diffs (newest last)
         self.diffs: Deque[SkylineDiff] = deque(maxlen=32)
         self.records_seen = 0
@@ -78,8 +79,13 @@ class ContinuousQuery:
         return points[order], ids[order]
 
     def skyline_ids(self) -> FrozenSet[int]:
+        return frozenset(self._sky_ids().tolist())
+
+    def _sky_ids(self) -> np.ndarray:
+        """The skyline's ids, sorted, without repeats (an id that
+        arrived twice may be on the skyline twice)."""
         _, ids = self._window.skyline()
-        return frozenset(ids.tolist())
+        return np.unique(ids)
 
     @property
     def last_diff(self) -> Optional[SkylineDiff]:
@@ -92,33 +98,35 @@ class ContinuousQuery:
         points: np.ndarray,
         ids: np.ndarray,
         timestamp: Optional[float] = None,
+        zaddresses: Optional[np.ndarray] = None,
     ) -> Optional[SkylineDiff]:
         """Feed newly arrived records and advance to ``version``.
 
         ``timestamp`` is the logical time of this advance (defaults to
         ``float(version)``); time-based windows expire against it even
-        when the batch is empty.  Returns the windowed skyline's diff
-        for this advance, or None when the query was already at (or
-        past) ``version``.
+        when the batch is empty.  ``zaddresses`` are the records' native
+        Z-addresses when the caller has them (a publish delta's), so
+        the window does not encode them again.  Returns the windowed
+        skyline's diff for this advance, or None when the query was
+        already at (or past) ``version``.
         """
         if version <= self.version:
             return None
         clock = float(version) if timestamp is None else float(timestamp)
-        self._window.extend(points, ids, np.full(len(ids), clock))
+        self._window.extend(points, ids, np.full(len(ids), clock), zaddresses)
         if self._window.now < clock:
             self._window.advance_to(clock)
         self.records_seen += len(ids)
         previous = self._last_sky
-        current = self.skyline_ids()
-        self._last_sky = current
+        self._last_sky = self._sky_ids()
         from_version = self.version
         self.version = version
         diff = SkylineDiff.between(
             dataset=f"{self.dataset}#{self.name}",
             from_version=from_version,
-            from_sky_ids=np.asarray(sorted(previous), dtype=np.int64),
+            from_sky_ids=previous,
             to_version=version,
-            to_sky_ids=np.asarray(sorted(current), dtype=np.int64),
+            to_sky_ids=self._last_sky,
         )
         self.diffs.append(diff)
         return diff
@@ -216,6 +224,7 @@ class ContinuousQueryManager:
                     snapshot.version,
                     arrived.entered_points,
                     arrived.entered_ids,
+                    zaddresses=arrived.entered_z,
                 ) is not None
                 for query in queries
             )

@@ -24,12 +24,10 @@ import numpy as np
 from repro.core.exceptions import DatasetError
 
 
-def _id_array(ids: Iterable[int]) -> np.ndarray:
-    """A sorted, write-protected int64 id array."""
-    out = np.unique(np.asarray(list(ids) if not isinstance(
-        ids, np.ndarray) else ids, dtype=np.int64))
-    out.setflags(write=False)
-    return out
+def _sealed(ids: np.ndarray) -> np.ndarray:
+    """A freshly computed id array, write-protected as it is."""
+    ids.setflags(write=False)
+    return ids
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,11 @@ class SkylineDiff:
                 f"diff must advance the version: {self.from_version} -> "
                 f"{self.to_version}"
             )
-        if np.intersect1d(self.entered_ids, self.exited_ids).size:
+        if (
+            self.entered_ids.size
+            and self.exited_ids.size
+            and np.isin(self.entered_ids, self.exited_ids).any()
+        ):
             raise DatasetError("entered and exited ids must be disjoint")
 
     @classmethod
@@ -71,15 +73,16 @@ class SkylineDiff:
         to_sky_ids: np.ndarray,
         published_at: float = 0.0,
     ) -> "SkylineDiff":
-        """The raw diff between two skyline id-sets."""
-        old = _id_array(from_sky_ids)
-        new = _id_array(to_sky_ids)
+        """The raw diff between two skyline id-sets, each given as a
+        sorted id array without repeats (taken as it is, not re-sorted)."""
+        old = np.asarray(from_sky_ids, dtype=np.int64)
+        new = np.asarray(to_sky_ids, dtype=np.int64)
         return cls(
             dataset=dataset,
             from_version=from_version,
             to_version=to_version,
-            entered_ids=_id_array(np.setdiff1d(new, old)),
-            exited_ids=_id_array(np.setdiff1d(old, new)),
+            entered_ids=_sealed(new[~np.isin(new, old, assume_unique=True)]),
+            exited_ids=_sealed(old[~np.isin(old, new, assume_unique=True)]),
             published_at=published_at,
         )
 
@@ -152,8 +155,8 @@ class SkylineDiff:
             dataset=self.dataset,
             from_version=self.from_version,
             to_version=later.to_version,
-            entered_ids=_id_array(entered),
-            exited_ids=_id_array(exited),
+            entered_ids=_sealed(entered),
+            exited_ids=_sealed(exited),
             coalesced_from=self.coalesced_from + later.coalesced_from,
             published_at=min(stamps) if stamps else 0.0,
         )

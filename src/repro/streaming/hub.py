@@ -44,6 +44,13 @@ def _ids_array(ids: FrozenSet[int]) -> np.ndarray:
     return np.asarray(sorted(ids), dtype=np.int64)
 
 
+def _sorted_ids(snapshot: Snapshot) -> np.ndarray:
+    """A snapshot's skyline ids, sorted and write-protected."""
+    ids = np.sort(snapshot.sky_ids)
+    ids.setflags(write=False)
+    return ids
+
+
 class Subscription:
     """One subscriber's bounded, coalescing event queue.
 
@@ -213,7 +220,9 @@ class SubscriptionHub:
         self.default_max_pending = int(default_max_pending)
         self._lock = threading.Lock()
         self._registry = None
-        self._last: Dict[str, Tuple[int, FrozenSet[int]]] = {}
+        #: per dataset: the last published version and its skyline
+        #: ids, sorted (registry ids are unique)
+        self._last: Dict[str, Tuple[int, np.ndarray]] = {}
         self._recent: Dict[str, Deque[SkylineDiff]] = {}
         self._subs: Dict[str, List[Subscription]] = {}
         self.diffs_published = 0
@@ -233,7 +242,7 @@ class SubscriptionHub:
         registry.add_publish_hook(self.on_publish)
         return self
 
-    def _seed_locked(self, dataset: str) -> Tuple[int, FrozenSet[int]]:
+    def _seed_locked(self, dataset: str) -> Tuple[int, np.ndarray]:
         """Baseline for ``dataset``, reading the registry on first use.
 
         Caller holds the hub lock; ``registry.snapshot`` is an atomic
@@ -247,10 +256,7 @@ class SubscriptionHub:
                     "attach() the hub to a registry before subscribing"
                 )
             snapshot = self._registry.snapshot(dataset)
-            last = (
-                snapshot.version,
-                frozenset(int(i) for i in snapshot.sky_ids),
-            )
+            last = (snapshot.version, _sorted_ids(snapshot))
             self._last[dataset] = last
             self._recent.setdefault(
                 dataset, deque(maxlen=self.retention)
@@ -263,7 +269,7 @@ class SubscriptionHub:
     def on_publish(self, snapshot: Snapshot) -> None:
         now = time.perf_counter()
         dataset = snapshot.dataset
-        new_ids = frozenset(int(i) for i in snapshot.sky_ids)
+        new_ids = _sorted_ids(snapshot)
         event: Optional[StreamEvent] = None
         subs: List[Subscription] = []
         with self._lock:
@@ -288,7 +294,7 @@ class SubscriptionHub:
                 event = FullSync(
                     dataset=dataset,
                     version=snapshot.version,
-                    sky_ids=_ids_array(new_ids),
+                    sky_ids=new_ids,
                     published_at=now,
                 )
                 self.full_syncs += len(subs)
@@ -296,9 +302,9 @@ class SubscriptionHub:
                 event = SkylineDiff.between(
                     dataset=dataset,
                     from_version=last_version,
-                    from_sky_ids=_ids_array(last_sky),
+                    from_sky_ids=last_sky,
                     to_version=snapshot.version,
-                    to_sky_ids=_ids_array(new_ids),
+                    to_sky_ids=new_ids,
                     published_at=now,
                 )
                 ring.append(event)
@@ -329,7 +335,7 @@ class SubscriptionHub:
                 dataset,
                 max_pending or self.default_max_pending,
                 start_version=version,
-                start_sky_ids=sky,
+                start_sky_ids=frozenset(sky.tolist()),
             )
             self._subs.setdefault(dataset, []).append(sub)
         if self.metrics is not None:
@@ -374,7 +380,7 @@ class SubscriptionHub:
                         FullSync(
                             dataset=dataset,
                             version=current_version,
-                            sky_ids=_ids_array(current_sky),
+                            sky_ids=current_sky,
                             published_at=time.perf_counter(),
                         )
                     )

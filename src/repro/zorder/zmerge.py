@@ -36,16 +36,20 @@ reducers emit).  Under that contract the result is the skyline of the
 union of the two point sets, which the test suite verifies against the
 oracle.  Use :func:`zmerge_all` to fold many candidate trees.
 
-Ownership: :func:`zmerge` mutates its skyline argument in place
-(UDominate deletions) and only reads the source tree; the merged tree is
-built into fresh arrays.  :func:`zmerge_all` never mutates its inputs and
-returns a tree that shares no arrays with them, so long-lived trees (e.g.
-the serving router's retained per-shard skyline trees) can be folded
-directly.
+Ownership: neither function changes its inputs.  :func:`zmerge` runs
+its UDominate deletions on a shallow copy of the skyline argument (a
+deletion rebinds the copy's columns; tree columns are write-protected
+and never written), so a tree a published snapshot shares with its
+writer stays as it was; the merged tree is built into fresh arrays.
+:func:`zmerge_all` folds into an accumulator it cloned from its first
+input, so it compacts that one in place, and returns a tree that shares
+no arrays with its inputs, so long-lived trees (e.g. the serving
+router's per-shard skyline trees) can be folded directly.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -61,14 +65,22 @@ def zmerge(
 
     Returns a new balanced ZB-tree containing the skyline of the union,
     except when either side is empty: then the other input is returned
-    by reference.  ``sky`` is consumed (deletions compact it) and
-    ``src`` is only read; callers should use the returned tree.
+    by reference.  Both inputs are only read: the deletions compact a
+    shallow copy of ``sky``.
     """
-    counter = counter if counter is not None else OpCounter()
     if src.is_empty:
         return sky
     if sky.is_empty:
         return src
+    counter = counter if counter is not None else OpCounter()
+    return _fold(copy.copy(sky), src, counter)
+
+
+def _fold(sky: ZBTree, src: ZBTree, counter: OpCounter) -> ZBTree:
+    """:func:`zmerge` of two non-empty trees that consumes ``sky``: its
+    deletions compact ``sky`` itself.  :func:`zmerge_all` folds into the
+    accumulator it owns this way, so each deletion frees the columns it
+    replaces instead of keeping a copy's originals alive."""
     grafts, accepted = _zmerge_scan(sky, src, counter)
     # The surviving skyline points, every grafted subtree's points and
     # the accepted leaf points, gathered as native Z-address batches.
@@ -193,6 +205,7 @@ def zmerge_all(
     for tree in iterator:
         if result.is_empty:
             result = rebuild(tree)
-        else:
-            result = zmerge(result, tree, counter)
+        elif not tree.is_empty:
+            # the accumulator is this function's own tree
+            result = _fold(result, tree, counter)
     return result

@@ -51,10 +51,21 @@ def zsearch(
     Returns ``(points, ids)`` in Z-order.  ``counter``, when given,
     accrues the dominance-test counts used by the simulated cost model.
     """
-    counter = counter if counter is not None else OpCounter()
-    d = tree.codec.dimensions
     if tree.is_empty:
-        return np.empty((0, d)), np.empty(0, dtype=np.int64)
+        return np.empty((0, tree.codec.dimensions)), np.empty(0, dtype=np.int64)
+    accepted = zsearch_mask(tree, counter)
+    return tree.leaf_points[accepted], tree.leaf_ids[accepted]
+
+
+def zsearch_mask(
+    tree: ZBTree, counter: Optional[OpCounter] = None
+) -> np.ndarray:
+    """:func:`zsearch` as a mask over the tree's points (Z-order): the
+    skyline rows, e.g. for :func:`~repro.zorder.zbtree.rebuild` to make
+    a skyline tree of without re-encoding them.  Charged the same."""
+    counter = counter if counter is not None else OpCounter()
+    if tree.is_empty:
+        return np.zeros(0, dtype=bool)
     accepted = _accept(tree.grid_points)
     # before[j]: points accepted ahead of scan position j (the buffer)
     before = np.concatenate(([0], np.cumsum(accepted)))
@@ -66,7 +77,7 @@ def zsearch(
     counter.region_tests += int(visited.sum())
     counter.point_tests += int(buffered[visited].sum())
     counter.point_tests += int(before[:-1][scanned[tree.point_node]].sum())
-    return tree.leaf_points[accepted], tree.leaf_ids[accepted]
+    return accepted
 
 
 def _accept(points: GridRows) -> np.ndarray:

@@ -456,3 +456,28 @@ class TestRotationBoundary:
         recovered = fresh.snapshot("ds")
         assert recovered.version == expected.version
         assert recovered.state_digest() == expected.state_digest()
+
+
+def test_recovery_and_drift_rebuild_encode_each_row_once(tmp_path):
+    """Recovery encodes the checkpoint's rows once plus each replayed
+    row; a drift rebuild reuses the stored Z-addresses."""
+    rng = np.random.default_rng(8)
+    codec = ZGridCodec.grid_identity(4, bits_per_dim=6)
+    registry = DatasetRegistry(
+        durability_dir=str(tmp_path), checkpoint_every=100
+    )
+    registry.register(
+        "ds", _points(rng, 120), codec=codec,
+        drift=DriftPolicy(max_deletes=25),
+    )
+    for batch in range(3):
+        registry.insert("ds", _points(rng, 10), range(1000 + 10 * batch, 1010 + 10 * batch))
+    registry.delete("ds", range(0, 20))
+    codec.kernel_stats.reset()
+    recovered = registry.recover("ds")
+    encoded = codec.kernel_stats.snapshot()["encode_fast_rows"]
+    assert encoded == 120 + 30  # the checkpoint's rows, then the replay
+    codec.kernel_stats.reset()
+    assert registry.delete("ds", range(20, 30)).rebuilt  # 30 > 25 deletes
+    assert codec.kernel_stats.snapshot().get("encode_fast_rows", 0) == 0
+    assert recovered.size == 130

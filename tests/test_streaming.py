@@ -745,3 +745,44 @@ def test_streaming_soundness_oracle(batches, window, use_time):
         )
         assert final == expect
         assert version == registry.version("ds")
+
+
+# ----------------------------------------------------------------------
+# encode once: every admitted row gets one Z-address, on the write path
+# and in every continuous query
+# ----------------------------------------------------------------------
+def _encoded_rows(codec) -> int:
+    counts = codec.kernel_stats.snapshot()
+    return counts.get("encode_fast_rows", 0) + counts.get("encode_wide_rows", 0)
+
+
+@pytest.mark.parametrize("durable", [False, True])
+def test_each_admitted_row_is_encoded_once(tmp_path, durable):
+    rng = np.random.default_rng(21)
+    codec = _codec()
+    registry = DatasetRegistry(
+        durability_dir=str(tmp_path) if durable else None
+    )
+    registry.register(
+        "ds", _grid(rng, 300), codec=codec, drift=DriftPolicy.never()
+    )
+    assert _encoded_rows(codec) == 300
+    manager = ContinuousQueryManager().attach(registry)
+    count = manager.register("count", "ds", WindowSpec.count(200))
+    timed = manager.register("time", "ds", WindowSpec.time(5.0))
+    hub = SubscriptionHub().attach(registry)
+    sub = hub.subscribe("ds")
+    feed = IngestFeed(
+        registry, "ds", config=FeedConfig(batch_size=64),
+        window=WindowSpec.count(200),
+    )
+    codec.kernel_stats.reset()
+    flushes = 12
+    for row in _grid(rng, 64 * flushes):
+        feed.append(row)
+    assert feed.records_expired > 0  # window deletes ran too
+    assert _encoded_rows(codec) == 64 * flushes
+    assert count.window_size == 200 and timed.window_size > 0
+    assert _drain(sub, timeout=0.01)
+    count.verify()
+    timed.verify()

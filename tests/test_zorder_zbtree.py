@@ -55,15 +55,23 @@ class TestBuild:
         tree.validate()
 
     def test_validate_catches_corruption(self, codec):
+        # Columns are write-protected, so corrupt a tree by rebinding a
+        # column to a changed copy.
+        def rebind(tree, name, row, value):
+            column = getattr(tree, name).copy()
+            column[row] = value
+            setattr(tree, name, column)
+
         def corner(tree, row):
             # shrink a node's region to the single cell (63, 63, 63)
-            tree.minpt[row] = tree.maxpt[row] = 63.0
+            rebind(tree, "minpt", row, 63.0)
+            rebind(tree, "maxpt", row, 63.0)
 
         for corrupt in (
-            lambda t: t.leaf_points.__setitem__(0, t.leaf_points[0] + 1),
+            lambda t: rebind(t, "leaf_points", 0, t.leaf_points[0] + 1),
             lambda t: corner(t, t.num_nodes - 1),   # a leaf
             lambda t: corner(t, 0),                 # the root
-            lambda t: t.npoints.__setitem__(0, t.npoints[0] + 1),
+            lambda t: rebind(t, "npoints", 0, t.npoints[0] + 1),
         ):
             tree, _ = make_tree(
                 codec, np.random.default_rng(3), n=60, top=32,

@@ -1,6 +1,7 @@
 """Unit tests for Z-merge (Algorithm 4)."""
 
 import functools
+import pickle
 
 import numpy as np
 import pytest
@@ -118,6 +119,20 @@ class TestZMergeContract:
             build_zbtree(codec, b, ids=[222]),
         )
         assert set(merged.ids().tolist()) == {111, 222}
+
+
+    def test_merge_leaves_the_skyline_argument_unchanged(self, codec):
+        rng = np.random.default_rng(11)
+        sky = skyline_tree(codec, rng.integers(8, 32, (200, 3)).astype(float))
+        # low source rows: the scan deletes skyline points (UDominate)
+        src = skyline_tree(
+            codec, rng.integers(0, 12, (40, 3)).astype(float), id_offset=1000
+        )
+        before = pickle.dumps(sky)
+        merged = zmerge(sky, src)
+        assert merged.size < sky.size + src.size
+        assert pickle.dumps(sky) == before
+        sky.validate()
 
 
 class TestZMergeAll:

@@ -6,8 +6,8 @@ import pytest
 from repro.core.dataset import Dataset
 from repro.core.skyline import is_skyline_of
 from repro.zorder.encoding import ZGridCodec
-from repro.zorder.zbtree import OpCounter, build_zbtree
-from repro.zorder.zsearch import zsearch, zsearch_dataset
+from repro.zorder.zbtree import OpCounter, build_zbtree, rebuild
+from repro.zorder.zsearch import zsearch, zsearch_dataset, zsearch_mask
 
 
 @pytest.fixture
@@ -23,6 +23,24 @@ class TestZSearch:
             tree = build_zbtree(codec, pts)
             sky, ids = zsearch(tree)
             assert is_skyline_of(sky, pts)
+
+    def test_mask_selects_the_skyline_rows(self, codec):
+        rng = np.random.default_rng(5)
+        pts = rng.integers(0, 32, (150, 3)).astype(float)
+        tree = build_zbtree(codec, pts)
+        plain, masked = OpCounter(), OpCounter()
+        sky, ids = zsearch(tree, plain)
+        keep = zsearch_mask(tree, masked)
+        assert plain == masked
+        assert np.array_equal(tree.leaf_ids[keep], ids)
+        # the skyline tree of the mask reuses the stored Z-addresses and
+        # columns and equals a tree built from the skyline rows
+        sub = rebuild(tree, keep=keep)
+        fresh = build_zbtree(codec, sky, ids=ids)
+        sub.validate()
+        for name in ("leaf_z", "leaf_points", "leaf_ids", "minpt", "maxpt",
+                     "parent", "end", "pstart", "npoints"):
+            assert np.array_equal(getattr(sub, name), getattr(fresh, name))
 
     def test_empty_tree(self, codec):
         tree = build_zbtree(codec, np.empty((0, 3)))
