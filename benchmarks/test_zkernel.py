@@ -19,6 +19,10 @@ Guards:
   ``<=`` pass per dimension) must answer exactly like the float
   ``dominance_blocks`` reduction on a 512 x 6,000 block at d=8 and 12
   bits, and at least **2x** faster (again a same-host ratio);
+* Z-search over phase-1-shaped blocks (600 blocks of 8-32 rows, d=8,
+  12 bits, Z-addresses given) through the tree-free ``zs_skyline``
+  must give the same points, ids and charges as ``build_zbtree`` plus
+  ``zsearch``, and be at least **2x** faster (a same-host ratio);
 * the end-to-end runs must reproduce their recorded skyline sizes
   exactly (the cheap bit-identity canary), and the two wide-path runs
   (d=6 and d=8) must stay at or under their baseline seconds.
@@ -34,10 +38,14 @@ from typing import Dict, List
 import numpy as np
 import pytest
 
+from repro.algorithms.zs import zs_skyline
 from repro.core.point import dominance_blocks, kernel_rows, pairwise_dominance
 from repro.data.synthetic import generate
 from repro.pipeline.driver import run_plan
+from repro.zorder.encoding import ZGridCodec
 from repro.zorder.kernel import ZKernel
+from repro.zorder.zbtree import OpCounter, build_zbtree
+from repro.zorder.zsearch import zsearch
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_PATH = os.path.join(REPO_ROOT, "BENCH_zkernel.json")
@@ -48,6 +56,8 @@ MIN_SPEEDUP = 5.0
 MAX_REGRESSION = 0.20
 #: minimum grid-kernel-vs-float-reduction speedup (dominance kernel)
 MIN_DOMINANCE_SPEEDUP = 2.0
+#: minimum tree-free-vs-tree Z-search speedup on phase-1-shaped blocks
+MIN_BLOCK_SPEEDUP = 2.0
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +224,61 @@ class TestDominanceKernel:
         assert speedup >= MIN_DOMINANCE_SPEEDUP, (
             f"grid dominance kernel is only {speedup:.2f}x faster than the "
             f"float reduction (need >= {MIN_DOMINANCE_SPEEDUP}x)"
+        )
+
+
+# ----------------------------------------------------------------------
+# Z-search on phase-1-shaped blocks: tree-free vs build + walk
+# ----------------------------------------------------------------------
+class TestPhase1Blocks:
+    def test_tree_free_zsearch_beats_build_and_walk(self):
+        count, d, bits = 600, 8, 12
+        rng = np.random.default_rng(29)
+        codec = ZGridCodec.grid_identity(d, bits_per_dim=bits)
+        blocks = []
+        for k in range(count):
+            pts = rng.integers(0, 1 << bits, (int(rng.integers(8, 33)), d))
+            pts = pts.astype(np.float64)
+            ids = np.arange(k * 32, k * 32 + pts.shape[0], dtype=np.int64)
+            blocks.append((pts, ids, codec.encode_grid_batch(pts)))
+
+        def tree_free():
+            counter = OpCounter()
+            out = [
+                zs_skyline(pts, ids, counter, codec, zaddresses=z)
+                for pts, ids, z in blocks
+            ]
+            return out, counter
+
+        def tree_walk():
+            counter = OpCounter()
+            out = [
+                zsearch(build_zbtree(codec, pts, ids=ids, zaddresses=z), counter)
+                for pts, ids, z in blocks
+            ]
+            return out, counter
+
+        (free_out, free_counter), free_s = _timed(tree_free, repeats=5)
+        (tree_out, tree_counter), tree_s = _timed(tree_walk, repeats=5)
+        assert free_counter == tree_counter
+        for (fp, fi), (tp, ti) in zip(free_out, tree_out):
+            assert np.array_equal(fp, tp) and np.array_equal(fi, ti)
+        speedup = tree_s / free_s
+        _update_bench(
+            "phase1_blocks",
+            {
+                "blocks": count,
+                "rows_per_block": [8, 32],
+                "dimensions": d,
+                "bits_per_dim": bits,
+                "tree_walk_ms": round(tree_s * 1e3, 2),
+                "tree_free_ms": round(free_s * 1e3, 2),
+                "speedup": round(speedup, 2),
+            },
+        )
+        assert speedup >= MIN_BLOCK_SPEEDUP, (
+            f"tree-free Z-search is only {speedup:.2f}x faster than build + "
+            f"walk on phase-1 blocks (need >= {MIN_BLOCK_SPEEDUP}x)"
         )
 
 

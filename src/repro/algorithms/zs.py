@@ -6,9 +6,11 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.exceptions import ZOrderError
+from repro.core.point import GridRows, grid_dtype
 from repro.zorder.encoding import ZGridCodec
-from repro.zorder.zbtree import OpCounter, build_zbtree
-from repro.zorder.zsearch import zsearch
+from repro.zorder.zbtree import DEFAULT_LEAF_CAPACITY, OpCounter, build_zbtree, zbatch_of
+from repro.zorder.zsearch import accept, charge_one_leaf, zsearch
 
 
 def zs_skyline(
@@ -18,13 +20,21 @@ def zs_skyline(
     codec: Optional[ZGridCodec] = None,
     zaddresses: Optional[Union[Sequence[int], np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Skyline via ZB-tree + Z-search.
+    """Skyline via Z-search, in Z-order.
 
     ``points`` must hold integer grid coordinates (the pipeline quantises
-    datasets once up front).  A wide-enough identity codec is derived when
-    none is supplied.  ``zaddresses`` (ints or a native kernel batch)
-    skips the encode inside the tree build; only meaningful together
-    with the ``codec`` that produced them.
+    datasets once up front), else :class:`ZOrderError`.  A wide-enough
+    identity codec is derived when none is supplied.  ``zaddresses``
+    (ints or a native kernel batch) skips the encode; only meaningful
+    together with the ``codec`` that produced them.
+
+    The answer is the scan acceptance over the Z-sorted grid columns.
+    A ZB-tree is built only when ``counter`` is given and the points
+    span more than one leaf: only then do the walk's charges need the
+    node table.  A one-leaf walk is charged in closed form, and a
+    counter-less call builds no tree at any size.  Answers and charges
+    equal :func:`~repro.zorder.zbtree.build_zbtree` plus
+    :func:`~repro.zorder.zsearch.zsearch`.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -35,9 +45,20 @@ def zs_skyline(
         ids = np.asarray(ids, dtype=np.int64)
     if n == 0:
         return points.reshape(0, d), ids
+    if points.ndim != 2:
+        raise ZOrderError(f"points must be 2-D; got shape {points.shape}")
+    if ids.shape != (n,):
+        raise ZOrderError("ids must match points length")
     if codec is None:
         top = int(points.max())
         bits = max(1, top.bit_length())
         codec = ZGridCodec.grid_identity(d, bits_per_dim=bits)
-    tree = build_zbtree(codec, points, ids=ids, zaddresses=zaddresses)
-    return zsearch(tree, counter=counter)
+    if counter is not None and n > DEFAULT_LEAF_CAPACITY:
+        tree = build_zbtree(codec, points, ids=ids, zaddresses=zaddresses)
+        return zsearch(tree, counter=counter)
+    order = codec.kernel.argsort(zbatch_of(codec, points, zaddresses))
+    rows, ids = points[order], ids[order]
+    accepted = accept(GridRows.of(rows, grid_dtype(codec.cells_per_dim - 1)))
+    if counter is not None:
+        charge_one_leaf(accepted, counter)
+    return rows[accepted], ids[accepted]

@@ -444,7 +444,7 @@ class SkylineMaintainer:
         """Replace the maintained skyline with one Z-search of the
         alive rows, from their stored columns (the registry's drift
         rebuild; nothing is re-encoded and no op is recorded)."""
-        self._sky = _skyline_tree(self._tree(self._alive_rows()), OpCounter())
+        self._sky = _skyline_tree(self._tree(self._alive_rows()))
         self._sky_id_cache = None
 
     def delete(self, point_ids: Sequence[int]) -> BatchDelta:
@@ -531,8 +531,9 @@ class SkylineMaintainer:
             raise DatasetError("maintained skyline diverged from oracle")
 
 
-def _skyline_tree(tree: ZBTree, counter: OpCounter) -> ZBTree:
+def _skyline_tree(tree: ZBTree, counter: Optional[OpCounter] = None) -> ZBTree:
     """The tree of ``tree``'s skyline: its Z-search survivors, a subset
-    of its rows (the tree itself when every row survives)."""
+    of its rows (the tree itself when every row survives); charged to
+    ``counter`` when one is given."""
     keep = zsearch_mask(tree, counter)
     return tree if keep.all() else rebuild(tree, keep=keep)

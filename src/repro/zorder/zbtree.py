@@ -136,13 +136,15 @@ class ZBTree:
         leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
         fanout: int = DEFAULT_FANOUT,
         grid_points: Optional[GridRows] = None,
+        grid_min: Optional[GridRows] = None,
+        grid_max: Optional[GridRows] = None,
     ) -> None:
         self.codec = codec
         self.leaf_capacity = leaf_capacity
         self.fanout = fanout
         self._set_table(
             leaf_z, leaf_points, leaf_ids, minpt, maxpt, parent, depth, end,
-            pstart, npoints, (grid_points, None, None),
+            pstart, npoints, (grid_points, grid_min, grid_max),
         )
 
     def _set_table(
@@ -608,6 +610,27 @@ class ZBTree:
         return self.remove_dominated_by_block(point, counter)
 
 
+def zbatch_of(
+    codec: ZGridCodec,
+    points: np.ndarray,
+    zaddresses: Optional[Union[Sequence[int], np.ndarray]] = None,
+    checked: bool = False,
+) -> np.ndarray:
+    """Native Z-address batch of ``(n, d)`` grid ``points``: encoded
+    (the encode checks the grid), or ``zaddresses`` coerced after a
+    :meth:`~repro.zorder.encoding.ZGridCodec.check_grid` that
+    ``checked`` (the points come from a tree's stored columns) skips.
+    Off-grid points raise :class:`ZOrderError` either way."""
+    if zaddresses is None:
+        return codec.encode_grid_batch(points)
+    if not checked:
+        codec.check_grid(points)
+    zbatch = codec.as_zbatch(zaddresses)
+    if zbatch.shape[0] != points.shape[0]:
+        raise ZOrderError("zaddresses must match points length")
+    return zbatch
+
+
 def build_zbtree(
     codec: ZGridCodec,
     points: np.ndarray,
@@ -660,14 +683,7 @@ def build_zbtree(
         return ZBTree.empty(codec, leaf_capacity, fanout)
 
     kernel = codec.kernel
-    if zaddresses is None:
-        zbatch = codec.encode_grid_batch(pts)
-    else:
-        if grid is None:
-            codec.check_grid(pts)
-        zbatch = codec.as_zbatch(zaddresses)
-        if zbatch.shape[0] != n:
-            raise ZOrderError("zaddresses must match points length")
+    zbatch = zbatch_of(codec, pts, zaddresses, checked=grid is not None)
     # Stable sort keeps equal Z-addresses (duplicate grid points) in
     # input order.
     order = kernel.argsort(zbatch)
@@ -710,11 +726,20 @@ def build_zbtree(
             )
 
     minz, maxz = kernel.region_bounds(leaf_z[pstart], leaf_z[pstart + npoints - 1])
-    corners = codec.decode_batch(np.concatenate((minz, maxz))).astype(np.float64)
+    decoded = codec.decode_batch(np.concatenate((minz, maxz)))
+    corners = decoded.astype(np.float64)
+    # both corner blocks in the grid kernel's layout from one conversion
+    # of the decoded integers, sliced
+    cols = np.ascontiguousarray(
+        decoded.T, dtype=grid_dtype(codec.cells_per_dim - 1)
+    )
+    sums = corners.sum(axis=1)
     return ZBTree(
         codec, leaf_z, pts[order], id_arr[order], corners[:count], corners[count:],
         parent, depth, end, pstart, npoints, leaf_capacity, fanout,
         None if grid is None else grid[order],
+        GridRows(cols[:, :count], sums[:count]),
+        GridRows(cols[:, count:], sums[count:]),
     )
 
 

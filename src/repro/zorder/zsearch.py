@@ -24,6 +24,14 @@ visit, one region test and one point test per buffered point; ``u`` is
 pruned iff a buffered point dominates its min corner, and the walk
 reaches ``u`` iff no ancestor was pruned; each point of a scanned leaf
 costs one point test per point buffered before it.
+
+So Z-search is two parts.  :func:`accept` decides the answer from the
+Z-sorted grid columns alone; the tree exists only to charge the
+modelled walk.  A one-leaf tree cannot prune (its root is reached with
+an empty buffer), so its charges are closed-form without the tree
+(:func:`charge_one_leaf`), and
+:func:`~repro.algorithms.zs.zs_skyline` builds a tree only for a
+charged block that spans more than one leaf.
 """
 
 from __future__ import annotations
@@ -62,11 +70,13 @@ def zsearch_mask(
 ) -> np.ndarray:
     """:func:`zsearch` as a mask over the tree's points (Z-order): the
     skyline rows, e.g. for :func:`~repro.zorder.zbtree.rebuild` to make
-    a skyline tree of without re-encoding them.  Charged the same."""
-    counter = counter if counter is not None else OpCounter()
+    a skyline tree of without re-encoding them.  Charged the same; with
+    no ``counter`` the charged walk is skipped."""
     if tree.is_empty:
         return np.zeros(0, dtype=bool)
-    accepted = _accept(tree.grid_points)
+    accepted = accept(tree.grid_points)
+    if counter is None:
+        return accepted
     # before[j]: points accepted ahead of scan position j (the buffer)
     before = np.concatenate(([0], np.cumsum(accepted)))
     buffered = before[tree.pstart]
@@ -80,7 +90,21 @@ def zsearch_mask(
     return accepted
 
 
-def _accept(points: GridRows) -> np.ndarray:
+def charge_one_leaf(accepted: np.ndarray, counter: OpCounter) -> None:
+    """Charge ``counter`` for the walk of a one-leaf tree whose Z-order
+    scan accepted ``accepted``, without the tree.
+
+    The walk reaches the root leaf with an empty buffer, so nothing is
+    pruned: one node visit, one region test, and for each row one point
+    test per row accepted before it — exactly :func:`zsearch_mask`'s
+    charges on that tree.
+    """
+    counter.nodes_visited += 1
+    counter.region_tests += 1
+    counter.point_tests += int((np.cumsum(accepted) - accepted).sum())
+
+
+def accept(points: GridRows) -> np.ndarray:
     """Scan-order acceptance: rows no earlier row dominates.
 
     Per chunk of the scan: first against the rows accepted before it,

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.algorithms.zs as zs_module
+from repro.algorithms.zs import zs_skyline
 from repro.core.dataset import Dataset
+from repro.core.exceptions import ZOrderError
 from repro.core.skyline import is_skyline_of
 from repro.zorder.encoding import ZGridCodec
 from repro.zorder.zbtree import OpCounter, build_zbtree, rebuild
@@ -41,6 +46,17 @@ class TestZSearch:
         for name in ("leaf_z", "leaf_points", "leaf_ids", "minpt", "maxpt",
                      "parent", "end", "pstart", "npoints"):
             assert np.array_equal(getattr(sub, name), getattr(fresh, name))
+
+    def test_mask_without_counter_skips_the_walk(self, codec, monkeypatch):
+        rng = np.random.default_rng(6)
+        tree = build_zbtree(codec, rng.integers(0, 32, (150, 3)).astype(float))
+        charged = zsearch_mask(tree, OpCounter())
+
+        def walked(*_args):
+            raise AssertionError("the charged walk ran without a counter")
+
+        monkeypatch.setattr(tree, "below", walked)
+        assert np.array_equal(zsearch_mask(tree), charged)
 
     def test_empty_tree(self, codec):
         tree = build_zbtree(codec, np.empty((0, 3)))
@@ -107,3 +123,100 @@ class TestZSearchDataset:
         ds = Dataset(rng.integers(0, 100, (80, 4)).astype(float))
         sky, _ = zsearch_dataset(ds)
         assert is_skyline_of(sky, ds.points)
+
+
+def _grid_rows(seed: int, n: int, d: int, bits: int) -> np.ndarray:
+    """``n`` rows on a ``bits``-bit grid, half the time drawn from a
+    small palette (duplicate rows, equal Z-addresses) that includes the
+    top of the grid."""
+    rng = np.random.default_rng(seed)
+    top = (1 << bits) - 1
+    if seed % 2:
+        palette = np.array([0, 1, top // 2, top - 1, top])
+        return rng.choice(palette, (n, d)).astype(float)
+    return rng.integers(0, top + 1, (n, d)).astype(float)
+
+
+class TestTreeFreeZSearch:
+    """``zs_skyline`` builds a tree only for a charged multi-leaf walk;
+    its answers, order, ids and charges equal a tree's Z-search."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(0, 70),
+        d=st.sampled_from([1, 2, 4, 8]),
+        bits=st.sampled_from([12, 16, 17]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # the one-leaf / two-leaf boundary on both kernel paths (4x12 bits
+    # is the uint64 path, 8x12 the wide one) and both column dtypes
+    @example(n=32, d=8, bits=12, seed=1)
+    @example(n=33, d=8, bits=12, seed=2)
+    @example(n=32, d=4, bits=12, seed=3)
+    @example(n=33, d=4, bits=12, seed=4)
+    @example(n=33, d=2, bits=16, seed=5)
+    @example(n=33, d=1, bits=17, seed=6)
+    def test_matches_the_tree_search(self, n, d, bits, seed):
+        codec = ZGridCodec.grid_identity(d, bits_per_dim=bits)
+        pts = _grid_rows(seed, n, d, bits)
+        ids = np.random.default_rng(seed).permutation(n) + 100
+        zbatch = codec.encode_grid_batch(pts)
+        tree = build_zbtree(codec, pts, ids=ids)
+        want_counter = OpCounter()
+        want_pts, want_ids = zsearch(tree, want_counter)
+        for zaddresses in (None, zbatch):
+            for counter in (None, OpCounter()):
+                got_pts, got_ids = zs_skyline(
+                    pts, ids, counter, codec, zaddresses=zaddresses
+                )
+                assert np.array_equal(got_pts, want_pts)
+                assert np.array_equal(got_ids, want_ids)
+                assert got_pts.dtype == np.float64 and got_ids.dtype == np.int64
+                if counter is not None:
+                    assert counter == want_counter
+        # a derived identity codec gives the same answer
+        got_pts, got_ids = zs_skyline(pts, ids)
+        assert sorted(got_ids.tolist()) == sorted(want_ids.tolist())
+
+    @pytest.mark.parametrize("n,counted,builds", [
+        (32, True, 0), (33, True, 1), (200, False, 0),
+    ])
+    def test_builds_a_tree_only_for_a_charged_multi_leaf_walk(
+        self, monkeypatch, n, counted, builds
+    ):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return build_zbtree(*args, **kwargs)
+
+        monkeypatch.setattr(zs_module, "build_zbtree", spy)
+        codec = ZGridCodec.grid_identity(3, bits_per_dim=5)
+        pts = np.random.default_rng(n).integers(0, 32, (n, 3)).astype(float)
+        zs_skyline(pts, None, OpCounter() if counted else None, codec)
+        assert len(calls) == builds
+
+    def test_one_leaf_charges_in_closed_form(self):
+        # Z-order: (1,1) (0,3) (3,0) (2,2) (3,3); the last two are
+        # dominated
+        codec = ZGridCodec.grid_identity(2, bits_per_dim=2)
+        pts = np.array([[3.0, 3.0], [0.0, 3.0], [1.0, 1.0], [2.0, 2.0], [3.0, 0.0]])
+        counter = OpCounter()
+        _, ids = zs_skyline(pts, None, counter, codec)
+        assert sorted(ids.tolist()) == [1, 2, 4]
+        # one visit, one region test; each row tests the rows accepted
+        # before it in Z-order: 0 + 1 + 2 + 3 + 3
+        assert counter == OpCounter(point_tests=9, region_tests=1, nodes_visited=1)
+
+    @pytest.mark.parametrize("counted", [False, True])
+    def test_off_grid_rows_are_rejected_without_a_tree(self, counted):
+        # truncated onto the grid both rows would be cell (1, 1), and
+        # both would be kept although (1.2, 1.2) dominates (1.7, 1.7)
+        codec = ZGridCodec.grid_identity(2, bits_per_dim=4)
+        pts = np.array([[1.7, 1.7], [1.2, 1.2]])
+        counter = OpCounter() if counted else None
+        with pytest.raises(ZOrderError, match="integers"):
+            zs_skyline(pts, None, counter, codec)
+        truncated = codec.encode_grid_batch(np.array([[1, 1], [1, 1]]))
+        with pytest.raises(ZOrderError, match="integers"):
+            zs_skyline(pts, None, counter, codec, zaddresses=truncated)
