@@ -18,6 +18,9 @@ Pins the PR's two central equivalence claims:
   and every ``OpCounter`` field, on bulk-built, thinned and composite
   trees, and through whole ``run_plan`` jobs — and the batched probe
   charges the dominance tests of one single-probe walk per probe;
+* Z-merge's scan equals Alg. 4's literal per-leaf scan built from those
+  node-by-node walks (``_walk_zmerge_scan``): grafts, accepted points,
+  the thinned skyline tree and every ``OpCounter`` field;
 * ``build_zbtree``'s table equals a node-by-node bottom-up build, and
   equal trees pickle byte-identically.
 
@@ -29,6 +32,7 @@ kernel-path metrics wiring.
 """
 
 import bisect
+import dataclasses
 import functools
 import importlib
 import pickle
@@ -58,8 +62,10 @@ from repro.zorder.zbtree import OpCounter, ZBTree, build_zbtree
 from repro.zorder.zmerge import _zmerge_scan, zmerge, zmerge_all
 from repro.zorder.zsearch import zsearch
 
-# the package re-exports the ``zsearch`` function under the module's name
+# the package re-exports the ``zsearch`` and ``zmerge`` functions under
+# their modules' names
 zsearch_module = importlib.import_module("repro.zorder.zsearch")
+zmerge_module = importlib.import_module("repro.zorder.zmerge")
 
 
 # ----------------------------------------------------------------------
@@ -333,6 +339,57 @@ def _remove_block_rec(node, block, counter):
     return total, ["node", node[1], node[2], new_children]
 
 
+def _walk_zmerge_scan(sky, src, counter):
+    """Alg. 4's Z-merge scan, one source node and one leaf at a time.
+
+    The BFS of ``src`` against ``sky``: each frontier pays one visit and
+    two region tests per node plus one min-corner probe walk of ``sky``;
+    then, in visit order, a node is discarded (a skyline point dominates
+    its min corner), grafted (Lemma 1: incomparable with the skyline
+    root's region, or the skyline is already empty) or, at a leaf,
+    decided by a probe walk of its points against the skyline *as it
+    stands*, followed by a ``UDominate`` walk of its accepted points
+    that deletes what they dominate.  Node-by-node walks throughout
+    (:func:`_walk_dominated_mask`, :func:`_walk_remove_block`); returns
+    ``_zmerge_scan``'s grafted rows and accepted point offsets.
+    """
+    grafts, accepted = [], [np.empty(0, dtype=np.int64)]
+    frontier = [0]
+    while frontier:
+        counter.nodes_visited += len(frontier)
+        if sky.is_empty:
+            grafts.extend(frontier)
+            break
+        counter.region_tests += len(frontier)
+        dominated = _walk_dominated_mask(sky, src.minpt[frontier], counter)
+        counter.region_tests += len(frontier)
+        children = []
+        for pos, row in enumerate(frontier):
+            if sky.is_empty:
+                grafts.append(row)
+                continue
+            if dominated[pos]:
+                continue
+            root_min, root_max = sky.minpt[0][None, :], sky.maxpt[0][None, :]
+            if not (
+                _dominated_by_any(src.maxpt[row][None, :], root_min)[0]
+                or _dominated_by_any(root_max, src.minpt[row][None, :])[0]
+            ):
+                grafts.append(row)
+                continue
+            if not src.is_leaf[row]:
+                children.extend(_children(src, row))
+                continue
+            block, _, _ = _leaf_block(src, row)
+            hit = _walk_dominated_mask(sky, block, counter)
+            if not hit.all():
+                keep = np.flatnonzero(~hit)
+                accepted.append(keep + src.pstart[row])
+                _walk_remove_block(sky, block[keep], counter)
+        frontier = children
+    return np.array(grafts, dtype=np.int64), np.concatenate(accepted)
+
+
 def _shape(tree):
     """Full structural signature of a tree, node by node: corners, child
     order, and each leaf's points, ids and Z-addresses."""
@@ -455,6 +512,67 @@ def walk_case(draw):
         "scan_chunk": draw(st.sampled_from([1, 3, 16, 512])),
         "seed": draw(st.integers(min_value=0, max_value=2**31)),
     }
+
+
+@st.composite
+def zmerge_case(draw):
+    """A Z-merge scan recipe: a skyline tree and a source tree, each
+    dominance-free (the scan's contract).
+
+    Covers both kernel paths, coarse grids with duplicate points
+    (within a tree and shared between the two), ``leaf_capacity`` 2-4
+    and ``fanout`` 2-3 (deep sources, many leaves per frontier),
+    single-leaf sources, skylines thinned by earlier deletions (stale
+    regions), and ``low`` sources drawn below a skyline held in the
+    grid's upper half, whose first leaves can delete every skyline
+    point mid-frontier.  Kernel chunk sizes split every pass.
+    """
+    if draw(st.booleans()):
+        d = draw(st.integers(min_value=1, max_value=6))
+        bits = draw(st.integers(min_value=1, max_value=min(8, 64 // d)))
+    else:
+        d = draw(st.integers(min_value=5, max_value=10))
+        bits = draw(st.integers(min_value=64 // d + 1, max_value=16))
+    return {
+        "d": d,
+        "bits": bits,
+        "cells": 1 << draw(st.integers(min_value=1, max_value=bits)),
+        "sky_n": draw(st.integers(min_value=1, max_value=60)),
+        "src_n": draw(st.integers(min_value=1, max_value=60)),
+        "dups": draw(st.integers(min_value=0, max_value=8)),
+        "leaf_capacity": draw(st.integers(min_value=2, max_value=4)),
+        "fanout": draw(st.integers(min_value=2, max_value=3)),
+        "low": draw(st.booleans()),
+        "thinned": draw(st.booleans()),
+        "budget": draw(st.sampled_from([1, 5, 64, 1 << 18])),
+        "seed": draw(st.integers(min_value=0, max_value=2**31)),
+    }
+
+
+def _zmerge_trees(case):
+    """The case's ``(sky, src)`` trees; deterministic, so two calls give
+    identical, independent trees."""
+    codec = ZGridCodec.grid_identity(case["d"], bits_per_dim=case["bits"])
+    shape = {"leaf_capacity": case["leaf_capacity"], "fanout": case["fanout"]}
+    rng = np.random.default_rng([case["seed"], 8])
+    cells, d = case["cells"], case["d"]
+    floor = cells // 2 if case["low"] else 0
+    sky = rng.integers(floor, cells, (case["sky_n"], d)).astype(float)
+    src = rng.integers(0, cells, (case["src_n"], d)).astype(float)
+    # repeated rows within each side, and skyline rows the source shares
+    sky = np.vstack([sky, sky[rng.integers(0, sky.shape[0], case["dups"])]])
+    src = np.vstack([
+        src,
+        src[rng.integers(0, src.shape[0], case["dups"])],
+        sky[rng.integers(0, sky.shape[0], case["dups"] // 2)],
+    ])
+    trees = []
+    for offset, pts in ((0, sky), (1000, src)):
+        ids = np.arange(offset, offset + pts.shape[0], dtype=np.int64)
+        trees.append(build_zbtree(codec, *bnl_skyline(pts, ids), **shape))
+    if case["thinned"]:
+        _walk_remove_block(trees[0], rng.integers(0, cells, (2, d)) + floor + 1.0)
+    return tuple(trees)
 
 
 def _case_grid(case, salt, n=None):
@@ -853,6 +971,68 @@ class TestFlatWalksMatchReferences:
         assert _counts(c1) == (0, 2, 1)
 
 
+class TestZmergeScanMatchesReference:
+    @given(zmerge_case())
+    @settings(max_examples=200, deadline=None)
+    def test_scan_matches_per_leaf_walk(self, case):
+        sky, src = _zmerge_trees(case)
+        ref_sky, _ = _zmerge_trees(case)
+        before = ref_sky.points()
+        flat_counter, ref_counter = OpCounter(), OpCounter()
+        with _chunking(case["budget"], zsearch_module._SCAN_CHUNK):
+            grafts, accepted = _zmerge_scan(sky, src, flat_counter)
+        want_grafts, want_accepted = _walk_zmerge_scan(ref_sky, src, ref_counter)
+        np.testing.assert_array_equal(grafts, want_grafts)
+        np.testing.assert_array_equal(accepted, want_accepted)
+        assert grafts.dtype == accepted.dtype == np.int64
+        # every OpCounter field, and so the cost model's total
+        assert dataclasses.astuple(flat_counter) == dataclasses.astuple(ref_counter)
+        assert flat_counter.total() == ref_counter.total()
+        assert _shape(sky) == _shape(ref_sky)
+        # the scan's answer is the skyline of the union
+        taken = np.concatenate([
+            *(np.arange(src.pstart[row], src.pstart[row] + src.npoints[row])
+              for row in grafts.tolist()),
+            accepted,
+        ]).astype(np.int64)
+        merged = np.vstack([sky.points(), src.leaf_points[taken]])
+        oracle, _ = bnl_skyline(np.vstack([before, src.points()]))
+        assert sorted(map(tuple, merged.tolist())) == sorted(map(tuple, oracle.tolist()))
+
+    def test_skyline_emptied_mid_frontier(self):
+        # The first leaf's (0, 5) dominates both skyline points, so the
+        # rest of that frontier is grafted without a probe, and so is
+        # the whole next frontier.
+        codec = ZGridCodec.grid_identity(2, bits_per_dim=4)
+        sky_pts = np.array([[12.0, 13.0], [13.0, 12.0]])
+        src_pts = np.array(
+            [[0.0, 5.0], [2.0, 4.0], [4.0, 2.0], [5.0, 0.0], [1.0, 14.0],
+             [14.0, 1.0], [3.0, 11.0], [11.0, 3.0], [6.0, 9.0], [9.0, 6.0]]
+        )
+        shape = {"leaf_capacity": 2, "fanout": 2}
+        src = build_zbtree(codec, src_pts, ids=np.arange(10) + 100, **shape)
+        results = []
+        for scan in (_zmerge_scan, _walk_zmerge_scan):
+            sky = build_zbtree(codec, sky_pts, ids=np.arange(2), **shape)
+            counter = OpCounter()
+            results.append((*scan(sky, src, counter), dataclasses.astuple(counter)))
+            assert sky.is_empty
+        (grafts, accepted, counts), (want_grafts, want_accepted, want_counts) = results
+        np.testing.assert_array_equal(grafts, want_grafts)
+        np.testing.assert_array_equal(accepted, want_accepted)
+        assert counts == want_counts
+        # only the first leaf was decided; all its points were accepted
+        first_leaf = int(np.flatnonzero(src.is_leaf)[0])
+        assert accepted.tolist() == [0, 1]
+        assert first_leaf not in grafts.tolist()
+        grafted = np.concatenate(
+            [src.leaf_ids[src.pstart[r] : src.pstart[r] + src.npoints[r]] for r in grafts]
+        )
+        assert sorted(grafted.tolist() + src.leaf_ids[accepted].tolist()) == list(
+            range(100, 110)
+        )
+
+
 def _node_build(codec, points, ids, leaf_capacity, fanout):
     """The bulk build node by node, as the nested form: a stable sort
     on Python-int Z-addresses, leaves of ``leaf_capacity`` points,
@@ -993,8 +1173,8 @@ class TestTreePickles:
         assert pickle.dumps(tree) == pickle.dumps(build_zbtree(codec, np.empty((0, 3))))
 
 
-#: plans whose phase-1 Z-search, Z-merge probes and UDominate deletions
-#: all run on the flat walks
+#: plans whose phase-1 Z-search and Z-merge scans all run on the flat
+#: walks
 REFERENCE_PLANS = ("ZDG+ZS+ZM", "Naive-Z+ZS+ZM", "ZDG+ZS+ZMP")
 
 
@@ -1007,6 +1187,7 @@ class TestPlansMatchReferenceWalks:
         monkeypatch.setattr(ZBTree, "dominated_mask_tree", _walk_dominated_mask)
         monkeypatch.setattr(ZBTree, "remove_dominated_by_block", _walk_remove_block)
         monkeypatch.setattr(zs_module, "zsearch", _walk_zsearch)
+        monkeypatch.setattr(zmerge_module, "_zmerge_scan", _walk_zmerge_scan)
         ref = run_plan(plan, dataset, seed=3)
         np.testing.assert_array_equal(flat.skyline.ids, ref.skyline.ids)
         np.testing.assert_array_equal(flat.skyline.points, ref.skyline.points)
