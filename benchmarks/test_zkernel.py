@@ -26,6 +26,10 @@ Guards:
 * the end-to-end runs must reproduce their recorded skyline sizes
   exactly (the cheap bit-identity canary), and the two wide-path runs
   (d=6 and d=8) must stay at or under their baseline seconds.
+
+Each section writes its numbers to ``BENCH_zkernel.json`` only after its
+asserts pass, so a failing run never lowers the floor the next run is
+held to.
 """
 
 from __future__ import annotations
@@ -167,8 +171,6 @@ class TestEncodeDecodeThroughput:
                 "reference_decode_rows_per_s": round(n_ref / ref_dec_s),
                 "speedup_encode_decode": round(speedup, 2),
             }
-        _update_bench("encode_decode", results)
-
         for key, entry in results.items():
             speedup = entry["speedup_encode_decode"]
             assert speedup >= MIN_SPEEDUP, (
@@ -182,6 +184,7 @@ class TestEncodeDecodeThroughput:
                     f"{key}: speedup regressed to {speedup:.2f}x from the "
                     f"recorded {prior:.2f}x (floor {floor:.2f}x)"
                 )
+        _update_bench("encode_decode", results)
 
 
 # ----------------------------------------------------------------------
@@ -209,6 +212,10 @@ class TestDominanceKernel:
         assert np.array_equal(grid_dom, float_dom)
         assert grid_dom.any()
         speedup = float_s / grid_s
+        assert speedup >= MIN_DOMINANCE_SPEEDUP, (
+            f"grid dominance kernel is only {speedup:.2f}x faster than the "
+            f"float reduction (need >= {MIN_DOMINANCE_SPEEDUP}x)"
+        )
         _update_bench(
             "dominance_kernel",
             {
@@ -220,10 +227,6 @@ class TestDominanceKernel:
                 "grid_kernel_ms": round(grid_s * 1e3, 2),
                 "speedup": round(speedup, 2),
             },
-        )
-        assert speedup >= MIN_DOMINANCE_SPEEDUP, (
-            f"grid dominance kernel is only {speedup:.2f}x faster than the "
-            f"float reduction (need >= {MIN_DOMINANCE_SPEEDUP}x)"
         )
 
 
@@ -264,6 +267,10 @@ class TestPhase1Blocks:
         for (fp, fi), (tp, ti) in zip(free_out, tree_out):
             assert np.array_equal(fp, tp) and np.array_equal(fi, ti)
         speedup = tree_s / free_s
+        assert speedup >= MIN_BLOCK_SPEEDUP, (
+            f"tree-free Z-search is only {speedup:.2f}x faster than build + "
+            f"walk on phase-1 blocks (need >= {MIN_BLOCK_SPEEDUP}x)"
+        )
         _update_bench(
             "phase1_blocks",
             {
@@ -275,10 +282,6 @@ class TestPhase1Blocks:
                 "tree_free_ms": round(free_s * 1e3, 2),
                 "speedup": round(speedup, 2),
             },
-        )
-        assert speedup >= MIN_BLOCK_SPEEDUP, (
-            f"tree-free Z-search is only {speedup:.2f}x faster than build + "
-            f"walk on phase-1 blocks (need >= {MIN_BLOCK_SPEEDUP}x)"
         )
 
 
@@ -335,6 +338,12 @@ class TestEndToEnd:
         # Skyline cardinality is deterministic: a mismatch means the
         # kernel changed results, not just speed.
         assert report.skyline.ids.shape[0] == expected_skyline
+        if key in E2E_GATED:
+            baseline = E2E_BASELINE_SECONDS[key]
+            assert seconds <= baseline, (
+                f"{key}: end-to-end wall clock {seconds:.3f}s exceeds its "
+                f"{baseline:.2f}s baseline (wide-path regression gate)"
+            )
         recorded = _read_recorded().get("end_to_end", {})
         recorded[key] = {
             "plan": plan,
@@ -346,9 +355,3 @@ class TestEndToEnd:
             "baseline_seconds": E2E_BASELINE_SECONDS[key],
         }
         _update_bench("end_to_end", recorded)
-        if key in E2E_GATED:
-            baseline = E2E_BASELINE_SECONDS[key]
-            assert seconds <= baseline, (
-                f"{key}: end-to-end wall clock {seconds:.3f}s exceeds its "
-                f"{baseline:.2f}s baseline (wide-path regression gate)"
-            )

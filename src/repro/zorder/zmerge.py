@@ -12,16 +12,23 @@ traversal of the source with three-way region pruning:
   against the skyline tree and, when accepted, dominated skyline points
   are deleted (the paper's ``UDominate``).
 
-Both tree-side operations of the scan — the batched min-corner dominator
-probe and the batched ``UDominate`` deletion — are flat walks
-(:meth:`~repro.zorder.zbtree.ZBTree.dominated_mask_tree`,
-:meth:`~repro.zorder.zbtree.ZBTree.remove_dominated_by_block`): a few
-kernel passes over the skyline tree's pre-order table instead of one
-numpy dispatch per node, with the node-by-node walk's
+The scan runs one BFS frontier (one depth of ``src``, in pre-order) at
+a time, and every tree-side operation is a flat walk: a few kernel
+passes over the skyline tree's pre-order table instead of one numpy
+dispatch per node, with the node-by-node walk's
 :class:`~repro.zorder.zbtree.OpCounter` charges reproduced exactly.  A
-deletion compacts the table in place.  The scan itself works on
-``src`` rows: the BFS frontier is an array of rows, a graft is its
-subtree's point range and the accepted points are point offsets.
+frontier costs one min-corner probe
+(:meth:`~repro.zorder.zbtree.ZBTree.dominated_mask_tree`), one Lemma 1
+broadcast and, for all of its leaves together,
+:meth:`~repro.zorder.zbtree.ZBTree.decide_blocks`: one probe pass over
+the union of the leaf blocks, one ``UDominate`` pass that finds each
+skyline point's *kill rank* (the first leaf, in visit order, whose
+accepted points delete it) and one compaction.  Alg. 4 decides those
+leaves one at a time, each probe seeing the deletions of the leaves
+before it; the kill ranks say which points each leaf's walks would
+see, so every leaf is charged what its own walks cost.  The scan works
+on ``src`` rows: a graft is its subtree's point range and the accepted
+points are point offsets.
 
 Finally the tree is rebalanced: the surviving skyline points, the
 grafted ranges and the accepted points are gathered, native
@@ -50,7 +57,7 @@ router's per-shard skyline trees) can be folded directly.
 from __future__ import annotations
 
 import copy
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -106,80 +113,87 @@ def _zmerge_scan(
     Mutates ``sky`` (UDominate deletions) and returns what a caller
     needs to assemble the merged tree: the grafted ``src`` rows, in
     visit order, and the ``src`` point offsets of the accepted leaf
-    points.
+    points, in visit order.
 
-    The BFS runs level-batched: each frontier (an array of ``src``
+    The BFS runs level-batched.  Each frontier (an array of ``src``
     rows, all at one depth, in pre-order) sends its min-corner
     dominator probes through one :meth:`ZBTree.dominated_mask_tree`
     walk and its Lemma 1 incomparability tests through one broadcast,
-    instead of one tree walk per node.  Batching ahead of the
-    leaf-acceptance deletions is exact, not just conservative: a
-    skyline point that dominates a source region's min corner can
-    never itself be deleted during the scan — its deleter would be an
-    accepted *source* point transitively dominating the probed
-    region's own points, contradicting the contract that the source
-    tree is dominance-free.  Deletions only shrink the skyline, so
-    batch-time "not dominated" verdicts are final too.
+    then decides all of its remaining leaves with one
+    :meth:`ZBTree.decide_blocks`, charged leaf by leaf in visit order
+    as Alg. 4 decides them.  Batching ahead of the deletions is exact,
+    not just conservative, by three invariants of the scan:
+
+    1. A deletion never moves a node's corners (they stay stale), so
+       every probe's reach, every ``UDominate`` row's max-corner test
+       and every min-corner cover, and the skyline root's corners in
+       the Lemma 1 test, are the same at every leaf.
+    2. A skyline point that dominates a source point, or a source
+       region's min corner, is never deleted during the scan: its
+       deleter would be an accepted *source* point that dominates that
+       source point (or every point of the region) too, contradicting
+       the contract that the source tree is dominance-free.  So every
+       probe's verdict, its hit leaves and its first dominating leaf
+       are those against the frontier's starting tree.
+    3. Compaction keeps pre-order as a subsequence, so pop-order
+       comparisons between the nodes still present are unchanged.
+
+    What varies from leaf to leaf is only which skyline points, hence
+    which nodes, are still present: at leaf ``j``, those whose kill
+    rank is at least ``j`` (a leaf's probe runs before its own
+    deletions).  Once a leaf's accepted points delete the last skyline
+    point, every later row of the frontier, and every row of later
+    frontiers, is grafted unprobed, as Alg. 4 does.
     """
-    grafts: List[int] = []
-    accepted: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    grafts = [np.empty(0, dtype=np.int64)]
+    accepted = [np.empty(0, dtype=np.int64)]
+    if not sky.is_empty:
+        # Lemma 1 case 2 against the whole skyline tree, for every source
+        # node at once: the root corners are stable for the scan's
+        # duration (deletions keep stale, conservatively-large regions).
+        rmin, rmax = sky.minpt[0], sky.maxpt[0]
+        sky_may_dominate = np.all(rmin <= src.maxpt, axis=1) & np.any(
+            rmin < src.maxpt, axis=1
+        )
+        src_may_dominate = np.all(src.minpt <= rmax, axis=1) & np.any(
+            src.minpt < rmax, axis=1
+        )
+        comparable = sky_may_dominate | src_may_dominate
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
         counter.nodes_visited += frontier.size
         if sky.is_empty:
             # Every skyline point was deleted by earlier accepted points;
             # whatever remains of the source survives untouched.
-            grafts.extend(frontier.tolist())
+            grafts.append(frontier)
             break
-        minpts = src.minpt[frontier]
-        maxpts = src.maxpt[frontier]
         counter.region_tests += frontier.size
         dominated = sky.dominated_mask_tree(src.grid_min[frontier], counter)
-        # Lemma 1 case 2 against the whole skyline tree, batched: the
-        # root corners are stable for the scan's duration (deletions
-        # keep stale, conservatively-large regions), so one broadcast
-        # against them covers the frontier.
-        counter.region_tests += frontier.size
-        rmin, rmax = sky.minpt[0], sky.maxpt[0]
-        sky_may_dominate = np.all(rmin <= maxpts, axis=1) & np.any(
-            rmin < maxpts, axis=1
-        )
-        src_may_dominate = np.all(minpts <= rmax, axis=1) & np.any(
-            minpts < rmax, axis=1
-        )
-        incomparable = ~sky_may_dominate & ~src_may_dominate
-        descend = np.zeros(src.num_nodes, dtype=bool)
-        for pos, row in enumerate(frontier.tolist()):
+        counter.region_tests += frontier.size  # the Lemma 1 tests
+        graft = ~dominated & ~comparable[frontier]
+        descend = ~dominated & ~graft
+        leaf = descend & src.is_leaf[frontier]
+        descend &= ~leaf
+        if leaf.any():
+            # the leaf step (probe, accept, UDominate) for all of the
+            # frontier's leaves at once, charged leaf by leaf
+            leaves = frontier[leaf]
+            sizes = src.npoints[leaves]
+            offsets = concat_ranges(src.pstart[leaves], sizes)
+            keep, decided = sky.decide_blocks(src.grid_points[offsets], sizes, counter)
+            accepted.append(offsets[: keep.shape[0]][keep])
             if sky.is_empty:
-                grafts.append(row)
-                continue
-            if dominated[pos]:
-                # Some skyline point dominates the region's min corner,
-                # hence every point in the region: discard the subtree.
-                continue
-            if incomparable[pos]:
-                grafts.append(row)
-                continue
-            if src.is_leaf[row]:
-                # Batched UDominate: one tree walk decides the whole leaf
-                # block, then one walk deletes the skyline points the
-                # accepted block dominates.  Deferring the deletions is
-                # safe because source points never dominate each other
-                # (the source tree is dominance-free), so a stale skyline
-                # point can never wrongly reject a later source point.
-                lo = src.pstart[row]
-                block = src.grid_points[lo : lo + src.npoints[row]]
-                leaf_dominated = sky.dominated_mask_tree(block, counter)
-                if not leaf_dominated.all():
-                    keep = np.flatnonzero(~leaf_dominated)
-                    accepted.append(keep + lo)
-                    sky.remove_dominated_by_block(block[keep], counter)
-            else:
-                descend[row] = True
+                # the rest of the frontier is grafted, unprobed
+                after = np.flatnonzero(leaf)[decided - 1] + 1
+                graft[after:] = True
+                descend[after:] = False
+        grafts.append(frontier[graft])
         # children of the descended rows, in pre-order
-        frontier = np.flatnonzero(descend[src.parent[1:]]) + 1
+        below = np.zeros(src.num_nodes, dtype=bool)
+        below[frontier[descend]] = True
+        frontier = np.flatnonzero(below[src.parent[1:]]) + 1
 
-    return np.array(grafts, dtype=np.int64), np.concatenate(accepted)
+    return np.concatenate(grafts), np.concatenate(accepted)
 
 
 def zmerge_all(
