@@ -5,17 +5,22 @@ that moves a charge — in the ZB-tree walks, Z-search, Z-merge, or the
 cost model — changes the documented numbers even when every skyline
 stays the same.  This test pins, for each claim's plans at a small ``n``,
 the skyline (an id digest), the makespan, the merge cost, the dominance
-point and region tests, and the candidate count.
+point and region tests, and the candidate count.  ``GOLDEN_COUNTERS``
+pins every other count as well: a digest of the run's merged job
+counters (map, reduce, shuffle, phase1, dfs, dominance) together with
+the codec's kernel-path stats.
 
 A change that fails it on purpose must say which charges moved in its
 change notes, regenerate ``REPRODUCTION_REPORT.md`` and the
 EXPERIMENTS.md numbers with ``repro-skyline reproduce``, and refresh
-``GOLDEN`` below from::
+``GOLDEN`` and ``GOLDEN_COUNTERS`` below from::
 
     PYTHONPATH=src python tests/test_golden_costs.py
 """
 
+import functools
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -57,11 +62,36 @@ GOLDEN = {
 }
 
 
-def _fingerprint(claim, plan):
+#: (claim, plan) -> digest of every job counter and kernel-path stat
+GOLDEN_COUNTERS = {
+    ('fig7cd', 'Grid+ZS'): '03be7124b59a8a22',
+    ('fig7cd', 'Angle+ZS'): '652e5f6450109a5d',
+    ('fig7cd', 'ZDG+ZS+ZM'): '30f0ae3a59a2fad7',
+    ('fig8', 'ZDG+ZS+SB'): '1eacb04cb2321b84',
+    ('fig8', 'ZDG+ZS+ZS'): 'bacfac42ac7dfaa4',
+    ('fig8', 'ZDG+ZS+ZM'): 'ce0d28741ff965da',
+    ('fig9', 'Grid+ZS'): '2acf45d7b8f5d4b6',
+    ('fig9', 'ZDG+ZS'): '79f19ed3b60d818d',
+    ('load_balance', 'Naive-Z+ZS'): '0c0b5684fda5118a',
+    ('load_balance', 'ZDG+ZS'): 'af1098fba5948ffe',
+    ('fig12', 'Grid+ZS'): '79171125b6c18058',
+    ('fig12', 'ZDG+ZS+ZM'): '9372ab4449b52387',
+    ('fig13', 'Naive-Z+ZS'): '9f21e24c0b7342b6',
+    ('fig13', 'ZDG+ZS+ZM'): '8193da53c22a8a29',
+    ('pruning', 'ZDG+ZS+ZM'): '292b19cebcd981e6',
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _report(claim, plan):
     distribution, n, d, ratio, _ = CASES[claim]
-    report = run_plan_measured(
+    return run_plan_measured(
         plan, generate(distribution, n, d, seed=0), sample_ratio=ratio
     )
+
+
+def _fingerprint(claim, plan):
+    report = _report(claim, plan)
     ids = np.sort(report.skyline.ids).astype(np.int64)
     counters = report.merged_counters()
     return (
@@ -74,6 +104,17 @@ def _fingerprint(claim, plan):
     )
 
 
+def _counter_digest(claim, plan):
+    report = _report(claim, plan)
+    payload = {
+        "counters": report.merged_counters().counters_as_dict(),
+        "zkernel": report.details["kernel_stats"],
+    }
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()
+    ).hexdigest()[:16]
+
+
 @pytest.mark.parametrize(
     "claim,plan", [(claim, plan) for claim, case in CASES.items() for plan in case[4]]
 )
@@ -82,7 +123,18 @@ def test_cost_fingerprint(claim, plan):
     assert got == dict(zip(FIELDS, GOLDEN[claim, plan]))
 
 
+@pytest.mark.parametrize(
+    "claim,plan", [(claim, plan) for claim, case in CASES.items() for plan in case[4]]
+)
+def test_counter_fingerprint(claim, plan):
+    assert _counter_digest(claim, plan) == GOLDEN_COUNTERS[claim, plan]
+
+
 if __name__ == "__main__":
     for claim, case in CASES.items():
         for plan in case[4]:
             print(f"    ({claim!r}, {plan!r}): {_fingerprint(claim, plan)!r},")
+    print()
+    for claim, case in CASES.items():
+        for plan in case[4]:
+            print(f"    ({claim!r}, {plan!r}): {_counter_digest(claim, plan)!r},")
