@@ -32,7 +32,7 @@ def main() -> None:
     print(f"skyline size      : {report.skyline_size}")
     print(f"candidates emitted: {report.num_candidates}")
     print(f"input prefiltered : "
-          f"{report.phase1.counters.get('phase1', 'prefiltered_records')}")
+          f"{report.phase1.counters.counter('phase1', 'prefiltered_records')}")
     print(f"preprocess        : {report.preprocess_seconds:.3f}s")
     print(f"phase 1 (compute) : {report.phase1_seconds:.3f}s")
     print(f"phase 2 (merge)   : {report.merge_seconds:.3f}s")

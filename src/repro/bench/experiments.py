@@ -229,9 +229,9 @@ def fig9_candidates(
             report = run_plan_measured(
                 plan, ds, num_groups=num_groups, seed=seed
             )
-            pruned = report.phase1.counters.get(
+            pruned = report.phase1.counters.counter(
                 "phase1", "prefiltered_records"
-            ) + report.phase1.counters.get("phase1", "dropped_records")
+            ) + report.phase1.counters.counter("phase1", "dropped_records")
             table.add(
                 size_m=size_m,
                 n=n,
@@ -476,9 +476,9 @@ def pruning_analysis(
             "ZDG+ZS+ZM", ds, num_groups=num_groups, seed=seed
         )
         counters = report.phase1.counters
-        prefiltered = counters.get("phase1", "prefiltered_records")
-        dropped = counters.get("phase1", "dropped_records")
-        combiner = counters.get("phase1", "combiner_pruned")
+        prefiltered = counters.counter("phase1", "prefiltered_records")
+        dropped = counters.counter("phase1", "dropped_records")
+        combiner = counters.counter("phase1", "combiner_pruned")
         table.add(
             distribution=distribution,
             n=n,

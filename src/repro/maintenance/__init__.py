@@ -17,10 +17,10 @@ keeps the skyline of a changing set:
 
 from repro.maintenance.maintainer import BatchDelta, SkylineMaintainer
 from repro.maintenance.window import (
-    SlidingWindowSkyline, TimeWindowSkyline, WindowSkyline, WindowSpec,
+    SlidingWindowSkyline, WindowSkyline, WindowSpec,
 )
 
 __all__ = [
     "BatchDelta", "SkylineMaintainer", "SlidingWindowSkyline",
-    "TimeWindowSkyline", "WindowSkyline", "WindowSpec",
+    "WindowSkyline", "WindowSpec",
 ]

@@ -365,13 +365,3 @@ class SlidingWindowSkyline:
         self._window.extend(points, ids, ids.astype(np.float64))
         self._next_id += ids.size
         return ids
-
-
-class TimeWindowSkyline(WindowSkyline):
-    """Skyline over points whose timestamp is within ``horizon`` of the
-    newest observed time (``t > now - horizon``), under the caller's
-    ids — the same ids the serving registry knows them by."""
-
-    def __init__(self, codec: ZGridCodec, horizon: float) -> None:
-        super().__init__(codec, WindowSpec.time(horizon))
-        self.horizon = self.spec.horizon

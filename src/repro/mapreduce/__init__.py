@@ -7,7 +7,6 @@ counts — all of which are observable in-process.  This package provides:
 * :mod:`repro.mapreduce.types` — the :class:`Block` record batch (our
   splits are numpy blocks, so mappers/combiners/reducers stay
   vectorised; the API is Hadoop's ``mapPartitions`` shape);
-* :mod:`repro.mapreduce.counters` — Hadoop-style counter groups;
 * :mod:`repro.mapreduce.hdfs` — an in-memory DFS with I/O accounting;
 * :mod:`repro.mapreduce.cache` — the distributed cache (read-only side
   data shipped to every mapper: pivots, sample skyline, PGmap);
@@ -21,7 +20,9 @@ counts — all of which are observable in-process.  This package provides:
 * :mod:`repro.mapreduce.job` / :mod:`repro.mapreduce.runtime` — job
   specification and the engine that executes map → combine → shuffle →
   reduce rounds over the simulated cluster, including lineage-based
-  re-execution of lost map tasks and shuffle re-fetch;
+  re-execution of lost map tasks and shuffle re-fetch; a job's
+  Hadoop-style counter groups are a
+  :class:`~repro.observability.metrics.MetricsRegistry`;
 * :mod:`repro.mapreduce.parallel` / :mod:`repro.mapreduce.procpool` —
   drop-in executors that run the same rounds on real threads
   (:class:`ThreadedCluster`) or real worker processes
@@ -31,7 +32,6 @@ counts — all of which are observable in-process.  This package provides:
 
 from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.cluster import ClusterMetrics, SimulatedCluster, WorkerLedger
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.faults import FaultPlan, TransientTaskError
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.mapreduce.job import JobResult, MapReduceJob, TaskContext
@@ -43,7 +43,6 @@ from repro.mapreduce.types import Block
 __all__ = [
     "Block",
     "ClusterMetrics",
-    "Counters",
     "DistributedCache",
     "FaultPlan",
     "InMemoryDFS",

@@ -8,16 +8,16 @@ batches:
 * ``reducer(key, blocks, ctx) -> anything``
 
 Keys are the integer group ids produced by the partition rule.  The
-:class:`TaskContext` hands tasks the distributed cache, the job counters,
-and an :class:`~repro.zorder.zbtree.OpCounter` whose total becomes the
-task's abstract cost on the worker ledger.
+:class:`TaskContext` hands tasks the distributed cache, the job counters
+(a :class:`~repro.observability.metrics.MetricsRegistry`), and an
+:class:`~repro.zorder.zbtree.OpCounter` whose total becomes the task's
+abstract cost on the worker ledger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -28,13 +28,10 @@ from typing import (
 )
 
 from repro.core.exceptions import MapReduceError
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.observability.metrics import MetricsRegistry
 from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.cluster import ClusterMetrics
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.types import Block
+from repro.observability.metrics import MetricsRegistry
 from repro.zorder.zbtree import OpCounter
 
 Mapper = Callable[[Block, "TaskContext"], Iterable[Tuple[int, Block]]]
@@ -45,17 +42,19 @@ Reducer = Callable[[int, List[Block], "TaskContext"], Any]
 class TaskContext:
     """Per-task execution context.
 
-    ``metrics`` (optional) is a
-    :class:`~repro.observability.metrics.MetricsRegistry` collecting the
-    task's samples; without one :meth:`observe` degrades to a no-op so
-    job code never branches.
+    A task keeps two :class:`~repro.observability.metrics.MetricsRegistry`
+    instances because their merge rules differ: ``counters`` reach the
+    job only from the attempt whose output survives (Hadoop's rule),
+    while ``metrics`` (optional) collects samples merged for every
+    attempt that ran.  Without ``metrics`` :meth:`observe` degrades to a
+    no-op so job code never branches.
     """
 
     def __init__(
         self,
         cache: DistributedCache,
-        counters: Counters,
-        metrics: Optional["MetricsRegistry"] = None,
+        counters: MetricsRegistry,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.cache = cache
         self.counters = counters
@@ -101,13 +100,22 @@ FAULT_COUNTER_KEYS: "tuple" = (
 )
 
 
+def fault_counts(counters: MetricsRegistry) -> Dict[str, int]:
+    """Flat ``"group.name" -> value`` view of the failure counters (all
+    keys present, zero when the fault never fired)."""
+    return {
+        f"{group}.{name}": counters.counter(group, name)
+        for group, name in FAULT_COUNTER_KEYS
+    }
+
+
 @dataclass
 class JobResult:
     """Everything a driver learns from one executed job."""
 
     job_name: str
     outputs: Dict[int, Any]
-    counters: Counters
+    counters: MetricsRegistry
     map_metrics: ClusterMetrics
     reduce_metrics: ClusterMetrics
     shuffle_records: int = 0
@@ -130,13 +138,9 @@ class JobResult:
         return f"{self.job_name}@{self.attempt}"
 
     def fault_summary(self) -> Dict[str, int]:
-        """Flat ``"group.name" -> value`` view of the failure counters
-        (all keys present, zero when the fault never fired), plus the
-        job's execution attempt under ``"job.attempt"``."""
-        out = {
-            f"{group}.{name}": self.counters.get(group, name)
-            for group, name in FAULT_COUNTER_KEYS
-        }
+        """:func:`fault_counts` of the job's counters, plus the job's
+        execution attempt under ``"job.attempt"``."""
+        out = fault_counts(self.counters)
         out["job.attempt"] = self.attempt
         return out
 

@@ -17,8 +17,8 @@ its drain, which is share-nothing, Hadoop-style:
   pickle pipe;
 * results come back as plain data.  Two process-local clocks travel
   with each task: its CPU seconds (the ``cluster.task_cpu_seconds``
-  histogram) and the kernel-stats delta the worker's cache codec
-  accrued, which the drain merges into the coordinator cache's codec.
+  histogram) and the kernel-stats registry the worker's cache codec
+  filled, which the drain merges into the coordinator cache's codec.
 
 Determinism: the shared round resolves every task's fault schedule
 before dispatch, so only the surviving attempts cross the process
@@ -32,13 +32,14 @@ import multiprocessing
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.exceptions import MapReduceError
 from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.parallel import Drained, PooledCluster, Queue, drain_queue
 from repro.mapreduce.shm import RoundSegment, pack_blocks
 from repro.mapreduce.types import Block
+from repro.observability.metrics import MetricsRegistry
 
 
 # ----------------------------------------------------------------------
@@ -74,42 +75,41 @@ def _process_cpu_seconds() -> float:
         return float(times.user + times.system)
 
 
-def _kernel_stats_objects(cache) -> List:
-    """Distinct ``KernelStats`` objects reachable from cache entries
+def _codecs(cache) -> List:
+    """Distinct cache entries that keep a ``kernel_stats`` registry
     (deterministic key order, deduplicated by identity — the codec is
     typically referenced by several entries)."""
     found: List = []
     for key in sorted(cache or ()):
-        stats = getattr(cache.get(key), "kernel_stats", None)
-        if stats is not None and all(stats is not seen for seen in found):
-            found.append(stats)
+        entry = cache.get(key)
+        if hasattr(entry, "kernel_stats") and all(
+            entry is not seen for seen in found
+        ):
+            found.append(entry)
     return found
 
 
 def _measured(task):
     """Wrap one task with the process-local clocks it carries home.
 
-    ``KernelStats`` deliberately pickles empty, so the cache codec's
-    kernel counts a task accrues must travel as an explicit delta:
-    reset before the body, snapshot after.  The queue is drained
-    serially in a dedicated process, so both that delta and the
-    process's CPU delta (``getrusage``) are attributable to the task —
-    the CPU seconds are what let the fig-7 load-balance bench compare
-    the simulated cost model against real core-seconds.
+    A codec pickles without its kernel stats, so the counts a task
+    accrues travel home explicitly: every cached codec gets one fresh
+    registry before the body, and that registry is the task's kernel
+    stats.  The queue is drained serially in a dedicated process, so
+    both those stats and the process's CPU delta (``getrusage``) are
+    attributable to the task — the CPU seconds are what let the fig-7
+    load-balance bench compare the simulated cost model against real
+    core-seconds.
     """
 
     def run():
-        stats_objects = _kernel_stats_objects(_WORKER_CACHE)
-        for stats in stats_objects:
-            stats.reset()
+        stats = MetricsRegistry()
+        for codec in _codecs(_WORKER_CACHE):
+            codec.kernel_stats = stats
         cpu_start = _process_cpu_seconds()
         result, cost = task()
         cpu = max(0.0, _process_cpu_seconds() - cpu_start)
-        delta: Dict[str, int] = {}
-        for stats in stats_objects:
-            for name, value in stats.snapshot().items():
-                delta[name] = delta.get(name, 0) + int(value)
-        return (result, cpu, delta), cost
+        return (result, cpu, stats), cost
 
     return run
 
@@ -223,16 +223,16 @@ class ProcessPoolCluster(PooledCluster):
         finally:
             if segment is not None:
                 segment.close()
-        stats_objects = _kernel_stats_objects(self._cache)
+        codecs = _codecs(self._cache)
         out: List[Drained] = []
         for index, error, measured, cost, elapsed in drained:
             result = None
             if error is None:
-                result, cpu, delta = measured  # type: ignore[misc]
+                result, cpu, stats = measured  # type: ignore[misc]
                 if self.observer is not None:
                     self.observer.observe("cluster.task_cpu_seconds", cpu)
-                if delta and stats_objects:
-                    stats_objects[0].merge_snapshot(delta)
+                if codecs:
+                    codecs[0].kernel_stats.merge(stats)
             out.append((index, error, result, cost, elapsed))
         return out
 

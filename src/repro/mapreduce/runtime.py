@@ -24,9 +24,9 @@ Fault tolerance (active when a
 * every shuffled block is **checksum-verified**; a corrupted fetch is
   detected and re-fetched from the retained map output.
 
-Counters follow Hadoop's only-successful-attempts rule: map tasks
-accumulate into per-attempt counter sets that are merged into the job
-counters only for the attempt whose output actually survives, so a
+Job counters follow Hadoop's only-successful-attempts rule: map tasks
+accumulate into per-attempt counter registries that are merged into the
+job counters only for the attempt whose output actually survives, so a
 faulted run reports the same ``map.*``/``phase1.*`` record counts as a
 clean one.  The recovery work itself is observable through
 ``map.failed_attempts``, ``map.worker_crashes``, ``map.lost_map_outputs``,
@@ -63,7 +63,6 @@ import numpy as np
 from repro.core.exceptions import DeadlineExceededError, MapReduceError
 from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.cluster import ClusterMetrics, LostTask, SimulatedCluster
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.mapreduce.job import (
@@ -133,7 +132,7 @@ class TaskRecord:
     """
 
     payload: object
-    counters: Counters = field(default_factory=Counters)
+    counters: MetricsRegistry = field(default_factory=MetricsRegistry)
     span_attrs: Dict[str, object] = field(default_factory=dict)
     #: the task's ``ctx.metrics`` samples (counters, histograms); None
     #: when the run collects no metrics
@@ -164,7 +163,7 @@ class _Task:
     def _context(self) -> TaskContext:
         cache = self.cache if self.cache is not None else worker_cache()
         metrics = MetricsRegistry() if self.collect_metrics else None
-        return TaskContext(cache, Counters(), metrics=metrics)
+        return TaskContext(cache, MetricsRegistry(), metrics=metrics)
 
     @staticmethod
     def _record(
@@ -339,7 +338,7 @@ class MapReduceRuntime:
         if not input_blocks:
             raise MapReduceError("job needs at least one input split")
         started = time.perf_counter()
-        counters = Counters()
+        counters = MetricsRegistry()
         job_tag = job.name if attempt == 0 else f"{job.name}@{attempt}"
         job_span = self.tracer.start_span(
             "job", parent=parent_span, job=job.name, attempt=attempt,
@@ -382,12 +381,12 @@ class MapReduceRuntime:
             shuffle_bytes=shuffle_bytes,
             faults_injected=(
                 map_metrics.failed_attempts
-                + counters.get("reduce", "failed_attempts")
-                + counters.get("shuffle", "corrupt_blocks")
+                + counters.counter("reduce", "failed_attempts")
+                + counters.counter("shuffle", "corrupt_blocks")
             ),
             faults_recovered=(
-                counters.get("map", "reexecuted_tasks")
-                + counters.get("shuffle", "corrupt_blocks")
+                counters.counter("map", "reexecuted_tasks")
+                + counters.counter("shuffle", "corrupt_blocks")
             ),
         )
         job_span.finish()
@@ -427,7 +426,7 @@ class MapReduceRuntime:
         job: MapReduceJob,
         job_tag: str,
         input_blocks: Sequence[Block],
-        counters: Counters,
+        counters: MetricsRegistry,
         job_span: Span,
     ) -> Tuple[
         List[Dict[int, List[Block]]],
@@ -476,7 +475,7 @@ class MapReduceRuntime:
         phase_span.update(
             tasks=len(tasks),
             failed_attempts=failed,
-            reexecuted_tasks=counters.get("map", "reexecuted_tasks"),
+            reexecuted_tasks=counters.counter("map", "reexecuted_tasks"),
         )
         phase_span.finish()
         return map_outputs, map_metrics, recovery_metrics
@@ -487,7 +486,7 @@ class MapReduceRuntime:
         tasks: List[MapTask],
         records: List[TaskRecord],
         map_metrics: ClusterMetrics,
-        counters: Counters,
+        counters: MetricsRegistry,
     ) -> Tuple[List[Tuple[int, TaskRecord]], Optional[ClusterMetrics]]:
         """Re-execute map tasks whose worker crashed after the round.
 
@@ -539,7 +538,7 @@ class MapReduceRuntime:
         self,
         job_name: str,
         map_outputs: List[Dict[int, List[Block]]],
-        counters: Counters,
+        counters: MetricsRegistry,
         job_span: Span,
     ) -> Tuple[Dict[int, List[Block]], int, int]:
         plan = self.fault_plan
@@ -568,8 +567,8 @@ class MapReduceRuntime:
             records=records,
             bytes=nbytes,
             keys=len(grouped),
-            corrupt_blocks=counters.get("shuffle", "corrupt_blocks"),
-            refetched_bytes=counters.get("shuffle", "refetched_bytes"),
+            corrupt_blocks=counters.counter("shuffle", "corrupt_blocks"),
+            refetched_bytes=counters.counter("shuffle", "refetched_bytes"),
         )
         shuffle_span.finish()
         return grouped, records, nbytes
@@ -580,7 +579,7 @@ class MapReduceRuntime:
         key: int,
         fetch_index: int,
         block: Block,
-        counters: Counters,
+        counters: MetricsRegistry,
     ) -> Block:
         """Simulate one shuffle fetch with checksum verification.
 
@@ -606,7 +605,7 @@ class MapReduceRuntime:
         job: MapReduceJob,
         job_tag: str,
         grouped: Dict[int, List[Block]],
-        counters: Counters,
+        counters: MetricsRegistry,
         policy: Optional[ReducePolicy] = None,
         job_span: Optional[Span] = None,
     ) -> Tuple[Dict[int, object], Optional[Dict[str, object]]]:

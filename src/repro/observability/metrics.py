@@ -1,19 +1,17 @@
 """One registry for every measured quantity: counters, timers, histograms.
 
-Before this module the run's observables were scattered: Hadoop-style
-:class:`~repro.mapreduce.counters.Counters` per job, ad-hoc
-``perf_counter`` timers in the drivers, and per-worker ledgers on
-:class:`~repro.mapreduce.cluster.ClusterMetrics`.  The
-:class:`MetricsRegistry` unifies them behind one thread-safe API:
+The :class:`MetricsRegistry` is the batch engine's counting type.  Its
+Hadoop-style job counters (``TaskContext.counters``,
+``JobResult.counters``) and the Z-address codec's kernel-path stats
+(``ZGridCodec.kernel_stats``, group ``zkernel``) are registries, and so
+is every run's exported metrics set:
 
-* **counters** — the same ``group/name -> int`` model as ``Counters``
-  (and :meth:`absorb_counters` folds an existing job counter set in);
+* **counters** — ``group/name -> int``;
 * **timers** — named accumulated wall seconds with call counts;
 * **histograms** — named sample lists with summary statistics (the
   paper's per-group candidate counts and per-worker wall seconds).
 
-:meth:`merge` aggregates registries across jobs/runs, replacing the
-hand-rolled dict summing the drivers used to do, and
+:meth:`merge` aggregates registries across tasks, jobs and runs, and
 :meth:`export_jsonl` writes one self-describing JSON object per metric
 so a benchmark row can be regenerated from the file alone.
 """
@@ -25,10 +23,7 @@ import threading
 import time
 from collections import defaultdict
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Tuple
-
-if TYPE_CHECKING:  # runtime import would cycle through repro.mapreduce
-    from repro.mapreduce.counters import Counters
+from typing import Any, Dict, Iterator, List, Tuple
 
 
 def _percentile(samples: List[float], q: float) -> float:
@@ -61,6 +56,11 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get((group, name), 0)
 
+    # ``perfbench/workloads.py`` reads job counters with ``get(group,
+    # name)``; the benchmark is versioned apart from the program, so
+    # the accessor it calls stays as an alias.
+    get = counter
+
     def counters_as_dict(self) -> Dict[str, Dict[str, int]]:
         """Nested ``group -> name -> value`` snapshot."""
         with self._lock:
@@ -68,18 +68,6 @@ class MetricsRegistry:
             for (group, name), value in self._counters.items():
                 out.setdefault(group, {})[name] = value
             return out
-
-    def absorb_counters(self, counters: "Counters") -> None:
-        """Fold a Hadoop-style job counter set into the registry."""
-        for group, names in counters.as_dict().items():
-            for name, value in names.items():
-                self.inc(group, name, value)
-
-    @classmethod
-    def from_counters(cls, counters: "Counters") -> "MetricsRegistry":
-        registry = cls()
-        registry.absorb_counters(counters)
-        return registry
 
     # -- timers --------------------------------------------------------
     def record_time(self, name: str, seconds: float) -> None:

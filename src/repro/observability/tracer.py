@@ -7,7 +7,7 @@ partial-merge → final z-merge — each with monotonic timestamps
 (records in/out, bytes shuffled, dominance tests, faults
 injected/recovered).  The JSONL export is the ground truth a benchmark
 row can be regenerated from: aggregating span attributes reproduces the
-job ``Counters`` totals exactly (see :meth:`Tracer.totals`).
+job counter totals exactly (see :meth:`Tracer.totals`).
 
 Tracing defaults to **off**: the module-level :data:`NULL_TRACER`
 answers the whole API with shared no-op singletons, and the runtime
@@ -242,7 +242,7 @@ class Tracer:
         """Sum numeric span attributes across the tree.
 
         Spans marked :data:`SUPERSEDED` are skipped by default so the
-        totals reproduce the only-successful-attempt ``Counters``
+        totals reproduce the job counters' only-successful-attempt
         semantics: a re-executed map task contributes once.
         """
         out: Dict[str, float] = {name: 0 for name in names}

@@ -18,7 +18,7 @@ from repro.core.dataset import Dataset
 from repro.core.exceptions import ConfigurationError
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.faults import FaultPlan
-from repro.mapreduce.job import FAULT_COUNTER_KEYS, JobResult
+from repro.mapreduce.job import JobResult, fault_counts
 from repro.mapreduce.types import Block
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import NULL_TRACER, Tracer
@@ -139,7 +139,7 @@ class RunReport:
     @property
     def num_candidates(self) -> int:
         """Skyline candidates emitted by phase 1 (Figure 9's metric)."""
-        return self.phase1.counters.get("phase1", "candidates")
+        return self.phase1.counters.counter("phase1", "candidates")
 
     @property
     def preprocess_seconds(self) -> float:
@@ -246,17 +246,13 @@ class RunReport:
         read from."""
         merged = MetricsRegistry()
         for job in self._jobs():
-            merged.absorb_counters(job.counters)
+            merged.merge(job.counters)
         return merged
 
     def fault_summary(self) -> Dict[str, int]:
         """Failure/recovery counters summed over every executed job
         (``"group.name" -> value``; all zero on a clean run)."""
-        merged = self.merged_counters()
-        return {
-            f"{group}.{name}": merged.counter(group, name)
-            for group, name in FAULT_COUNTER_KEYS
-        }
+        return fault_counts(self.merged_counters())
 
     # ------------------------------------------------------------------
     # unified metrics
@@ -305,10 +301,10 @@ class RunReport:
             "plan": self.plan.label,
             "skyline": self.skyline_size,
             "candidates": self.num_candidates,
-            "prefiltered": self.phase1.counters.get(
+            "prefiltered": self.phase1.counters.counter(
                 "phase1", "prefiltered_records"
             ),
-            "dropped": self.phase1.counters.get("phase1", "dropped_records"),
+            "dropped": self.phase1.counters.counter("phase1", "dropped_records"),
             "shuffle_records": self.shuffle_records,
             "preprocess_s": round(self.preprocess_seconds, 4),
             "phase1_s": round(self.phase1_seconds, 4),

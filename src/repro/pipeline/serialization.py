@@ -176,8 +176,8 @@ def report_to_dict(report: RunReport) -> Dict[str, Any]:
         },
         "details": {k: str(v) for k, v in report.details.items()},
         "counters": {
-            "phase1": report.phase1.counters.as_dict(),
-            "phase2": report.phase2.counters.as_dict(),
+            "phase1": report.phase1.counters.counters_as_dict(),
+            "phase2": report.phase2.counters.counters_as_dict(),
         },
         "faults": report.fault_summary(),
         "recovery_cost": report.recovery_cost,

@@ -48,7 +48,6 @@ from repro.core.exceptions import (
 from repro.data.io import QUARANTINE_KEYS, sanitize_records
 from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.cluster import ClusterMetrics
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.mapreduce.job import JobResult
 from repro.mapreduce.runtime import MapReduceRuntime, ReducePolicy
@@ -396,15 +395,14 @@ class PipelineSupervisor:
                 )
 
         # The jobs encode with the published codec — the checkpointed
-        # one on a resumed run.  On the procpool path the per-worker
-        # deltas were merged back into its stats by the pool's drain,
-        # so the snapshot covers work done in worker processes too.
-        kernel_stats = pre.codec.kernel_stats.snapshot()
+        # one on a resumed run.  On the procpool path the per-task
+        # registries were merged back into its stats by the pool's
+        # drain, so they cover work done in worker processes too.
+        kernel_stats = pre.codec.kernel_stats
         if registry is not None:
             # Which kernel path (uint64 fast vs packed-byte wide) served
             # this run, and how many rows went through it.
-            for name, value in kernel_stats.items():
-                registry.inc("zkernel", name, value)
+            registry.merge(kernel_stats)
 
         total_seconds = time.perf_counter() - started
         details = {
@@ -413,7 +411,9 @@ class PipelineSupervisor:
             "num_groups": pre.rule.num_groups,
             "num_workers": cfg.num_workers,
             "executor": cfg.executor,
-            "kernel_stats": kernel_stats,
+            "kernel_stats": kernel_stats.counters_as_dict().get(
+                "zkernel", {}
+            ),
             "checkpoint_dir": sup.checkpoint_dir,
             "resumed_stages": resumed,
             "input": dict(quarantine),
@@ -613,7 +613,7 @@ class PipelineSupervisor:
             },
         }
         payload = {
-            "counters": result.counters.as_dict(),
+            "counters": result.counters.counters_as_dict(),
             "shuffle_records": result.shuffle_records,
             "shuffle_bytes": result.shuffle_bytes,
             "elapsed_seconds": result.elapsed_seconds,
@@ -627,7 +627,10 @@ class PipelineSupervisor:
         self, store: CheckpointStore, stage: str, job_name: str
     ) -> JobResult:
         payload = store.stage_payload(stage)
-        counters = Counters.from_dict(payload.get("counters", {}))
+        counters = MetricsRegistry()
+        for group, names in payload.get("counters", {}).items():
+            for name, value in names.items():
+                counters.inc(group, name, value)
         outputs: Dict[int, Any] = {
             key: block for key, block in store.load_blocks(stage)
         }

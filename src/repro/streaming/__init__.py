@@ -14,7 +14,7 @@ See ``docs/INTERNALS.md`` §17 for the model and invariants, and
 ``examples/streaming_subscriptions.py`` for an end-to-end tour.
 """
 
-from repro.maintenance.window import TimeWindowSkyline, WindowSpec
+from repro.maintenance.window import WindowSpec
 from repro.streaming.continuous import (
     STREAMING_GROUP,
     ContinuousQuery,
@@ -42,7 +42,6 @@ __all__ = [
     "StreamEvent",
     "Subscription",
     "SubscriptionHub",
-    "TimeWindowSkyline",
     "WindowSpec",
     "replay",
 ]

@@ -26,14 +26,13 @@ Z-address" before any computation.
 """
 
 from repro.zorder.encoding import ZGridCodec, quantize_dataset
-from repro.zorder.kernel import KernelStats, ZKernel
+from repro.zorder.kernel import ZKernel
 from repro.zorder.rzregion import RegionRelation, RZRegion
 from repro.zorder.zbtree import ZBTree, build_zbtree
 from repro.zorder.zmerge import zmerge, zmerge_all
 from repro.zorder.zsearch import zsearch, zsearch_dataset
 
 __all__ = [
-    "KernelStats",
     "RZRegion",
     "RegionRelation",
     "ZBTree",

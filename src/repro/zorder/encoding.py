@@ -36,7 +36,8 @@ import numpy as np
 from repro.core.dataset import Dataset
 from repro.core.exceptions import ZOrderError
 from repro.core.point import is_grid
-from repro.zorder.kernel import KernelStats, ZBatchLike, ZKernel
+from repro.observability.metrics import MetricsRegistry
+from repro.zorder.kernel import ZBatchLike, ZKernel
 
 DEFAULT_BITS_PER_DIM = 16
 
@@ -86,7 +87,30 @@ class ZGridCodec:
         self._pad_bits = (-self.total_bits) % 8
         self.kernel = ZKernel(self.dimensions, self.bits_per_dim)
         self.fast_path = self.kernel.fast_path
-        self.kernel_stats = KernelStats()
+        #: fast-path/fallback call accounting: ``zkernel`` counters
+        #: ``{name}_calls`` and ``{name}_rows``, which the pipeline folds
+        #: into the run's registry
+        self.kernel_stats = MetricsRegistry()
+
+    def _record(self, name: str, rows: int) -> None:
+        stats = self.kernel_stats
+        stats.inc("zkernel", f"{name}_calls")
+        stats.inc("zkernel", f"{name}_rows", rows)
+
+    def __getstate__(self) -> dict:
+        # Kernel stats are process-local telemetry: a pickled codec
+        # carries none, which also keeps equal codecs pickle-identical
+        # for the distributed cache's idempotent-republish check.
+        state = dict(self.__dict__)
+        del state["kernel_stats"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # setattr interns the names as default unpickling does, so a
+        # restored codec re-pickles to the same bytes.
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.kernel_stats = MetricsRegistry()
 
     @property
     def lows(self) -> np.ndarray:
@@ -197,7 +221,7 @@ class ZGridCodec:
         """
         g = self.check_grid(grid)
         name = "encode_fast" if self.fast_path else "encode_wide"
-        self.kernel_stats.record(name, g.shape[0])
+        self._record(name, g.shape[0])
         return self.kernel.interleave(g)
 
     def encode_grid(self, grid: np.ndarray) -> List[int]:
@@ -241,7 +265,7 @@ class ZGridCodec:
         """De-interleave a native Z-address batch to ``(n, d)`` uint32."""
         self._check_zbatch_range(zbatch)
         name = "decode_fast" if self.fast_path else "decode_wide"
-        self.kernel_stats.record(name, zbatch.shape[0])
+        self._record(name, zbatch.shape[0])
         return self.kernel.deinterleave(zbatch)
 
     def decode_to_grid(self, zaddress: int) -> np.ndarray:

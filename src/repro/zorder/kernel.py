@@ -29,9 +29,8 @@ checkpoints without caring which path produced it.
 
 from __future__ import annotations
 
-import threading
 from itertools import repeat
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,58 +61,6 @@ def _smear_u64(values: np.ndarray) -> np.ndarray:
     for shift in _U64_SMEAR_SHIFTS:
         mask |= mask >> np.uint64(shift)
     return mask
-
-
-class KernelStats:
-    """Thread-safe fast-path/fallback call accounting for one codec.
-
-    The pipeline folds a snapshot into its
-    :class:`~repro.observability.metrics.MetricsRegistry` under the
-    ``zkernel`` group, so an exported metrics file shows which path a
-    run took and how many rows went through it.
-    """
-
-    __slots__ = ("_lock", "_counts")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts: Dict[str, int] = {}
-
-    def record(self, name: str, rows: int) -> None:
-        with self._lock:
-            self._counts[f"{name}_calls"] = (
-                self._counts.get(f"{name}_calls", 0) + 1
-            )
-            self._counts[f"{name}_rows"] = (
-                self._counts.get(f"{name}_rows", 0) + int(rows)
-            )
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counts.clear()
-
-    def merge_snapshot(self, snapshot: Dict[str, int]) -> None:
-        """Fold another stats object's :meth:`snapshot` into this one.
-
-        Pickling deliberately empties the stats (see :meth:`__reduce__`),
-        so per-worker deltas must travel as explicit snapshots and be
-        merged coordinator-side — this is that merge.
-        """
-        with self._lock:
-            for name, value in snapshot.items():
-                self._counts[name] = self._counts.get(name, 0) + int(value)
-
-    def __reduce__(self):
-        # Counts are process-local telemetry (and the lock cannot
-        # cross a pickle boundary): a pickled codec carries a fresh,
-        # empty stats object.  This also keeps equal-by-construction
-        # codecs pickle-identical for the distributed cache's
-        # idempotent-republish check.
-        return (KernelStats, ())
 
 
 class ZKernel:
@@ -355,4 +302,4 @@ class ZKernel:
         )
 
 
-__all__ = ["KernelStats", "ZKernel", "ZBatchLike"]
+__all__ = ["ZKernel", "ZBatchLike"]

@@ -248,17 +248,17 @@ class TestRuntimeRecovery:
             FaultPlan(seed=11, worker_crash_rate=0.5, backoff_base=0.0)
         )
         assert self.output_ids(faulted) == self.output_ids(clean)
-        assert faulted.counters.get("map", "worker_crashes") > 0
-        assert faulted.counters.get("map", "reexecuted_tasks") > 0
+        assert faulted.counters.counter("map", "worker_crashes") > 0
+        assert faulted.counters.counter("map", "reexecuted_tasks") > 0
         assert faulted.recovery_metrics is not None
         assert faulted.recovery_cost > 0
         # Hadoop counter semantics: only surviving attempts count, so
         # record counters match the clean run exactly.
-        assert faulted.counters.get("map", "input_records") == (
-            clean.counters.get("map", "input_records")
+        assert faulted.counters.counter("map", "input_records") == (
+            clean.counters.counter("map", "input_records")
         )
-        assert faulted.counters.get("map", "output_records") == (
-            clean.counters.get("map", "output_records")
+        assert faulted.counters.counter("map", "output_records") == (
+            clean.counters.counter("map", "output_records")
         )
 
     def test_crashed_workers_excluded_from_recovery_placement(self):
@@ -279,8 +279,8 @@ class TestRuntimeRecovery:
         clean = self.run_job(None)
         faulted = self.run_job(FaultPlan(seed=5, corruption_rate=0.5))
         assert self.output_ids(faulted) == self.output_ids(clean)
-        assert faulted.counters.get("shuffle", "corrupt_blocks") > 0
-        assert faulted.counters.get("shuffle", "refetched_bytes") > 0
+        assert faulted.counters.counter("shuffle", "corrupt_blocks") > 0
+        assert faulted.counters.counter("shuffle", "refetched_bytes") > 0
         # The logical shuffle volume is the clean one; re-fetch traffic
         # is reported separately.
         assert faulted.shuffle_records == clean.shuffle_records
@@ -306,14 +306,14 @@ class TestRuntimeRecovery:
         runtime = MapReduceRuntime(SimulatedCluster(2))
         job = MapReduceJob("j", parity_mapper, scalar_reducer)
         result = runtime.run(job, make_blocks(), output_path="out")
-        assert result.counters.get("dfs", "skipped_outputs") == 2
+        assert result.counters.counter("dfs", "skipped_outputs") == 2
         assert runtime.dfs.read("out") == []
 
     def test_skipped_outputs_zero_for_block_outputs(self):
         runtime = MapReduceRuntime(SimulatedCluster(2))
         job = MapReduceJob("j", parity_mapper, concat_reducer)
         result = runtime.run(job, make_blocks(), output_path="out")
-        assert result.counters.get("dfs", "skipped_outputs") == 0
+        assert result.counters.counter("dfs", "skipped_outputs") == 0
 
 
 class TestDFSChecksums:
@@ -393,8 +393,8 @@ class TestSkylineIdenticalUnderFaults:
         second = run_plan("ZDG+ZS+ZM", dataset, **kwargs)
         assert first.fault_summary() == second.fault_summary()
         assert (
-            first.phase1.counters.as_dict()
-            == second.phase1.counters.as_dict()
+            first.phase1.counters.counters_as_dict()
+            == second.phase1.counters.counters_as_dict()
         )
         assert sorted(first.skyline.ids.tolist()) == sorted(
             second.skyline.ids.tolist()

@@ -7,6 +7,7 @@ from repro.core.exceptions import ConfigurationError, MapReduceError
 from repro.core.skyline import is_skyline_of
 from repro.data.synthetic import anticorrelated
 from repro.mapreduce.parallel import ThreadedCluster
+from repro.observability.metrics import MetricsRegistry
 from repro.zorder.encoding import quantize_dataset
 
 
@@ -122,9 +123,7 @@ class TestThreadedCluster:
 
 class TestCountersConcurrency:
     def test_inc_hammered_from_worker_threads(self):
-        from repro.mapreduce.counters import Counters
-
-        counters = Counters()
+        counters = MetricsRegistry()
         increments_per_task, tasks_n = 500, 32
 
         def make_task(i):
@@ -140,16 +139,14 @@ class TestCountersConcurrency:
             "p", [make_task(i) for i in range(tasks_n)]
         )
         assert results == list(range(tasks_n))
-        assert counters.get("hammer", "n") == increments_per_task * tasks_n
+        assert counters.counter("hammer", "n") == increments_per_task * tasks_n
 
     def test_merge_hammered_from_worker_threads(self):
-        from repro.mapreduce.counters import Counters
-
-        shared = Counters()
+        shared = MetricsRegistry()
 
         def make_task(i):
             def task():
-                local = Counters()
+                local = MetricsRegistry()
                 for _ in range(200):
                     local.inc("g", "n")
                     local.inc("g", f"task_{i}")
@@ -160,9 +157,9 @@ class TestCountersConcurrency:
 
         cluster = ThreadedCluster(8)
         cluster.run_round("p", [make_task(i) for i in range(24)])
-        assert shared.get("g", "n") == 200 * 24
+        assert shared.counter("g", "n") == 200 * 24
         for i in range(24):
-            assert shared.get("g", f"task_{i}") == 200
+            assert shared.counter("g", f"task_{i}") == 200
 
 
 class TestThreadedEngine:

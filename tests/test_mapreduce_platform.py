@@ -1,4 +1,4 @@
-"""Unit tests for counters, cache, DFS, and the simulated cluster."""
+"""Unit tests for job counters, cache, DFS, and the simulated cluster."""
 
 import numpy as np
 import pytest
@@ -6,36 +6,41 @@ import pytest
 from repro.core.exceptions import MapReduceError
 from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.cluster import SimulatedCluster
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.mapreduce.types import Block
+from repro.observability.metrics import MetricsRegistry
 
 
 class TestCounters:
+    """Job counters are a :class:`MetricsRegistry`'s counter groups."""
+
     def test_inc_and_get(self):
-        c = Counters()
+        c = MetricsRegistry()
         c.inc("map", "records", 5)
         c.inc("map", "records", 3)
+        assert c.counter("map", "records") == 8
         assert c.get("map", "records") == 8
 
     def test_missing_counter_is_zero(self):
-        assert Counters().get("x", "y") == 0
+        assert MetricsRegistry().counter("x", "y") == 0
+        assert MetricsRegistry().get("x", "y") == 0
 
     def test_merge(self):
-        a, b = Counters(), Counters()
+        a, b = MetricsRegistry(), MetricsRegistry()
         a.inc("g", "n", 1)
         b.inc("g", "n", 2)
         b.inc("h", "m", 7)
         a.merge(b)
-        assert a.get("g", "n") == 3
-        assert a.get("h", "m") == 7
+        assert a.counter("g", "n") == 3
+        assert a.counter("h", "m") == 7
+        assert b.counter("g", "n") == 2
 
     def test_as_dict_snapshot(self):
-        c = Counters()
+        c = MetricsRegistry()
         c.inc("g", "n")
-        snap = c.as_dict()
+        snap = c.counters_as_dict()
         snap["g"]["n"] = 999
-        assert c.get("g", "n") == 1
+        assert c.counter("g", "n") == 1
 
 
 class TestCache:

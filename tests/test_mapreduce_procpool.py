@@ -10,8 +10,8 @@ The acceptance contract:
 * shared-memory Block transport round-trips arrays bit-exactly;
 * the full engine produces a bit-identical skyline and identical
   counters under ``executor="procpool"``, and kernel stats measured in
-  worker processes are merged back (the ``KernelStats.__reduce__``
-  blind spot);
+  worker processes are merged back (a pickled codec carries no kernel
+  stats, so they would otherwise be lost);
 * a checkpointed run interrupted under one executor resumes onto a
   process pool.
 """
@@ -33,7 +33,6 @@ from repro.core.exceptions import (
 from repro.data.synthetic import anticorrelated, independent
 from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.cluster import LostTask
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.procpool import ProcessPoolCluster, worker_cache
 from repro.mapreduce.shm import (
@@ -43,10 +42,10 @@ from repro.mapreduce.shm import (
     resolve_block,
 )
 from repro.mapreduce.types import Block
+from repro.observability.metrics import MetricsRegistry
 from repro.pipeline.phase1 import Phase1Combiner, Phase1Mapper, Phase1Reducer
 from repro.pipeline.phase2 import AlgorithmReducer, PartialMergeMapper
-from repro.zorder.encoding import quantize_dataset
-from repro.zorder.kernel import KernelStats
+from repro.zorder.encoding import ZGridCodec, quantize_dataset
 
 
 # ----------------------------------------------------------------------
@@ -287,13 +286,13 @@ class TestShmTransport:
 # ----------------------------------------------------------------------
 class TestPoolBoundaryPickling:
     def test_counters_round_trip(self):
-        counters = Counters()
+        counters = MetricsRegistry()
         counters.inc("map", "input_records", 41)
         counters.inc("shuffle", "bytes", 7)
         clone = pickle.loads(pickle.dumps(counters))
-        assert clone.as_dict() == counters.as_dict()
+        assert clone.counters_as_dict() == counters.counters_as_dict()
         clone.inc("map", "input_records")  # still usable (lock restored)
-        assert clone.get("map", "input_records") == 42
+        assert clone.counter("map", "input_records") == 42
 
     @given(
         st.dictionaries(
@@ -308,10 +307,12 @@ class TestPoolBoundaryPickling:
     )
     @settings(max_examples=25, deadline=None)
     def test_counters_round_trip_property(self, payload):
-        counters = Counters()
-        counters.update_from_dict(payload)
+        counters = MetricsRegistry()
+        for group, names in payload.items():
+            for name, value in names.items():
+                counters.inc(group, name, value)
         clone = pickle.loads(pickle.dumps(counters))
-        assert clone.as_dict() == counters.as_dict()
+        assert clone.counters_as_dict() == counters.counters_as_dict()
 
     def test_fault_plan_round_trip_preserves_schedule(self):
         plan = FaultPlan(
@@ -349,13 +350,15 @@ class TestPoolBoundaryPickling:
     def test_kernel_stats_pickle_empty_by_design(self):
         # Cache payloads must be byte-stable across runs, so a codec's
         # embedded stats never travel; the pool drain carries each
-        # task's delta home and merges it back explicitly.
-        stats = KernelStats()
-        stats.merge_snapshot({"encode_fast_calls": 9})
-        clone = pickle.loads(pickle.dumps(stats))
-        assert clone.snapshot() == {}
-        clone.merge_snapshot(stats.snapshot())
-        assert clone.snapshot() == {"encode_fast_calls": 9}
+        # task's registry home and merges it back explicitly.
+        codec = ZGridCodec.unit_cube(3, bits_per_dim=8)
+        codec.kernel_stats.inc("zkernel", "encode_fast_calls", 9)
+        clone = pickle.loads(pickle.dumps(codec))
+        assert clone.kernel_stats.counters_as_dict() == {}
+        clone.kernel_stats.merge(codec.kernel_stats)
+        assert clone.kernel_stats.counters_as_dict() == {
+            "zkernel": {"encode_fast_calls": 9}
+        }
 
     def test_preprocess_artifacts_round_trip(self):
         from repro.pipeline.plans import parse_plan
@@ -449,20 +452,20 @@ class TestProcessPoolEngine:
             executor="procpool",
         )
         assert (
-            pooled.phase1.counters.as_dict()
-            == base.phase1.counters.as_dict()
+            pooled.phase1.counters.counters_as_dict()
+            == base.phase1.counters.counters_as_dict()
         )
         assert (
-            pooled.phase2.counters.as_dict()
-            == base.phase2.counters.as_dict()
+            pooled.phase2.counters.counters_as_dict()
+            == base.phase2.counters.counters_as_dict()
         )
         # The deterministic cost model is executor-independent.
         assert pooled.total_cost == base.total_cost
 
     def test_kernel_stats_survive_the_process_boundary(self, dataset):
-        # Regression: ``KernelStats.__reduce__`` pickles empty, so
-        # before the explicit delta carry every encode/decode done in a
-        # worker process was silently dropped from the report.
+        # Regression: a pickled codec carries no kernel stats, so
+        # without the per-task registry carried home every encode/decode
+        # done in a worker process would be silently dropped.
         pooled = run_plan(
             "ZDG+ZS+ZM", dataset, num_groups=8, num_workers=4, seed=0,
             executor="procpool",

@@ -42,7 +42,7 @@ class TestRuntime:
         )
         result = runtime.run(job, make_blocks())
         assert result.outputs == {0: 20, 1: 20}
-        assert result.counters.get("map", "input_records") == 40
+        assert result.counters.counter("map", "input_records") == 40
         assert result.shuffle_records == 40
         assert result.elapsed_seconds > 0
 
@@ -126,7 +126,7 @@ class TestRuntime:
             MapReduceJob("c", counting_mapper, count_reducer),
             make_blocks(n_blocks=6),
         )
-        assert result.counters.get("custom", "blocks") == 6
+        assert result.counters.counter("custom", "blocks") == 6
 
     def test_mapper_emitting_nothing(self):
         def silent_mapper(block, ctx):
@@ -181,4 +181,4 @@ class TestRuntime:
         assert retried.tagged_name == "tagged@2"
         assert retried.fault_summary()["job.attempt"] == 2
         # counters are per-execution, not bled across attempts
-        assert retried.counters.get("map", "input_records") == 40
+        assert retried.counters.counter("map", "input_records") == 40

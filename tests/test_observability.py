@@ -5,7 +5,7 @@ The acceptance contract:
 * a traced run's span tree is structurally valid — every executed
   map/reduce task appears exactly once (re-executed attempts are marked
   superseded), parents resolve, durations are non-negative;
-* aggregating span attributes reproduces the job ``Counters`` totals
+* aggregating span attributes reproduces the job counter totals
   *exactly* (dominance tests, shuffle records/bytes), including under
   fault injection and recovery;
 * the :class:`MetricsRegistry` is safe to hammer from concurrent
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro.core.exceptions import ConfigurationError
 from repro.data.synthetic import independent
 from repro.mapreduce.cluster import SimulatedCluster
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.parallel import ThreadedCluster
@@ -193,11 +192,16 @@ class TestMetricsRegistry:
         }
 
     def test_counters_round_trip_with_job_counters(self):
-        counters = Counters()
+        # A job's counters fold into the run registry (what
+        # ``RunReport.merged_counters`` does) and survive its export.
+        counters = MetricsRegistry()
         counters.inc("map", "input_records", 7)
         counters.inc("shuffle", "bytes", 99)
-        reg = MetricsRegistry.from_counters(counters)
-        assert reg.counters_as_dict() == counters.as_dict()
+        reg = MetricsRegistry()
+        reg.merge(counters)
+        assert reg.counters_as_dict() == counters.counters_as_dict()
+        restored = registry_from_rows(reg.to_rows())
+        assert restored.counters_as_dict() == counters.counters_as_dict()
 
     def test_timers(self):
         reg = MetricsRegistry()
@@ -371,7 +375,7 @@ class TestSpanTreeProperties:
         # exactly one surviving span per input split, one superseded
         # span per re-executed attempt
         assert len(live) == n_blocks
-        assert len(superseded) == result.counters.get(
+        assert len(superseded) == result.counters.counter(
             "map", "reexecuted_tasks"
         )
         assert len(tracer.named("reduce.task")) == len(result.outputs)
@@ -423,7 +427,7 @@ class TestSpanTreeAcrossExecutors:
     def test_superseded_attempts_traced_on_every_executor(self, executor):
         tracer, result = self.run_probe(executor)
         tracer.validate()
-        reexecuted = result.counters.get("map", "reexecuted_tasks")
+        reexecuted = result.counters.counter("map", "reexecuted_tasks")
         assert reexecuted > 0  # the seed must exercise recovery
         map_spans = tracer.named("map.task")
         superseded = [s for s in map_spans if s.attributes.get(SUPERSEDED)]

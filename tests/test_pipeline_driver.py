@@ -136,8 +136,8 @@ class TestEngineBehaviour:
         # Points were eliminated before the shuffle, via prefilter
         # and/or dominated-partition drops.
         counters = report.phase1.counters
-        eliminated = counters.get("phase1", "prefiltered_records") + (
-            counters.get("phase1", "dropped_records")
+        eliminated = counters.counter("phase1", "prefiltered_records") + (
+            counters.counter("phase1", "dropped_records")
         )
         assert eliminated > 1000
 

@@ -47,7 +47,7 @@ class TestPhase1:
         job = make_phase1_job(plan)
         result = runtime.run(job, split_dataset(snapped, 8))
         total = sum(b.size for b in result.outputs.values())
-        assert result.counters.get("phase1", "candidates") == total
+        assert result.counters.counter("phase1", "candidates") == total
 
     def test_prefilter_reduces_shuffle(self):
         snapped, codec, plan, pre, runtime = setup_runtime("Naive-Z+ZS")
@@ -62,7 +62,7 @@ class TestPhase1:
             make_phase1_job(plan_off), split_dataset(snapped, 8)
         )
         assert with_filter.shuffle_records < without.shuffle_records
-        assert with_filter.counters.get("phase1", "prefiltered_records") > 0
+        assert with_filter.counters.counter("phase1", "prefiltered_records") > 0
 
     def test_prefilter_never_drops_skyline_points(self):
         snapped, codec, plan, pre, runtime = setup_runtime("ZDG+ZS")

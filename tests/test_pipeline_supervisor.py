@@ -79,7 +79,7 @@ def report_fingerprint(report):
     return {
         "skyline_ids": report.skyline.ids.tolist(),
         "skyline_points": report.skyline.points.tobytes(),
-        "counters": [job.counters.as_dict() for job in jobs],
+        "counters": [job.counters.counters_as_dict() for job in jobs],
         "ledgers": [
             [
                 (ledger.tasks, ledger.cost_units)
@@ -405,7 +405,7 @@ class TestGracefulDegradation:
             str(g) in detail["lost_reasons"] for g in rep.lost_groups
         )
         assert 0.0 <= detail["candidate_coverage"] < 1.0
-        assert rep.phase1.counters.get("reduce", "lost_tasks") >= 1
+        assert rep.phase1.counters.counter("reduce", "lost_tasks") >= 1
         summary = rep.summary()
         assert summary["completeness"] < 1.0
         assert summary["lost_groups"] == len(rep.lost_groups)

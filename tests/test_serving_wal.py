@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import ConfigurationError, WriterDownError
+from repro.observability.metrics import MetricsRegistry
 from repro.serving.faults import WRITER_PHASES, ServingFaultPlan
 from repro.serving.registry import DatasetRegistry, DriftPolicy
 from repro.serving.wal import DatasetStore, MutationWAL, WalRecord
@@ -473,11 +474,11 @@ def test_recovery_and_drift_rebuild_encode_each_row_once(tmp_path):
     for batch in range(3):
         registry.insert("ds", _points(rng, 10), range(1000 + 10 * batch, 1010 + 10 * batch))
     registry.delete("ds", range(0, 20))
-    codec.kernel_stats.reset()
+    codec.kernel_stats = MetricsRegistry()
     recovered = registry.recover("ds")
-    encoded = codec.kernel_stats.snapshot()["encode_fast_rows"]
+    encoded = codec.kernel_stats.counter("zkernel", "encode_fast_rows")
     assert encoded == 120 + 30  # the checkpoint's rows, then the replay
-    codec.kernel_stats.reset()
+    codec.kernel_stats = MetricsRegistry()
     assert registry.delete("ds", range(20, 30)).rebuilt  # 30 > 25 deletes
-    assert codec.kernel_stats.snapshot().get("encode_fast_rows", 0) == 0
+    assert codec.kernel_stats.counter("zkernel", "encode_fast_rows") == 0
     assert recovered.size == 130

@@ -26,7 +26,7 @@ from repro.core.exceptions import (
     DatasetError,
     OverloadedError,
 )
-from repro.maintenance.window import SlidingWindowSkyline
+from repro.maintenance.window import SlidingWindowSkyline, WindowSkyline
 from repro.observability.metrics import MetricsRegistry
 from repro.serving import DatasetRegistry, DriftPolicy
 from repro.serving.admission import AdmissionConfig, AdmissionController
@@ -39,7 +39,6 @@ from repro.streaming import (
     IngestFeed,
     SkylineDiff,
     SubscriptionHub,
-    TimeWindowSkyline,
     WindowSpec,
     replay,
 )
@@ -171,7 +170,7 @@ class TestBatchedExtend:
 
 class TestTimeWindow:
     def test_expiry_is_half_open(self):
-        window = TimeWindowSkyline(_codec(), horizon=2.0)
+        window = WindowSkyline(_codec(), WindowSpec.time(2.0))
         window.append([1.0, 2.0, 3.0], 10, timestamp=1.0)
         window.append([2.0, 1.0, 3.0], 11, timestamp=2.0)
         # t=3: cutoff is 1.0 — the t=1.0 point is exactly horizon old
@@ -185,8 +184,8 @@ class TestTimeWindow:
         rng = np.random.default_rng(3)
         points = _grid(rng, 30)
         stamps = np.sort(rng.uniform(0, 10, size=30))
-        a = TimeWindowSkyline(_codec(), horizon=3.0)
-        b = TimeWindowSkyline(_codec(), horizon=3.0)
+        a = WindowSkyline(_codec(), WindowSpec.time(3.0))
+        b = WindowSkyline(_codec(), WindowSpec.time(3.0))
         for i in range(30):
             a.append(points[i], 100 + i, stamps[i])
         b.extend(points, np.arange(100, 130), stamps)
@@ -198,7 +197,7 @@ class TestTimeWindow:
         b.verify()
 
     def test_clock_never_regresses(self):
-        window = TimeWindowSkyline(_codec(), horizon=1.0)
+        window = WindowSkyline(_codec(), WindowSpec.time(1.0))
         window.append([1.0, 1.0, 1.0], 1, timestamp=5.0)
         with pytest.raises(DatasetError):
             window.append([2.0, 2.0, 2.0], 2, timestamp=4.0)
@@ -206,7 +205,7 @@ class TestTimeWindow:
             window.advance_to(3.0)
 
     def test_already_expired_rows_never_inserted(self):
-        window = TimeWindowSkyline(_codec(), horizon=1.0)
+        window = WindowSkyline(_codec(), WindowSpec.time(1.0))
         expired = window.extend(
             np.asarray([[1.0, 1, 1], [2.0, 2, 2], [3.0, 3, 3]]),
             [1, 2, 3],
@@ -752,8 +751,10 @@ def test_streaming_soundness_oracle(batches, window, use_time):
 # and in every continuous query
 # ----------------------------------------------------------------------
 def _encoded_rows(codec) -> int:
-    counts = codec.kernel_stats.snapshot()
-    return counts.get("encode_fast_rows", 0) + counts.get("encode_wide_rows", 0)
+    stats = codec.kernel_stats
+    return stats.counter("zkernel", "encode_fast_rows") + stats.counter(
+        "zkernel", "encode_wide_rows"
+    )
 
 
 @pytest.mark.parametrize("durable", [False, True])
@@ -776,7 +777,7 @@ def test_each_admitted_row_is_encoded_once(tmp_path, durable):
         registry, "ds", config=FeedConfig(batch_size=64),
         window=WindowSpec.count(200),
     )
-    codec.kernel_stats.reset()
+    codec.kernel_stats = MetricsRegistry()
     flushes = 12
     for row in _grid(rng, 64 * flushes):
         feed.append(row)

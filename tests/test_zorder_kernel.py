@@ -51,12 +51,12 @@ from repro.core.exceptions import ZOrderError
 from repro.core.point import dominance_counts
 from repro.data.synthetic import independent
 from repro.mapreduce.types import Block
-from repro.observability import Tracer
+from repro.observability import MetricsRegistry, Tracer
 from repro.partitioning.zcurve import ZCurveRule
 from repro.pipeline.checkpoint import STAGE_PHASE1, CheckpointStore
 from repro.pipeline.driver import run_plan
 from repro.zorder.encoding import ZGridCodec
-from repro.zorder.kernel import KernelStats, ZKernel
+from repro.zorder.kernel import ZKernel
 from repro.zorder.rzregion import RZRegion
 from repro.zorder.zbtree import OpCounter, ZBTree, build_zbtree
 from repro.zorder.zmerge import _zmerge_scan, zmerge, zmerge_all
@@ -1246,16 +1246,27 @@ class TestVectorisedPointOps:
 
 class TestKernelStats:
     def test_record_snapshot_reset(self):
-        stats = KernelStats()
-        stats.record("encode_fast", 10)
-        stats.record("encode_fast", 5)
-        stats.record("decode_wide", 3)
-        snap = stats.snapshot()
-        assert snap["encode_fast_calls"] == 2
-        assert snap["encode_fast_rows"] == 15
-        assert snap["decode_wide_calls"] == 1
-        stats.reset()
-        assert stats.snapshot() == {}
+        # The codec counts calls and rows per kernel path under the
+        # ``zkernel`` group of its registry.
+        fast = ZGridCodec.grid_identity(4, bits_per_dim=8)
+        fast.encode_grid_batch(np.ones((10, 4), dtype=np.int64))
+        fast.encode_grid_batch(np.ones((5, 4), dtype=np.int64))
+        assert fast.kernel_stats.counters_as_dict() == {
+            "zkernel": {"encode_fast_calls": 2, "encode_fast_rows": 15}
+        }
+        wide = ZGridCodec.grid_identity(10, bits_per_dim=8)
+        assert not wide.fast_path
+        wide.decode_batch(
+            wide.encode_grid_batch(np.ones((3, 10), dtype=np.int64))
+        )
+        assert wide.kernel_stats.counter("zkernel", "decode_wide_calls") == 1
+        assert wide.kernel_stats.counter("zkernel", "decode_wide_rows") == 3
+        # A fresh registry resets the counts (what a pool worker does
+        # before each task).
+        fast.kernel_stats = MetricsRegistry()
+        assert fast.kernel_stats.counters_as_dict() == {}
+        fast.encode_grid_batch(np.ones((2, 4), dtype=np.int64))
+        assert fast.kernel_stats.counter("zkernel", "encode_fast_rows") == 2
 
     def test_codec_pickles_identically_regardless_of_stats(self):
         # The distributed cache's idempotent-republish check compares
@@ -1263,10 +1274,13 @@ class TestKernelStats:
         a = ZGridCodec.grid_identity(4, bits_per_dim=8)
         b = ZGridCodec.grid_identity(4, bits_per_dim=8)
         a.encode_grid_batch(np.ones((5, 4), dtype=np.int64))
-        assert a.kernel_stats.snapshot() != b.kernel_stats.snapshot()
+        assert (
+            a.kernel_stats.counters_as_dict()
+            != b.kernel_stats.counters_as_dict()
+        )
         assert pickle.dumps(a) == pickle.dumps(b)
         restored = pickle.loads(pickle.dumps(a))
-        assert restored.kernel_stats.snapshot() == {}
+        assert restored.kernel_stats.counters_as_dict() == {}
 
 
 class TestBlockZCarry:
