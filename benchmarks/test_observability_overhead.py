@@ -14,7 +14,8 @@ Two claims, both load-bearing for the tracing design:
 
 Min-of-repeats is used on both sides: the minimum is the standard
 robust estimator for "how fast can this code go", which is exactly the
-quantity an overhead comparison needs.
+quantity an overhead comparison needs.  The traced and untraced repeats
+alternate, so drift in the host's speed reaches both sides alike.
 """
 
 from conftest import once
@@ -32,12 +33,15 @@ def _fig9_dataset(scale):
     return independent(scale.size(60), 5, seed=0)
 
 
-def _min_wall(dataset, **kwargs):
-    reports = [
-        run_plan_measured(PLAN, dataset, num_workers=8, **kwargs)
-        for _ in range(REPEATS)
-    ]
-    return min(r.total_seconds for r in reports), reports[-1]
+def _min_walls(dataset):
+    """``(min wall, last report)`` of the traced and of the untraced
+    runs, ``REPEATS`` each, run in alternation."""
+    modes = ({"tracer": Tracer()}, {})
+    reports = [[], []]
+    for _ in range(REPEATS):
+        for kwargs, runs in zip(modes, reports):
+            runs.append(run_plan_measured(PLAN, dataset, num_workers=8, **kwargs))
+    return [(min(r.total_seconds for r in runs), runs[-1]) for runs in reports]
 
 
 def _run(scale):
@@ -47,8 +51,7 @@ def _run(scale):
         ["mode", "total_s", "ratio_vs_traced", "spans", "skyline"],
     )
 
-    traced_s, traced_report = _min_wall(dataset, tracer=Tracer())
-    off_s, off_report = _min_wall(dataset)
+    (traced_s, traced_report), (off_s, off_report) = _min_walls(dataset)
 
     assert off_report.trace is None
     assert traced_report.trace is not None

@@ -9,8 +9,7 @@ once, when it is admitted; every tree the maintainer builds afterwards
 the stored Z-addresses and columns.  Inserts are Z-merge folds; deletes
 re-promote stored points that were exclusively dominated by removed
 skyline members.  Every applied batch returns its :class:`BatchDelta`,
-so consumers never diff alive sets.  The skyline tree is never changed
-once built, so a published snapshot can hold it (:attr:`sky_tree`).
+so consumers never diff alive sets.
 
 All points must already live on the maintainer's grid (integer-valued
 coordinates for the configured codec), like everywhere else in the
@@ -189,12 +188,6 @@ class SkylineMaintainer:
     @property
     def skyline_size(self) -> int:
         return self._sky.size
-
-    @property
-    def sky_tree(self) -> ZBTree:
-        """The maintained skyline tree.  Never changed once built (an
-        update swaps in a new tree), so a snapshot can hold it."""
-        return self._sky
 
     def skyline(self) -> Tuple[np.ndarray, np.ndarray]:
         """Current skyline as ``(points, ids)`` in Z-order."""

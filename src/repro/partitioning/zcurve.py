@@ -144,8 +144,23 @@ class ZCurveRule(PartitionRule):
         return RZRegion(self.codec, lo, hi)
 
     def regions(self) -> List[RZRegion]:
-        """RZ-regions of all partitions in pid order."""
-        return [self.region(pid) for pid in range(self._num_partitions)]
+        """RZ-regions of all partitions in pid order, from one batched
+        region-bounds pass and one decode of every corner."""
+        codec, kernel = self.codec, self.codec.kernel
+        minz, maxz = kernel.region_bounds(
+            kernel.from_ints([0] + self.pivots),
+            kernel.from_ints(
+                [pivot - 1 for pivot in self.pivots] + [codec.max_zaddress]
+            ),
+        )
+        corners = codec.decode_batch(np.concatenate((minz, maxz)))
+        count = self._num_partitions
+        return [
+            RZRegion.from_corners(lo, hi, corners[pid], corners[count + pid])
+            for pid, (lo, hi) in enumerate(
+                zip(kernel.to_int_list(minz), kernel.to_int_list(maxz))
+            )
+        ]
 
     def describe(self) -> dict:
         dropped = int((self._group_map == DROPPED).sum())

@@ -24,7 +24,7 @@ On top of the single service sits the sharded tier: a
 :class:`~repro.serving.shard.ShardMap` assigns Z-address ranges to
 shards, :class:`~repro.serving.router.ShardedSkylineService`
 scatter-gathers queries across per-shard services (coordinator-side
-Z-merge, hedged sub-queries, WAL-backed failover, certified partial
+skyline merge, hedged sub-queries, WAL-backed failover, certified partial
 answers when shards are lost), and a
 :class:`~repro.serving.health.HealthMonitor` heartbeats shards into
 per-shard circuit breakers.

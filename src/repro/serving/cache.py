@@ -243,7 +243,7 @@ class MergeCache:
     reader pinned to the old vector keeps hitting its own entry and can
     never observe a newer answer.  The merged skyline is just the cached
     ``full`` answer, so every kind pinned to one vector shares a single
-    Z-merge.  Entries keep the :class:`ResultCache` CRC guard.
+    merge.  Entries keep the :class:`ResultCache` CRC guard.
     """
 
     def __init__(self, max_entries: int = 256) -> None:

@@ -685,9 +685,10 @@ class DatasetRegistry:
         if version is None:
             version = 1 if previous is None else previous.version + 1
         points, ids = state.maintainer.alive()
+        sky_points, sky_ids = state.maintainer.skyline()
         snapshot = Snapshot.build(
-            state.name, version, state.codec, points, ids,
-            sky_tree=state.maintainer.sky_tree, meta=meta, delta=delta,
+            state.name, version, state.codec, points, ids, sky_points,
+            sky_ids, meta=meta, delta=delta,
         )
         if state.history and state.history[-1].version == version:
             # Recovery republish of an already-published version:
@@ -723,14 +724,13 @@ class DatasetRegistry:
         assert state.store is not None and state.maintainer is not None
         assert state.snapshot is not None
         points, ids = state.maintainer.alive()
-        sky_ids = state.maintainer.sky_tree.leaf_ids
         state.store.save_checkpoint(
             state.codec,
             seq=state.snapshot.version,
             version=state.snapshot.version,
             points=points,
             ids=ids,
-            sky_ids=sky_ids,
+            sky_ids=state.snapshot.sky_ids,
             deletes_since_rebuild=state.deletes_since_rebuild,
         )
         state.publishes_since_checkpoint = 0

@@ -10,9 +10,10 @@ service's own executor (:func:`~repro.serving.service.execute_on_snapshot`)
 on a :class:`LogicalSnapshot` — a pinned, ``Snapshot``-compatible view
 of the whole logical dataset:
 
-* its skyline is the per-shard (dominance-free) skylines folded with
-  the paper's Z-merge (:func:`~repro.zorder.zmerge.zmerge_all`),
-  yielding exactly the global skyline (``full``, and ``topk`` ranks
+* its skyline is one scan-order acceptance
+  (:func:`~repro.zorder.zsearch.accept`) over the union of the
+  per-shard skylines in ascending row-sum order, yielding exactly the
+  global skyline (``full``, and ``topk`` ranks
   over it; ``kdominant`` computes on it, since the k-dominant skyline
   of a set is that of its skyline, so its view is never floor-masked);
 * its alive set is the id-sorted union of the shard snapshots
@@ -86,6 +87,7 @@ from repro.core.exceptions import (
     DatasetError,
     ShardDownError,
 )
+from repro.core.point import GridRows, grid_dtype
 from repro.observability.metrics import MetricsRegistry
 from repro.serving.cache import MergeCache
 from repro.serving.faults import ServingFaultPlan
@@ -116,8 +118,7 @@ from repro.serving.shard import (
 )
 from repro.serving.snapshot import Snapshot
 from repro.zorder.encoding import ZGridCodec, quantize_dataset
-from repro.zorder.zbtree import OpCounter
-from repro.zorder.zmerge import zmerge_all
+from repro.zorder.zsearch import accept
 
 __all__ = ["RouterConfig", "ShardedSkylineService"]
 
@@ -222,7 +223,7 @@ class LogicalSnapshot:
     under the version vector), so the single service's executors run on
     it unchanged.  ``version`` is the vector sum.  ``points``/``ids``
     are the id-sorted alive union (or, for subspace, the gathered
-    per-shard candidates); ``sky_points``/``sky_ids`` the Z-merged
+    per-shard candidates); ``sky_points``/``sky_ids`` the merged
     skyline with the lost shards' uncertain rows masked (``masked``
     counts them).  Both are computed on first access.
     """
@@ -777,11 +778,12 @@ class ShardedSkylineService:
         version vector (restricted to the shards in ``snaps``) — the
         logical ``full`` answer, read from and stored under the ``full``
         key of the coordinator cache, so every kind pinned to the same
-        vector shares one Z-merge.
+        vector shares one merge.
 
-        The per-shard skyline trees are shared with shard readers;
-        ``zmerge_all`` never mutates its inputs, so they are folded
-        directly."""
+        The merge scans the union of the shard skylines in stable
+        ascending row-sum order and keeps the rows no earlier row
+        dominates: a dominator has the strictly smaller sum, so it is
+        always scanned first."""
         sub_vector = _sub_vector(vector, snaps)
         full = Query.full(self.name)
         cache = self._merge_cache
@@ -789,17 +791,13 @@ class ShardedSkylineService:
             cached = cache.get(sub_vector, lost, full)
             if cached is not None:
                 return cached
-        trees = [
-            snaps[sid].sky_tree
-            for sid in sorted(snaps)
-            if not snaps[sid].sky_tree.is_empty
-        ]
-        if trees:
-            merged = zmerge_all(trees, OpCounter())
-            _zs, pts, ids = merged.collect()
-            pts, ids = _by_id(pts, ids)
-        else:
-            pts, ids = self._empty()
+        pts, ids = self._union_candidates(
+            [(snaps[sid].sky_points, snaps[sid].sky_ids) for sid in sorted(snaps)]
+        )
+        grid = GridRows.of(pts, grid_dtype(self.codec.cells_per_dim - 1))
+        order = np.argsort(grid.sums, kind="stable")
+        keep = order[accept(grid[order])]
+        pts, ids = _by_id(pts[keep], ids[keep])
         pts, ids, masked = self._mask_lost(pts, ids, lost)
         payload = _Payload(points=pts, ids=ids, masked=masked)
         if cache is not None:
@@ -917,7 +915,7 @@ class ShardedSkylineService:
                     [(p.points, p.ids) for _sid, p in payloads]
                 )
         # k-dominant runs on the view's skyline, which must be the exact
-        # skyline of the live union: its view is the unmasked Z-merge
+        # skyline of the live union: its view is the unmasked merge
         # (cached under the live shards' own sub-vector key), and the
         # lost-floor k-mask below certifies the answer.
         view_lost = [] if request.kind == "kdominant" else lost

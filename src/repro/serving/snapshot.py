@@ -2,15 +2,11 @@
 
 A :class:`Snapshot` is the unit of isolation in the serving layer: one
 monotonically versioned, *frozen* view of a named dataset — its alive
-points and ids, the grid codec, the current skyline (as arrays and as a
-ZB-tree for index-backed access paths).  Readers that hold a snapshot
-keep reading version N no matter how many versions the writer publishes
-after them; nothing in a snapshot is ever mutated.  All numpy arrays are
-write-protected, and the skyline tree is the writer maintainer's own:
-every column of a ZB-tree is write-protected at construction, and the
-writer never changes a tree once built — an update swaps in a new tree,
-and Z-merge compacts a shallow copy of its skyline argument — so sharing
-it costs no build and cannot leak a later version to a reader.
+points and ids, the grid codec and the current skyline, all as arrays.
+Readers that hold a snapshot keep reading version N no matter how many
+versions the writer publishes after them; nothing in a snapshot is ever
+mutated.  Every array is a write-protected copy, so no later write by
+the writer can reach a reader.
 
 Snapshots are plain Python objects: "releasing" an old version is
 dropping the last reference to it.  The registry additionally keeps a
@@ -29,7 +25,6 @@ import numpy as np
 from repro.core.exceptions import DatasetError
 from repro.maintenance.maintainer import BatchDelta
 from repro.zorder.encoding import ZGridCodec
-from repro.zorder.zbtree import ZBTree
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -44,14 +39,11 @@ class Snapshot:
     """One immutable version of a served dataset.
 
     ``points``/``ids`` are the alive set; ``sky_points``/``sky_ids``
-    the skyline of exactly that set, also available as ``sky_tree``
-    (the writer's immutable skyline tree, safe for concurrent reads;
-    ``None`` for a snapshot built from skyline arrays alone, such as an
-    oracle's model state, which serves no index-backed read).
-    ``delta`` is how the alive set changed since the registry's
-    previous published version (None when this registry published no
-    earlier version of the dataset — registration, adoption — and on a
-    recovery republish that replayed no batch past it).
+    the skyline of exactly that set.  ``delta`` is how the alive set
+    changed since the registry's previous published version (None when
+    this registry published no earlier version of the dataset —
+    registration, adoption — and on a recovery republish that replayed
+    no batch past it).
     """
 
     dataset: str
@@ -61,7 +53,6 @@ class Snapshot:
     codec: ZGridCodec
     sky_points: np.ndarray
     sky_ids: np.ndarray
-    sky_tree: Optional[ZBTree]
     #: provenance annotations (e.g. ``{"recovered": True, ...}`` on a
     #: snapshot republished from WAL replay); never affects equality
     meta: Dict[str, Any] = field(
@@ -83,32 +74,17 @@ class Snapshot:
         codec: ZGridCodec,
         points: np.ndarray,
         ids: np.ndarray,
-        sky_points: Optional[np.ndarray] = None,
-        sky_ids: Optional[np.ndarray] = None,
+        sky_points: np.ndarray,
+        sky_ids: np.ndarray,
         meta: Optional[Dict[str, Any]] = None,
         delta: Optional[BatchDelta] = None,
-        sky_tree: Optional[ZBTree] = None,
     ) -> "Snapshot":
-        """Freeze the given state into a snapshot; builds no tree.
-
-        The skyline is either ``sky_tree``, a tree that is never
-        changed once built (the writer's maintained skyline tree), whose
-        write-protected point and id columns become ``sky_points`` and
-        ``sky_ids``; or, for a state that has no tree, the
-        ``sky_points``/``sky_ids`` arrays.  Other arrays are copied and
-        write-protected.
-        """
-        if (sky_tree is None) == (sky_points is None or sky_ids is None):
-            raise DatasetError(
-                "give the skyline as sky_tree or as sky_points and sky_ids"
-            )
-        if sky_tree is None:
-            sky_points = _frozen(np.asarray(sky_points, dtype=np.float64))
-            sky_ids = _frozen(np.asarray(sky_ids, dtype=np.int64))
-        else:
-            sky_points, sky_ids = sky_tree.leaf_points, sky_tree.leaf_ids
+        """Freeze the given state into a snapshot: every array is
+        copied and write-protected."""
         points = _frozen(np.asarray(points, dtype=np.float64))
         ids = _frozen(np.asarray(ids, dtype=np.int64))
+        sky_points = _frozen(np.asarray(sky_points, dtype=np.float64))
+        sky_ids = _frozen(np.asarray(sky_ids, dtype=np.int64))
         if points.ndim != 2 or ids.shape != (points.shape[0],):
             raise DatasetError("need (n, d) points and matching ids")
         if sky_points.ndim != 2 or sky_ids.shape != (sky_points.shape[0],):
@@ -121,7 +97,6 @@ class Snapshot:
             ids=ids,
             sky_points=sky_points,
             sky_ids=sky_ids,
-            sky_tree=sky_tree,
             meta=dict(meta or {}),
             delta=delta,
         )

@@ -112,9 +112,9 @@ class ZBTree:
     """A ZB-tree over grid points, as its pre-order node table.
 
     Construct via :func:`build_zbtree`, which admits only grid points
-    (integers in the codec's range).  Every column is a write-protected
-    array that deletions replace and never write, so equal trees pickle
-    byte-identically and a tree can be shared with readers.
+    (integers in the codec's range).  Deletions replace columns and
+    never write them, so equal trees pickle byte-identically and a
+    shallow copy's deletions leave the original as it was.
 
     Point columns (``n`` rows, the leaves' points in pre-order, i.e.
     Z-order):
@@ -198,27 +198,6 @@ class ZBTree:
             GridRows.of(rows, dtype) if grid is None else grid
             for grid, rows in zip(grids, (leaf_points, minpt, maxpt))
         )
-        self._protect()
-
-    def _protect(self) -> None:
-        """Write-protect every column.  Trees are shared with readers (a
-        published snapshot holds its writer's skyline tree), so a stray
-        in-place write must raise.  (A positional ``setflags`` is the
-        cheap call; builds are hot.)"""
-        for column in (
-            self.leaf_z, self.leaf_points, self.leaf_ids, self.minpt,
-            self.maxpt, self.parent, self.depth, self.end, self.pstart,
-            self.npoints, self.is_leaf, self.point_node,
-            self.grid_points.cols, self.grid_points.sums, self.grid_min.cols,
-            self.grid_min.sums, self.grid_max.cols, self.grid_max.sums,
-            *self.levels,
-        ):
-            column.setflags(False)
-
-    def __setstate__(self, state: dict) -> None:
-        # unpickled arrays come back writeable
-        self.__dict__.update(state)
-        self._protect()
 
     @property
     def grid_dtype(self) -> type:

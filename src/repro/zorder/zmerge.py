@@ -45,13 +45,11 @@ oracle.  Use :func:`zmerge_all` to fold many candidate trees.
 
 Ownership: neither function changes its inputs.  :func:`zmerge` runs
 its UDominate deletions on a shallow copy of the skyline argument (a
-deletion rebinds the copy's columns; tree columns are write-protected
-and never written), so a tree a published snapshot shares with its
-writer stays as it was; the merged tree is built into fresh arrays.
-:func:`zmerge_all` folds into an accumulator it cloned from its first
-input, so it compacts that one in place, and returns a tree that shares
-no arrays with its inputs, so long-lived trees (e.g. the serving
-router's per-shard skyline trees) can be folded directly.
+deletion rebinds the copy's columns and never writes them), so the
+caller's tree stays as it was; the merged tree is built into fresh
+arrays.  :func:`zmerge_all` folds into an accumulator it cloned from
+its first input, so it compacts that one in place, and returns a tree
+that shares no arrays with its inputs.
 """
 
 from __future__ import annotations

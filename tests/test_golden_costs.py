@@ -66,19 +66,19 @@ GOLDEN = {
 GOLDEN_COUNTERS = {
     ('fig7cd', 'Grid+ZS'): '03be7124b59a8a22',
     ('fig7cd', 'Angle+ZS'): '652e5f6450109a5d',
-    ('fig7cd', 'ZDG+ZS+ZM'): '30f0ae3a59a2fad7',
-    ('fig8', 'ZDG+ZS+SB'): '1eacb04cb2321b84',
-    ('fig8', 'ZDG+ZS+ZS'): 'bacfac42ac7dfaa4',
-    ('fig8', 'ZDG+ZS+ZM'): 'ce0d28741ff965da',
+    ('fig7cd', 'ZDG+ZS+ZM'): '7c1d7879584bb83a',
+    ('fig8', 'ZDG+ZS+SB'): '58950c31e7cc6d12',
+    ('fig8', 'ZDG+ZS+ZS'): '326b6dd3d698956a',
+    ('fig8', 'ZDG+ZS+ZM'): '53b2100ae35f49e9',
     ('fig9', 'Grid+ZS'): '2acf45d7b8f5d4b6',
-    ('fig9', 'ZDG+ZS'): '79f19ed3b60d818d',
+    ('fig9', 'ZDG+ZS'): 'b2c807ce6f53966f',
     ('load_balance', 'Naive-Z+ZS'): '0c0b5684fda5118a',
-    ('load_balance', 'ZDG+ZS'): 'af1098fba5948ffe',
+    ('load_balance', 'ZDG+ZS'): '0f8dc1e94b04ae9b',
     ('fig12', 'Grid+ZS'): '79171125b6c18058',
-    ('fig12', 'ZDG+ZS+ZM'): '9372ab4449b52387',
+    ('fig12', 'ZDG+ZS+ZM'): '0aab859d12df5945',
     ('fig13', 'Naive-Z+ZS'): '9f21e24c0b7342b6',
-    ('fig13', 'ZDG+ZS+ZM'): '8193da53c22a8a29',
-    ('pruning', 'ZDG+ZS+ZM'): '292b19cebcd981e6',
+    ('fig13', 'ZDG+ZS+ZM'): '0fc42f53c6f5fe9c',
+    ('pruning', 'ZDG+ZS+ZM'): 'e19b0b96c381dd7c',
 }
 
 

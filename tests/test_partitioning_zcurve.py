@@ -1,5 +1,7 @@
 """Unit tests for Z-curve partitioning (Naive-Z) and ZCurveRule."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,23 @@ class TestZCurveRule:
             region = rule.region(pid)
             assert region.contains_zaddress(lo)
             assert region.contains_zaddress(hi)
+
+    @pytest.mark.parametrize("d, bits", [(3, 6), (8, 12)])
+    def test_batched_regions_equal_per_partition_regions(self, d, bits):
+        # (3, 6) runs on the uint64 fast path, (8, 12) on the wide one
+        codec = ZGridCodec.grid_identity(d, bits_per_dim=bits)
+        draw = random.Random(d)
+        top = codec.max_zaddress
+        pivots = sorted({draw.randrange(1, top) for _ in range(40)} | {1, top})
+        for rule in (ZCurveRule(codec, []), ZCurveRule(codec, pivots)):
+            got = rule.regions()
+            want = [rule.region(pid) for pid in range(rule.num_partitions)]
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert (a.minz, a.maxz) == (b.minz, b.maxz)
+                assert type(a.minz) is type(b.minz) is int
+                for x, y in ((a.minpt, b.minpt), (a.maxpt, b.maxpt)):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
 
     def test_group_map_identity_by_default(self, codec):
         rule = ZCurveRule(codec, [100])

@@ -40,7 +40,6 @@ from repro.serving import (
     ShardedSkylineService,
     SkylineClient,
     SkylineService,
-    Snapshot,
     WorkloadSpec,
     replay_workload,
 )
@@ -96,22 +95,11 @@ class TestSnapshot:
         # ...and the retention ring can serve it too.
         assert registry.snapshot_at("a", 2).version == 2
 
-    def test_snapshot_shares_the_writers_tree(self, rng):
-        registry = DatasetRegistry()
-        registry.register("a", grid_points(rng, 60, 3))
-        registry.insert("a", grid_points(rng, 10, 3), np.arange(100, 110))
-        snap = registry.snapshot("a")
-        assert snap.sky_tree is registry._state("a").maintainer.sky_tree
-        assert snap.sky_points is snap.sky_tree.leaf_points
-        assert snap.sky_ids is snap.sky_tree.leaf_ids
-
-    def test_published_tree_and_skyline_never_change(self, rng):
+    def test_published_skyline_never_changes(self, rng):
         registry = DatasetRegistry(keep_versions=1)
         registry.register("a", grid_points(rng, 200, 3, top=32))
         snap = registry.snapshot("a")
-        before = pickle.dumps(
-            (snap.sky_tree, snap.sky_points, snap.sky_ids, snap.points)
-        )
+        before = pickle.dumps((snap.sky_points, snap.sky_ids, snap.points))
         alive = [int(i) for i in snap.ids]
         next_id = 1000
         for step in range(50):
@@ -129,42 +117,8 @@ class TestSnapshot:
                 registry.delete("a", doomed)
                 alive = [i for i in alive if i not in set(doomed)]
         assert registry.version("a") == 51
-        after = pickle.dumps(
-            (snap.sky_tree, snap.sky_points, snap.sky_ids, snap.points)
-        )
+        after = pickle.dumps((snap.sky_points, snap.sky_ids, snap.points))
         assert after == before
-
-    def test_build_takes_one_skyline_form(self, rng):
-        registry = DatasetRegistry()
-        registry.register("a", grid_points(rng, 30, 3))
-        snap = registry.snapshot("a")
-        args = ("a", 9, snap.codec, snap.points, snap.ids)
-        model = Snapshot.build(*args, snap.sky_points, snap.sky_ids)
-        assert model.sky_tree is None
-        assert model.state_digest() == Snapshot.build(
-            *args, sky_tree=snap.sky_tree
-        ).state_digest()
-        for bad in (
-            {},
-            {"sky_ids": snap.sky_ids},
-            {"sky_points": snap.sky_points, "sky_ids": snap.sky_ids,
-             "sky_tree": snap.sky_tree},
-        ):
-            with pytest.raises(DatasetError):
-                Snapshot.build(*args, **bad)
-
-    def test_tree_columns_are_write_protected(self, rng):
-        registry = DatasetRegistry()
-        registry.register("a", grid_points(rng, 50, 3))
-        tree = registry.snapshot("a").sky_tree
-        with pytest.raises(ValueError):
-            tree.leaf_points[0, 0] = 1.0
-        restored = pickle.loads(pickle.dumps(tree))
-        for column in (tree.leaf_z, tree.leaf_ids, tree.minpt, tree.npoints,
-                       tree.grid_points.cols, tree.grid_points.sums,
-                       restored.leaf_points, restored.grid_min.sums):
-            with pytest.raises(ValueError):
-                column[0] = 0
 
 
 # ----------------------------------------------------------------------

@@ -55,8 +55,7 @@ class TestBuild:
         tree.validate()
 
     def test_validate_catches_corruption(self, codec):
-        # Columns are write-protected, so corrupt a tree by rebinding a
-        # column to a changed copy.
+        # Corrupt a tree by rebinding a column to a changed copy.
         def rebind(tree, name, row, value):
             column = getattr(tree, name).copy()
             column[row] = value
