@@ -23,6 +23,12 @@ Guards:
   12 bits, Z-addresses given) through the tree-free ``zs_skyline``
   must give the same points, ids and charges as ``build_zbtree`` plus
   ``zsearch``, and be at least **2x** faster (a same-host ratio);
+* the phase-1 combine of a batch-indep-d8-shaped job (n=10,000, d=8,
+  12 bits, 8 workers, ZDG+ZS+ZM), replayed on the map tasks' captured
+  outputs, must give the same blocks, carried Z-addresses, charges and
+  counters through the grouped one-leaf pass as through one
+  local-skyline call per group, and be at least **2x** faster (a
+  same-host ratio);
 * the end-to-end runs must reproduce their recorded skyline sizes
   exactly (the cheap bit-identity canary), and the two wide-path runs
   (d=6 and d=8) must stay at or under their baseline seconds.
@@ -45,6 +51,10 @@ import pytest
 from repro.algorithms.zs import zs_skyline
 from repro.core.point import dominance_blocks, kernel_rows, pairwise_dominance
 from repro.data.synthetic import generate
+from repro.mapreduce.job import TaskContext
+from repro.mapreduce.types import Block
+from repro.observability.metrics import MetricsRegistry
+from repro.pipeline import phase1
 from repro.pipeline.driver import run_plan
 from repro.zorder.encoding import ZGridCodec
 from repro.zorder.kernel import ZKernel
@@ -62,6 +72,8 @@ MAX_REGRESSION = 0.20
 MIN_DOMINANCE_SPEEDUP = 2.0
 #: minimum tree-free-vs-tree Z-search speedup on phase-1-shaped blocks
 MIN_BLOCK_SPEEDUP = 2.0
+#: minimum grouped-vs-per-group speedup of the phase-1 combine
+MIN_COMBINE_SPEEDUP = 2.0
 
 
 # ----------------------------------------------------------------------
@@ -280,6 +292,92 @@ class TestPhase1Blocks:
                 "bits_per_dim": bits,
                 "tree_walk_ms": round(tree_s * 1e3, 2),
                 "tree_free_ms": round(free_s * 1e3, 2),
+                "speedup": round(speedup, 2),
+            },
+        )
+
+
+# ----------------------------------------------------------------------
+# phase-1 combine: one grouped pass per map task vs one call per group
+# ----------------------------------------------------------------------
+def _per_group_combine(local_algorithm, emitted, ctx):
+    """The combiner the grouped pass replaced: one local-skyline call
+    per group, Z-addresses carried by id lookup."""
+    out = {}
+    for gid, blocks in emitted.items():
+        merged = Block.concat(blocks)
+        points, ids = phase1._local_skyline(local_algorithm, merged, ctx)
+        ctx.counters.inc(
+            "phase1", "combiner_pruned", merged.size - points.shape[0]
+        )
+        out[gid] = [
+            Block(ids, points, zaddresses=phase1._carry_z(merged, ids))
+        ]
+    return out
+
+
+class TestPhase1Combine:
+    def test_grouped_pass_beats_per_group_calls(self, monkeypatch):
+        # capture every map task's keyed output (and its cache) from one
+        # batch-indep-d8-shaped job
+        captured = []
+        combine = phase1.Phase1Combiner.__call__
+
+        def capture(self, emitted, ctx):
+            captured.append((emitted, ctx.cache))
+            return combine(self, emitted, ctx)
+
+        monkeypatch.setattr(phase1.Phase1Combiner, "__call__", capture)
+        dataset = generate("independent", 10_000, 8, seed=1)
+        run_plan("ZDG+ZS+ZM", dataset, num_workers=8, bits_per_dim=12)
+        monkeypatch.undo()
+        grouped_combiner = phase1.Phase1Combiner("ZS")
+
+        def replay(fn):
+            outs, contexts = [], []
+            for emitted, cache in captured:
+                ctx = TaskContext(cache, MetricsRegistry())
+                outs.append(fn(emitted, ctx))
+                contexts.append(ctx)
+            return outs, contexts
+
+        (got, got_ctx), grouped_s = _timed(
+            lambda: replay(grouped_combiner), repeats=5
+        )
+        (want, want_ctx), per_group_s = _timed(
+            lambda: replay(lambda e, c: _per_group_combine("ZS", e, c)),
+            repeats=5,
+        )
+        groups = sum(len(emitted) for emitted, _ in captured)
+        assert groups > 10 * len(captured)
+        for g_out, w_out, g_ctx, w_ctx in zip(got, want, got_ctx, want_ctx):
+            assert list(g_out) == list(w_out)
+            for gid, (g_block,) in g_out.items():
+                (w_block,) = w_out[gid]
+                assert np.array_equal(g_block.ids, w_block.ids)
+                assert np.array_equal(g_block.points, w_block.points)
+                assert np.array_equal(g_block.zaddresses, w_block.zaddresses)
+            assert g_ctx.ops == w_ctx.ops
+            assert (
+                g_ctx.counters.counters_as_dict()
+                == w_ctx.counters.counters_as_dict()
+            )
+        speedup = per_group_s / grouped_s
+        assert speedup >= MIN_COMBINE_SPEEDUP, (
+            f"the grouped phase-1 combine is only {speedup:.2f}x faster "
+            f"than per-group calls (need >= {MIN_COMBINE_SPEEDUP}x)"
+        )
+        _update_bench(
+            "phase1_combine",
+            {
+                "plan": "ZDG+ZS+ZM",
+                "n": 10_000,
+                "dimensions": 8,
+                "bits_per_dim": 12,
+                "map_tasks": len(captured),
+                "groups": groups,
+                "per_group_ms": round(per_group_s * 1e3, 2),
+                "grouped_ms": round(grouped_s * 1e3, 2),
                 "speedup": round(speedup, 2),
             },
         )

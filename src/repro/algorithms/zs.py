@@ -10,7 +10,7 @@ from repro.core.exceptions import ZOrderError
 from repro.core.point import GridRows, grid_dtype
 from repro.zorder.encoding import ZGridCodec
 from repro.zorder.zbtree import DEFAULT_LEAF_CAPACITY, OpCounter, build_zbtree, zbatch_of
-from repro.zorder.zsearch import accept, charge_one_leaf, zsearch
+from repro.zorder.zsearch import accept, accept_groups, charge_one_leaf, zsearch
 
 
 def zs_skyline(
@@ -62,3 +62,49 @@ def zs_skyline(
     if counter is not None:
         charge_one_leaf(accepted, counter)
     return rows[accepted], ids[accepted]
+
+
+def zs_skyline_groups(
+    points: np.ndarray,
+    ids: np.ndarray,
+    zaddresses: np.ndarray,
+    sizes: np.ndarray,
+    codec: ZGridCodec,
+    counter: Optional[OpCounter] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`zs_skyline` of many one-leaf groups in one pass.
+
+    ``points``, ``ids`` and ``zaddresses`` (a native batch under
+    ``codec``) hold the groups back to back, ``sizes[g]`` rows each,
+    and no group may exceed one leaf (:data:`DEFAULT_LEAF_CAPACITY`
+    rows).  Returns ``(points, ids, zaddresses, counts)``: each group's
+    skyline in Z-order, the groups in input order, and ``counts[g]``
+    rows for group ``g``.  Each group's rows, ids, carried addresses
+    and charges equal :func:`zs_skyline` on that group alone: one
+    ``check_grid``, one stable Z-sort then a stable sort by group
+    (so equal addresses keep their input order), one
+    :func:`~repro.zorder.zsearch.accept_groups` pass, and the one-leaf
+    charges summed in closed form.  Nothing is encoded or decoded.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if sizes.size and int(sizes.max()) > DEFAULT_LEAF_CAPACITY:
+        raise ZOrderError(
+            f"groups must fit one leaf ({DEFAULT_LEAF_CAPACITY} rows)"
+        )
+    points = np.asarray(points, dtype=np.float64)
+    ids = np.asarray(ids, dtype=np.int64)
+    if points.shape[0] != int(sizes.sum()) or ids.shape != (points.shape[0],):
+        raise ZOrderError("points, ids and sizes must agree")
+    zbatch = zbatch_of(codec, points, zaddresses)
+    groups = np.repeat(np.arange(sizes.shape[0]), sizes)
+    order = codec.kernel.argsort(zbatch)
+    order = order[np.argsort(groups[order], kind="stable")]
+    rows = points[order]
+    accepted = accept_groups(
+        GridRows.of(rows, grid_dtype(codec.cells_per_dim - 1)), sizes
+    )
+    if counter is not None:
+        charge_one_leaf(accepted, counter, sizes)
+    keep = order[accepted]
+    counts = np.bincount(groups[accepted], minlength=sizes.shape[0])
+    return rows[accepted], ids[keep], zbatch[keep], counts

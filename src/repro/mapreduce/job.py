@@ -4,10 +4,15 @@ A job is three callables over :class:`~repro.mapreduce.types.Block`
 batches:
 
 * ``mapper(block, ctx) -> iterable of (key, Block)``
-* ``combiner(key, blocks, ctx) -> list of Block``   (optional)
+* ``combiner(emitted, ctx) -> {key: list of Block}``   (optional)
 * ``reducer(key, blocks, ctx) -> anything``
 
 Keys are the integer group ids produced by the partition rule.  The
+combiner runs once per map task: ``emitted`` is the task's whole keyed
+output, ``{key: [Block, ...]}`` in first-emitted key order, and it
+returns the blocks the task shuffles, keyed the same way.  Seeing every
+key at once lets a combiner batch work across keys (the phase-1 ZS
+combiner cuts all of a task's one-leaf groups in one pass).  The
 :class:`TaskContext` hands tasks the distributed cache, the job counters
 (a :class:`~repro.observability.metrics.MetricsRegistry`), and an
 :class:`~repro.zorder.zbtree.OpCounter` whose total becomes the task's
@@ -35,7 +40,9 @@ from repro.observability.metrics import MetricsRegistry
 from repro.zorder.zbtree import OpCounter
 
 Mapper = Callable[[Block, "TaskContext"], Iterable[Tuple[int, Block]]]
-Combiner = Callable[[int, List[Block], "TaskContext"], List[Block]]
+Combiner = Callable[
+    [Dict[int, List[Block]], "TaskContext"], Dict[int, List[Block]]
+]
 Reducer = Callable[[int, List[Block], "TaskContext"], Any]
 
 

@@ -3,9 +3,10 @@
 Execution model (matching Hadoop's semantics at block granularity):
 
 1. one **map task** per input split; its emitted ``(key, Block)`` pairs
-   are grouped per task and run through the **combiner** before leaving
-   the mapper (this is where the paper's local-skyline combiners cut the
-   shuffle volume);
+   are grouped per task by key, and the task's whole keyed output runs
+   through the **combiner** in one call before leaving the mapper (this
+   is where the paper's local-skyline combiners cut the shuffle
+   volume);
 2. the **shuffle** gathers combiner outputs by key across all map tasks,
    accounting records and bytes moved;
 3. one **reduce task** per key, placed round-robin over workers (keys
@@ -199,6 +200,11 @@ class _Task:
 class MapTask(_Task):
     """Mapper + combiner over one input split.
 
+    The mapper's pairs are grouped by key (first-emitted key first), and
+    the combiner, when the job has one, takes that whole
+    ``{key: [Block, ...]}`` mapping once and returns the task's output
+    mapping.
+
     ``block`` may be an inline :class:`Block` or a shared-memory
     descriptor — the process pool swaps one for the other via the
     ``shm_payload_blocks`` / ``with_shm_blocks`` protocol.
@@ -224,10 +230,7 @@ class MapTask(_Task):
         for key, out_block in self.mapper(block, ctx):
             emitted[int(key)].append(out_block)
         if self.combiner is not None:
-            emitted = {  # type: ignore[assignment]
-                key: list(self.combiner(key, blocks, ctx))
-                for key, blocks in emitted.items()
-            }
+            emitted = self.combiner(dict(emitted), ctx)  # type: ignore[assignment]
         out_records = sum(
             b.size for blocks in emitted.values() for b in blocks
         )

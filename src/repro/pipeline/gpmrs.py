@@ -22,7 +22,7 @@ Structure here:
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -51,10 +51,15 @@ def _make_local_job() -> MapReduceJob:
             mask = gids == gid
             yield int(gid), block.select(mask)
 
-    def combiner(gid: int, blocks: List[Block], ctx: TaskContext) -> List[Block]:
-        merged = Block.concat(blocks)
-        points, ids = bitstring_skyline(merged.points, merged.ids, ctx.ops)
-        return [Block(ids, points)]
+    def combiner(
+        emitted: Dict[int, List[Block]], ctx: TaskContext
+    ) -> Dict[int, List[Block]]:
+        out = {}
+        for gid, blocks in emitted.items():
+            merged = Block.concat(blocks)
+            points, ids = bitstring_skyline(merged.points, merged.ids, ctx.ops)
+            out[gid] = [Block(ids, points)]
+        return out
 
     def reducer(gid: int, blocks: List[Block], ctx: TaskContext) -> Block:
         merged = Block.concat(blocks)

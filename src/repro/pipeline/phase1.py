@@ -8,9 +8,12 @@ Algorithm 3's mapper, with combiners:
   Survivors are routed ``point -> z-address -> partition -> group``; a
   point whose partition was pruned by dominance grouping is dropped
   (Algorithm 3 line 7, "if m is not NULL").
-* **combiner** — per map task and group, replace the routed points by
+* **combiner** — per map task, replace each group's routed points by
   their local skyline (this is what keeps the shuffle volume at
-  candidate scale rather than input scale).
+  candidate scale rather than input scale).  Under ZS, every group of
+  at most one leaf goes through one grouped Z-search pass
+  (:func:`~repro.algorithms.zs.zs_skyline_groups`) instead of one call
+  per group.
 * **reducer** — per group, compute the group's skyline candidates with
   the configured local algorithm (SB or ZS in the paper).
 
@@ -23,17 +26,18 @@ whole task — callable included — across the pool boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.algorithms.registry import get_algorithm
-from repro.algorithms.zs import zs_skyline
+from repro.algorithms.zs import zs_skyline, zs_skyline_groups
 from repro.mapreduce.job import MapReduceJob, TaskContext
 from repro.mapreduce.types import Block
 from repro.partitioning.base import DROPPED
 from repro.pipeline.plans import PlanConfig
 from repro.pipeline.preprocess import CACHE_CODEC, CACHE_RULE, CACHE_SZB_TREE
+from repro.zorder.zbtree import DEFAULT_LEAF_CAPACITY
 
 
 def _local_skyline(
@@ -114,30 +118,87 @@ class Phase1Mapper:
         dropped = gids == DROPPED
         if dropped.any():
             ctx.counters.inc("phase1", "dropped_records", int(dropped.sum()))
-        for gid in np.unique(gids[~dropped]):
-            mask = gids == gid
-            yield int(gid), Block(
-                ids[mask], points[mask], zaddresses=zbatch[mask]
+        # One stable sort by group, then a slice per group: each group
+        # keeps its rows in input order.
+        order = np.flatnonzero(~dropped)
+        if order.size == 0:
+            return
+        order = order[np.argsort(gids[order], kind="stable")]
+        gids, ids, points, zbatch = (
+            gids[order], ids[order], points[order], zbatch[order]
+        )
+        cuts = (np.flatnonzero(np.diff(gids)) + 1).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [gids.shape[0]]):
+            yield int(gids[lo]), Block(
+                ids[lo:hi], points[lo:hi], zaddresses=zbatch[lo:hi]
             )
 
 
 @dataclass(frozen=True)
 class Phase1Combiner:
-    """Per map task and group, reduce routed points to a local skyline."""
+    """Per map task, reduce each group's routed points to a local skyline.
+
+    Under ZS, the groups of at most one leaf (with the Z-addresses the
+    mapper attached) are combined in one
+    :func:`~repro.algorithms.zs.zs_skyline_groups` pass
+    (the charges are exact: a one-leaf walk cannot prune, so each
+    group's closed-form charge is summed).  Larger groups and other
+    local algorithms run the local algorithm once per group.  Either
+    way each group's block, carried addresses and charges equal a
+    per-group :func:`_local_skyline` call.
+    """
 
     local_algorithm: str
 
     def __call__(
-        self, gid: int, blocks: List[Block], ctx: TaskContext
-    ) -> List[Block]:
-        merged = Block.concat(blocks)
-        sky_points, sky_ids = _local_skyline(self.local_algorithm, merged, ctx)
-        ctx.counters.inc(
-            "phase1", "combiner_pruned", merged.size - sky_points.shape[0]
+        self, emitted: Dict[int, List[Block]], ctx: TaskContext
+    ) -> Dict[int, List[Block]]:
+        merged = {gid: Block.concat(blocks) for gid, blocks in emitted.items()}
+        leaves = []
+        if get_algorithm(self.local_algorithm) is zs_skyline:
+            leaves = [
+                gid for gid, block in merged.items()
+                if block.size <= DEFAULT_LEAF_CAPACITY
+            ]
+        out: Dict[int, List[Block]] = dict.fromkeys(merged)  # key order
+        if leaves:
+            out.update(self._one_leaf_groups(merged, leaves, ctx))
+        for gid, block in merged.items():
+            if out[gid] is not None:
+                continue
+            sky_points, sky_ids = _local_skyline(
+                self.local_algorithm, block, ctx
+            )
+            ctx.counters.inc(
+                "phase1", "combiner_pruned", block.size - sky_points.shape[0]
+            )
+            out[gid] = [
+                Block(sky_ids, sky_points, zaddresses=_carry_z(block, sky_ids))
+            ]
+        return out
+
+    @staticmethod
+    def _one_leaf_groups(
+        merged: Dict[int, Block], gids: List[int], ctx: TaskContext
+    ) -> Dict[int, List[Block]]:
+        blocks = [merged[gid] for gid in gids]
+        sizes = np.array([b.size for b in blocks], dtype=np.int64)
+        points, ids, zbatch, counts = zs_skyline_groups(
+            np.concatenate([b.points for b in blocks]),
+            np.concatenate([b.ids for b in blocks]),
+            np.concatenate([b.zaddresses for b in blocks]),
+            sizes,
+            ctx.cache.get(CACHE_CODEC),
+            ctx.ops,
         )
-        return [
-            Block(sky_ids, sky_points, zaddresses=_carry_z(merged, sky_ids))
-        ]
+        ctx.counters.inc(
+            "phase1", "combiner_pruned", int(sizes.sum() - counts.sum())
+        )
+        ends = np.cumsum(counts).tolist()
+        return {
+            gid: [Block(ids[lo:hi], points[lo:hi], zaddresses=zbatch[lo:hi])]
+            for gid, lo, hi in zip(gids, [0] + ends[:-1], ends)
+        }
 
 
 @dataclass(frozen=True)

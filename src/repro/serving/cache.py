@@ -2,9 +2,12 @@
 
 Because the snapshot version is part of the key, publishing a new
 version *is* the invalidation: queries against the new version simply
-miss, and entries for superseded versions age out of the LRU tail on
-their own.  Nothing ever has to be flushed, and a reader still holding
-an old snapshot keeps getting (correct) hits for it.
+miss.  Nothing ever has to be flushed for correctness, and a reader
+still holding an old snapshot keeps getting (correct) hits for it.
+Entries for superseded versions otherwise age out of the LRU tail; an
+owner that only ever reads the current version (the service) drops
+them as soon as it stores a newer one (:meth:`ResultCache.drop_below`),
+counted under ``serving.cache_superseded_dropped``.
 
 Cached values are the query handlers' frozen payloads (write-protected
 numpy arrays), so handing the same object to many readers is safe.
@@ -186,6 +189,23 @@ class ResultCache:
             self._evictions += evicted
         if evicted and self.metrics is not None:
             self.metrics.inc(SERVING_GROUP, "cache_evictions", evicted)
+
+    def drop_below(self, dataset: str, version: int) -> int:
+        """Drop ``dataset``'s entries for versions below ``version``;
+        returns how many went (also counted under
+        ``serving.cache_superseded_dropped``)."""
+        with self._lock:
+            stale = [
+                key for key in self._entries
+                if key[0] == dataset and key[1] < version
+            ]
+            for key in stale:
+                del self._entries[key]
+        if stale and self.metrics is not None:
+            self.metrics.inc(
+                SERVING_GROUP, "cache_superseded_dropped", len(stale)
+            )
+        return len(stale)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -704,6 +704,9 @@ class SkylineService:
         payload = _EXECUTORS[query.kind](query, snapshot)
         if self.cache is not None and key is not None:
             self.cache.store(key, payload)
+            # reads always pin the current snapshot, so entries of older
+            # versions can never hit again
+            self.cache.drop_below(snapshot.dataset, snapshot.version)
         if self.metrics is not None:
             self.metrics.inc(SERVING_GROUP, f"queries_{query.kind}")
         return payload, False

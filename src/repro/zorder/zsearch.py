@@ -31,7 +31,11 @@ modelled walk.  A one-leaf tree cannot prune (its root is reached with
 an empty buffer), so its charges are closed-form without the tree
 (:func:`charge_one_leaf`), and
 :func:`~repro.algorithms.zs.zs_skyline` builds a tree only for a
-charged block that spans more than one leaf.
+charged block that spans more than one leaf.  :func:`accept_groups`
+decides many one-leaf scans in one padded pass, and
+:func:`charge_one_leaf` given their sizes charges them all; the
+phase-1 combiner cuts a map task's one-leaf groups that way
+(:func:`~repro.algorithms.zs.zs_skyline_groups`).
 """
 
 from __future__ import annotations
@@ -90,18 +94,32 @@ def zsearch_mask(
     return accepted
 
 
-def charge_one_leaf(accepted: np.ndarray, counter: OpCounter) -> None:
+def charge_one_leaf(
+    accepted: np.ndarray,
+    counter: OpCounter,
+    sizes: Optional[np.ndarray] = None,
+) -> None:
     """Charge ``counter`` for the walk of a one-leaf tree whose Z-order
     scan accepted ``accepted``, without the tree.
 
     The walk reaches the root leaf with an empty buffer, so nothing is
     pruned: one node visit, one region test, and for each row one point
     test per row accepted before it — exactly :func:`zsearch_mask`'s
-    charges on that tree.
+    charges on that tree.  ``sizes`` splits ``accepted`` into
+    consecutive one-leaf scans (:func:`accept_groups`), each charged
+    so, with an empty leaf charged nothing; the sum equals one call
+    per group.
     """
-    counter.nodes_visited += 1
-    counter.region_tests += 1
-    counter.point_tests += int((np.cumsum(accepted) - accepted).sum())
+    if sizes is None:
+        sizes = np.array([accepted.shape[0]])
+    before = np.concatenate(([0], np.cumsum(accepted)))
+    starts = np.cumsum(sizes) - sizes
+    walks = int(np.count_nonzero(sizes))
+    counter.nodes_visited += walks
+    counter.region_tests += walks
+    counter.point_tests += int(
+        (before[:-1] - np.repeat(before[starts], sizes)).sum()
+    )
 
 
 def accept(points: GridRows) -> np.ndarray:
@@ -134,6 +152,44 @@ def accept(points: GridRows) -> np.ndarray:
         accepted[lo : lo + len(part)] = ~dead
         lo += len(part)
     return accepted
+
+
+def accept_groups(points: GridRows, sizes: np.ndarray) -> np.ndarray:
+    """:func:`accept` of each of consecutive groups of rows, in one pass.
+
+    ``points`` holds the groups back to back, ``sizes[g]`` rows each,
+    every group in its own scan order.  Row ``j`` of a group is
+    accepted iff no earlier row of the same group dominates it.  The
+    groups are padded to the longest one and compared as ``(G, L, L)``
+    matrices: one row-sum compare, the earlier-over-later mask, then
+    one ``<=`` AND per dimension.  Padding lanes come after a group's
+    rows, so that mask keeps them from dominating any of them, and
+    their own answers are dropped.  Meant for small groups (Z-search
+    leaves): the padding makes the cost ``G * L**2`` pairs, chunked
+    over groups within :data:`~repro.core.point.PAIR_BUDGET`.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    n = len(points)
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    width = int(sizes.max())
+    lane = np.arange(width)
+    valid = lane < sizes[:, None]
+    index = np.where(valid, (np.cumsum(sizes) - sizes)[:, None] + lane, 0)
+    sums = points.sums[index]
+    earlier = lane[:, None] < lane[None, :]
+    accepted = np.empty(valid.shape, dtype=bool)
+    step = rows_per_chunk(width * width)
+    for lo in range(0, sizes.shape[0], step):
+        rows = index[lo : lo + step]
+        cols = points.cols[:, rows]
+        part = sums[lo : lo + step]
+        dom = part[:, :, None] < part[:, None, :]
+        dom &= earlier
+        for dim in range(cols.shape[0]):
+            dom &= cols[dim][:, :, None] <= cols[dim][:, None, :]
+        accepted[lo : lo + step] = ~dom.any(axis=1)
+    return accepted[valid]
 
 
 def _min_corner_dominated(

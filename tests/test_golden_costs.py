@@ -38,6 +38,10 @@ CASES = {
     "fig12": ("independent", 1500, 8, 0.02, ("Grid+ZS", "ZDG+ZS+ZM")),
     "fig13": ("independent", 1500, 5, 0.04, ("Naive-Z+ZS", "ZDG+ZS+ZM")),
     "pruning": ("correlated", 2000, 5, 0.02, ("ZDG+ZS+ZM",)),
+    # not a reproduce claim: fig12's shape under SB local plans, so the
+    # phase-1 combiner and reducer paths of a non-ZS local algorithm
+    # are pinned too
+    "sb_local": ("independent", 1500, 8, 0.02, ("Grid+SB", "ZDG+SB+ZM")),
 }
 
 FIELDS = ("skyline", "makespan", "merge_cost", "point_tests", "region_tests", "candidates")
@@ -59,6 +63,8 @@ GOLDEN = {
     ('fig13', 'Naive-Z+ZS'): ('c10c83833deefd35', 97827, 85619, 146755, 1867, 583),
     ('fig13', 'ZDG+ZS+ZM'): ('c10c83833deefd35', 78985, 68846, 121569, 6090, 626),
     ('pruning', 'ZDG+ZS+ZM'): ('926e603a7683c018', 16287, 7712, 26152, 2627, 196),
+    ('sb_local', 'Grid+SB'): ('ca40b045f942f811', 588407, 582945, 616551, 49, 1336),
+    ('sb_local', 'ZDG+SB+ZM'): ('ca40b045f942f811', 359284, 321793, 401031, 25990, 1293),
 }
 
 
@@ -79,6 +85,8 @@ GOLDEN_COUNTERS = {
     ('fig13', 'Naive-Z+ZS'): '9f21e24c0b7342b6',
     ('fig13', 'ZDG+ZS+ZM'): '0fc42f53c6f5fe9c',
     ('pruning', 'ZDG+ZS+ZM'): 'e19b0b96c381dd7c',
+    ('sb_local', 'Grid+SB'): '0aca6fc800900900',
+    ('sb_local', 'ZDG+SB+ZM'): 'f7da846f72841a65',
 }
 
 

@@ -47,9 +47,12 @@ class TestRuntime:
         assert result.elapsed_seconds > 0
 
     def test_combiner_cuts_shuffle(self):
-        def halving_combiner(key, blocks, ctx):
-            merged = Block.concat(blocks)
-            return [merged.select(np.arange(merged.size // 2))]
+        def halving_combiner(emitted, ctx):
+            out = {}
+            for key, blocks in emitted.items():
+                merged = Block.concat(blocks)
+                out[key] = [merged.select(np.arange(merged.size // 2))]
+            return out
 
         runtime = MapReduceRuntime(SimulatedCluster(2))
         without = runtime.run(
@@ -66,6 +69,26 @@ class TestRuntime:
             make_blocks(),
         )
         assert with_comb.shuffle_records < without.shuffle_records
+
+    def test_combiner_takes_each_tasks_keyed_output_once(self):
+        seen = []
+
+        def recording_combiner(emitted, ctx):
+            seen.append({key: sum(b.size for b in blocks)
+                         for key, blocks in emitted.items()})
+            return emitted
+
+        runtime = MapReduceRuntime(SimulatedCluster(2))
+        result = runtime.run(
+            MapReduceJob(
+                "record", partition_by_parity, count_reducer,
+                combiner=recording_combiner,
+            ),
+            make_blocks(),
+        )
+        # one call per map task, with every key that task emitted
+        assert seen == [{0: 5, 1: 5}] * 4
+        assert result.outputs == {0: 20, 1: 20}
 
     def test_reduce_output_blocks_written_to_dfs(self):
         def id_mapper(block, ctx):

@@ -513,6 +513,33 @@ class TestService:
         assert after.version == first.version + 1
         assert after.ids.tolist() == [7777]  # origin dominates everything
 
+    def test_cache_keeps_only_current_version_entries(self, rng):
+        registry = DatasetRegistry()
+        registry.register("d", grid_points(rng, 80, 4))
+        registry.register("other", grid_points(rng, 40, 4))
+        metrics = MetricsRegistry()
+        queries = (Query.full("d"), Query.kdominant("d", 3))
+        with SkylineService(registry, metrics=metrics) as service:
+            service.query(Query.full("other"))
+            for point_id in (9001, 9002, 9003):
+                for query in queries:
+                    service.query(query)
+                service.mutate(
+                    Mutation.insert("d", np.full((1, 4), 3.0), [point_id])
+                )
+            # the current version's first store drops the two entries
+            # of the version before it; "other" is untouched
+            for query in queries:
+                assert not service.query(query).cached
+            version = registry.snapshot("d").version
+            keys = sorted(service.cache._entries)
+            assert keys == sorted(
+                [("other", registry.snapshot("other").version,
+                  Query.full("other").fingerprint())]
+                + [("d", version, q.fingerprint()) for q in queries]
+            )
+        assert metrics.counter("serving", "cache_superseded_dropped") == 6
+
     def test_validation_errors_are_synchronous(self, served):
         service, _ = served
         with pytest.raises(ConfigurationError):

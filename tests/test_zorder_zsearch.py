@@ -6,13 +6,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.algorithms.zs as zs_module
-from repro.algorithms.zs import zs_skyline
+from repro.algorithms.zs import zs_skyline, zs_skyline_groups
 from repro.core.dataset import Dataset
+from repro.core import point as point_module
 from repro.core.exceptions import ZOrderError
+from repro.core.point import GridRows
 from repro.core.skyline import is_skyline_of
 from repro.zorder.encoding import ZGridCodec
 from repro.zorder.zbtree import OpCounter, build_zbtree, rebuild
-from repro.zorder.zsearch import zsearch, zsearch_dataset, zsearch_mask
+from repro.zorder.zsearch import (
+    accept,
+    accept_groups,
+    zsearch,
+    zsearch_dataset,
+    zsearch_mask,
+)
 
 
 @pytest.fixture
@@ -220,3 +228,88 @@ class TestTreeFreeZSearch:
         truncated = codec.encode_grid_batch(np.array([[1, 1], [1, 1]]))
         with pytest.raises(ZOrderError, match="integers"):
             zs_skyline(pts, None, counter, codec, zaddresses=truncated)
+
+
+class TestGroupedZSearch:
+    """``zs_skyline_groups`` equals one ``zs_skyline`` call per one-leaf
+    group: rows, ids, order, carried Z-addresses and charges."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(
+            st.one_of(st.integers(0, 32), st.sampled_from([0, 1, 31, 32])),
+            max_size=10,
+        ),
+        d=st.sampled_from([1, 2, 8]),
+        bits=st.sampled_from([12, 16, 17]),
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.sampled_from([1, 100, 1 << 18]),
+    )
+    @example(sizes=[32, 0, 32, 1], d=8, bits=12, seed=1, budget=1 << 18)
+    @example(sizes=[32, 32], d=2, bits=16, seed=3, budget=1 << 18)
+    @example(sizes=[], d=1, bits=17, seed=0, budget=1 << 18)
+    def test_matches_per_group_calls(self, sizes, d, bits, seed, budget):
+        codec = ZGridCodec.grid_identity(d, bits_per_dim=bits)
+        pts = _grid_rows(seed, sum(sizes), d, bits)
+        ids = np.random.default_rng(seed).permutation(len(pts)) + 7
+        zbatch = codec.encode_grid_batch(pts)
+        want_counter = OpCounter()
+        want_pts, want_ids, want_counts = [], [], []
+        lo = 0
+        for size in sizes:
+            got = zs_skyline(
+                pts[lo : lo + size], ids[lo : lo + size], want_counter, codec,
+                zaddresses=zbatch[lo : lo + size],
+            )
+            want_pts.append(got[0])
+            want_ids.append(got[1])
+            want_counts.append(len(got[1]))
+            lo += size
+        counter = OpCounter()
+        # a small pair budget splits the padded pass into group chunks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(point_module, "PAIR_BUDGET", budget)
+            got_pts, got_ids, got_z, counts = zs_skyline_groups(
+                pts, ids, zbatch, sizes, codec, counter
+            )
+        want = np.concatenate(want_pts) if sizes else np.empty((0, d))
+        assert np.array_equal(got_pts, want.reshape(-1, d))
+        assert np.array_equal(
+            got_ids, np.concatenate(want_ids) if sizes else np.empty(0)
+        )
+        assert got_pts.dtype == np.float64 and got_ids.dtype == np.int64
+        assert counts.tolist() == want_counts
+        # the carried addresses are the output rows' own
+        assert np.array_equal(got_z, codec.encode_grid_batch(got_pts))
+        assert counter == want_counter
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 40), max_size=8),
+        d=st.sampled_from([1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_accept_groups_is_accept_per_group(self, sizes, d, seed):
+        # any scan order, not only Z-order: earlier rows screen later ones
+        rows = GridRows.of(_grid_rows(seed, sum(sizes), d, 4), np.uint16)
+        got = accept_groups(rows, np.array(sizes, dtype=np.int64))
+        starts = np.cumsum([0] + sizes)
+        want = [accept(rows[a:b]) for a, b in zip(starts[:-1], starts[1:])]
+        assert np.array_equal(
+            got, np.concatenate(want) if want else np.zeros(0, dtype=bool)
+        )
+
+    def test_groups_wider_than_a_leaf_are_rejected(self):
+        codec = ZGridCodec.grid_identity(2, bits_per_dim=6)
+        pts = np.random.default_rng(0).integers(0, 64, (33, 2)).astype(float)
+        with pytest.raises(ZOrderError, match="leaf"):
+            zs_skyline_groups(
+                pts, np.arange(33), codec.encode_grid_batch(pts), [33], codec
+            )
+
+    def test_off_grid_rows_are_rejected(self):
+        codec = ZGridCodec.grid_identity(2, bits_per_dim=4)
+        pts = np.array([[1.7, 1.7], [1.2, 1.2]])
+        truncated = codec.encode_grid_batch(np.array([[1, 1], [1, 1]]))
+        with pytest.raises(ZOrderError, match="integers"):
+            zs_skyline_groups(pts, np.arange(2), truncated, [1, 1], codec)
