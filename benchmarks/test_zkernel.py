@@ -29,6 +29,12 @@ Guards:
   counters through the grouped one-leaf pass as through one
   local-skyline call per group, and be at least **2x** faster (a
   same-host ratio);
+* the phase-2 Z-merge reducers of batch-indep-d8-shaped jobs, replayed
+  on their captured candidate blocks, must build trees identical to
+  one ``build_zbtree`` per block through one ``build_zbtrees`` call,
+  at least **1.3x** faster (a same-host ratio), and the whole reducer
+  must give the same skyline, Z-addresses, charges and counters as a
+  reducer that builds one tree per block;
 * the end-to-end runs must reproduce their recorded skyline sizes
   exactly (the cheap bit-identity canary), and the two wide-path runs
   (d=6 and d=8) must stay at or under their baseline seconds.
@@ -54,11 +60,13 @@ from repro.data.synthetic import generate
 from repro.mapreduce.job import TaskContext
 from repro.mapreduce.types import Block
 from repro.observability.metrics import MetricsRegistry
-from repro.pipeline import phase1
+from repro.pipeline import phase1, phase2
+from repro.pipeline.preprocess import CACHE_CODEC
 from repro.pipeline.driver import run_plan
 from repro.zorder.encoding import ZGridCodec
 from repro.zorder.kernel import ZKernel
-from repro.zorder.zbtree import OpCounter, build_zbtree
+from repro.zorder.zbtree import OpCounter, TreeBlock, build_zbtree, build_zbtrees
+from repro.zorder.zmerge import zmerge_all
 from repro.zorder.zsearch import zsearch
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -74,6 +82,8 @@ MIN_DOMINANCE_SPEEDUP = 2.0
 MIN_BLOCK_SPEEDUP = 2.0
 #: minimum grouped-vs-per-group speedup of the phase-1 combine
 MIN_COMBINE_SPEEDUP = 2.0
+#: minimum batched-vs-per-block speedup of the Z-merge candidate builds
+MIN_BUILD_SPEEDUP = 1.3
 
 
 # ----------------------------------------------------------------------
@@ -378,6 +388,111 @@ class TestPhase1Combine:
                 "groups": groups,
                 "per_group_ms": round(per_group_s * 1e3, 2),
                 "grouped_ms": round(grouped_s * 1e3, 2),
+                "speedup": round(speedup, 2),
+            },
+        )
+
+
+# ----------------------------------------------------------------------
+# phase-2 Z-merge: one batched build of a reducer's candidate trees
+# ----------------------------------------------------------------------
+def _per_block_zmerge_reducer(key, blocks, ctx):
+    """The Z-merge reducer with one ``build_zbtree`` per candidate
+    block, the builds the batched one replaced."""
+    codec = ctx.cache.get(CACHE_CODEC)
+    trees = [
+        build_zbtree(codec, block.points, ids=block.ids, zaddresses=block.zaddresses)
+        for block in blocks
+        if block.size > 0
+    ]
+    merged = zmerge_all(trees, counter=ctx.ops)
+    zs, points, ids = merged.collect()
+    ctx.observe("phase2.merge_fanin", len(trees))
+    return Block(ids, points, zaddresses=zs)
+
+
+def _tree_bytes(tree):
+    """Every table and grid column of a tree, with dtypes."""
+    arrays = [value for value in vars(tree).values() if isinstance(value, np.ndarray)]
+    arrays += tree.levels
+    for grid in (tree.grid_points, tree.grid_min, tree.grid_max):
+        arrays += [grid.cols, grid.sums]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestZmergeFold:
+    def test_batched_builds_beat_one_build_per_block(self, monkeypatch):
+        # capture the merge reducer's candidate blocks (and cache) from
+        # four batch-indep-d8-shaped jobs
+        captured = []
+        reducer = phase2._zmerge_reducer
+
+        def capture(key, blocks, ctx):
+            captured.append((key, blocks, ctx.cache))
+            return reducer(key, blocks, ctx)
+
+        monkeypatch.setattr(phase2, "_zmerge_reducer", capture)
+        for seed in range(1, 5):
+            dataset = generate("independent", 10_000, 8, seed=seed)
+            run_plan("ZDG+ZS+ZM", dataset, num_workers=8, bits_per_dim=12)
+        monkeypatch.undo()
+        inputs = [
+            (cache.get(CACHE_CODEC), [
+                TreeBlock(b.points, b.ids, b.zaddresses) for b in blocks if b.size
+            ])
+            for _key, blocks, cache in captured
+        ]
+        blocks = sum(len(tree_blocks) for _, tree_blocks in inputs)
+        assert blocks > 20 * len(captured)
+
+        def batched():
+            return [build_zbtrees(codec, tree_blocks) for codec, tree_blocks in inputs]
+
+        def per_block():
+            return [
+                [build_zbtree(codec, *block[:3]) for block in tree_blocks]
+                for codec, tree_blocks in inputs
+            ]
+
+        got, batched_s = _timed(batched, repeats=5)
+        want, per_block_s = _timed(per_block, repeats=5)
+        for mine, theirs in zip(got, want):
+            assert len(mine) == len(theirs)
+            for a, b in zip(mine, theirs):
+                assert _tree_bytes(a) == _tree_bytes(b)
+
+        # the whole reducer: same skyline, addresses, charges, counters
+        for key, candidate_blocks, cache in captured:
+            runs = []
+            for fn in (reducer, _per_block_zmerge_reducer):
+                ctx = TaskContext(cache, MetricsRegistry())
+                runs.append((fn(key, candidate_blocks, ctx), ctx))
+            (g_block, g_ctx), (w_block, w_ctx) = runs
+            assert np.array_equal(g_block.ids, w_block.ids)
+            assert np.array_equal(g_block.points, w_block.points)
+            assert np.array_equal(g_block.zaddresses, w_block.zaddresses)
+            assert g_ctx.ops == w_ctx.ops
+            assert (
+                g_ctx.counters.counters_as_dict()
+                == w_ctx.counters.counters_as_dict()
+            )
+
+        speedup = per_block_s / batched_s
+        assert speedup >= MIN_BUILD_SPEEDUP, (
+            f"the batched Z-merge candidate builds are only {speedup:.2f}x "
+            f"faster than one build per block (need >= {MIN_BUILD_SPEEDUP}x)"
+        )
+        _update_bench(
+            "zmerge_builds",
+            {
+                "plan": "ZDG+ZS+ZM",
+                "n": 10_000,
+                "dimensions": 8,
+                "bits_per_dim": 12,
+                "reducers": len(captured),
+                "candidate_blocks": blocks,
+                "per_block_ms": round(per_block_s * 1e3, 2),
+                "batched_ms": round(batched_s * 1e3, 2),
                 "speedup": round(speedup, 2),
             },
         )

@@ -197,8 +197,10 @@ class GridRows:
 
     ``cols`` is the ``(d, n)`` column-major matrix of the coordinates as
     ``uint16`` (every value below ``2^16``) or ``uint32``; ``sums`` holds
-    the ``(n,)`` row sums as float64, exact for integers below ``2^32``
-    and ``d < 2^21`` (every sum stays below ``2^53``).  Indexing selects
+    the ``(n,)`` exact integer row sums, ``uint32`` for ``uint16``
+    columns and ``uint64`` for ``uint32`` ones (:func:`sum_dtype`; no
+    sum overflows while ``d < 65537``), so the kernel's strictness test
+    never compares floats.  Indexing selects
     rows like an array's first axis (a slice, mask or index array),
     ``len`` is the row count and ``np.asarray`` gives the ``(n, d)``
     float64 points back, so it stands in for a block of points.
@@ -214,8 +216,8 @@ class GridRows:
     def of(cls, points: np.ndarray, dtype: type) -> "GridRows":
         """Columns and sums of ``(n, d)`` grid points the caller has
         checked (integral, ``0 <= x`` and within ``dtype``'s range)."""
-        pts = np.asarray(points, dtype=np.float64)
-        return cls(np.ascontiguousarray(pts.T, dtype=dtype), pts.sum(axis=1))
+        cols = np.ascontiguousarray(np.asarray(points).T, dtype=dtype)
+        return cls(cols, row_sums(cols))
 
     @classmethod
     def concat(cls, *blocks: "GridRows") -> "GridRows":
@@ -244,6 +246,18 @@ class GridRows:
 def grid_dtype(top: int) -> type:
     """Narrowest column dtype holding grid values up to ``top``."""
     return np.uint16 if top < 1 << 16 else np.uint32
+
+
+def sum_dtype(dtype: type) -> type:
+    """Row-sum dtype of :class:`GridRows` columns of ``dtype``: twice
+    as wide, so ``d`` values below ``2^16`` (``2^32``) sum exactly for
+    any ``d < 65537``."""
+    return np.uint32 if np.dtype(dtype) == np.uint16 else np.uint64
+
+
+def row_sums(cols: np.ndarray) -> np.ndarray:
+    """The exact integer row sums of ``(d, n)`` grid columns."""
+    return cols.sum(axis=0, dtype=sum_dtype(cols.dtype))
 
 
 def is_grid(points: np.ndarray, limit: int = 1 << 32) -> bool:

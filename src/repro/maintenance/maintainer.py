@@ -26,7 +26,13 @@ from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.exceptions import DatasetError, ZOrderError
-from repro.core.point import GridRows, grid_dtype, pairwise_dominance, rows_per_chunk
+from repro.core.point import (
+    GridRows,
+    grid_dtype,
+    pairwise_dominance,
+    rows_per_chunk,
+    sum_dtype,
+)
 from repro.observability.metrics import MetricsRegistry
 from repro.zorder.encoding import ZGridCodec
 from repro.zorder.zbtree import OpCounter, ZBTree, build_zbtree, rebuild
@@ -107,7 +113,7 @@ class SkylineMaintainer:
         self._z = codec.kernel.from_ints([])
         self._grid_dtype = grid_dtype(codec.cells_per_dim - 1)
         self._cols = np.empty((codec.dimensions, 0), dtype=self._grid_dtype)
-        self._sums = np.empty(0)
+        self._sums = np.empty(0, dtype=sum_dtype(self._grid_dtype))
         self._used = 0
         self._rows: Dict[int, int] = {}
         self._sky: ZBTree = ZBTree.empty(codec)
@@ -511,6 +517,7 @@ class SkylineMaintainer:
         if not (
             np.array_equal(self._z[live], self.codec.encode_grid_batch(alive))
             and np.array_equal(self._cols[:, live].T, alive)
+            and self._sums.dtype == sum_dtype(self._grid_dtype)
             and np.array_equal(self._sums[live], alive.sum(axis=1))
         ):
             raise DatasetError("stored Z-addresses or grid columns disagree")

@@ -31,13 +31,16 @@ def reservoir_sample_indices(
         raise DatasetError(f"sample size must be positive; got {k}")
     if k >= n:
         return np.arange(n, dtype=np.int64)
-    reservoir = np.arange(k, dtype=np.int64)
-    # Draw all randomness up front (vectorised) while keeping the exact
-    # Algorithm R replacement semantics.
+    # Draw all randomness up front, then replay Algorithm R's
+    # replacements at once: a slot ends up holding the last item that
+    # replaced it (the largest draw index), or its initial item.
     slots = (rng.random(n - k) * (np.arange(k, n) + 1)).astype(np.int64)
-    for offset, slot in enumerate(slots):
-        if slot < k:
-            reservoir[slot] = k + offset
+    hits = np.flatnonzero(slots < k)
+    reservoir = np.arange(k, dtype=np.int64)
+    last = np.full(k, -1, dtype=np.int64)
+    np.maximum.at(last, slots[hits], hits)
+    replaced = last >= 0
+    reservoir[replaced] = k + last[replaced]
     return np.sort(reservoir)
 
 

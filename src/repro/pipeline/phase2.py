@@ -3,8 +3,9 @@
 The mapper shuffles every group's candidate block to a single reducer
 key; the reducer merges with the configured strategy:
 
-* ``ZM`` — the paper's Z-merge: build a ZB-tree per candidate group and
-  fold them with Algorithm 4's BFS region-pruned merge;
+* ``ZM`` — the paper's Z-merge: build a ZB-tree per candidate group
+  (all in one batched build) and fold them with Algorithm 4's BFS
+  region-pruned merge;
 * ``ZS`` — concatenate candidates and run Z-search over one ZB-tree;
 * ``SB`` / ``BNL`` — concatenate and run the block-based algorithm.
 
@@ -27,7 +28,7 @@ from repro.mapreduce.job import MapReduceJob, TaskContext
 from repro.mapreduce.types import Block
 from repro.pipeline.plans import PlanConfig
 from repro.pipeline.preprocess import CACHE_CODEC
-from repro.zorder.zbtree import build_zbtree
+from repro.zorder.zbtree import TreeBlock, build_zbtrees
 from repro.zorder.zmerge import zmerge_all
 
 _MERGE_KEY = 0
@@ -100,13 +101,14 @@ def _zmerge_reducer(key: int, blocks: List[Block], ctx: TaskContext) -> Block:
     # Candidate blocks arrive with the Z-addresses phase 1 computed for
     # routing; the tree builds reuse them instead of re-encoding (a
     # block that lost them — e.g. a legacy checkpoint — re-encodes).
-    trees = [
-        build_zbtree(
-            codec, block.points, ids=block.ids, zaddresses=block.zaddresses
-        )
-        for block in blocks
-        if block.size > 0
-    ]
+    trees = build_zbtrees(
+        codec,
+        [
+            TreeBlock(block.points, block.ids, block.zaddresses)
+            for block in blocks
+            if block.size > 0
+        ],
+    )
     if not trees:
         return Block.empty(blocks[0].dimensions if blocks else 1)
     merged = zmerge_all(trees, counter=ctx.ops)

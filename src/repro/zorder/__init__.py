@@ -28,17 +28,19 @@ Z-address" before any computation.
 from repro.zorder.encoding import ZGridCodec, quantize_dataset
 from repro.zorder.kernel import ZKernel
 from repro.zorder.rzregion import RegionRelation, RZRegion
-from repro.zorder.zbtree import ZBTree, build_zbtree
+from repro.zorder.zbtree import TreeBlock, ZBTree, build_zbtree, build_zbtrees
 from repro.zorder.zmerge import zmerge, zmerge_all
 from repro.zorder.zsearch import zsearch, zsearch_dataset
 
 __all__ = [
     "RZRegion",
     "RegionRelation",
+    "TreeBlock",
     "ZBTree",
     "ZGridCodec",
     "ZKernel",
     "build_zbtree",
+    "build_zbtrees",
     "quantize_dataset",
     "zmerge",
     "zmerge_all",

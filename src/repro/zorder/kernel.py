@@ -133,7 +133,9 @@ class ZKernel:
 
         The inverse of :meth:`interleave`: unpack the byte rows to the
         level-major bit matrix and collapse each dimension's bit column
-        with one tensor contraction.
+        with one ``matmul`` of the ``(b,)`` level weights and the
+        ``(n, b, d)`` bits (a few times faster than ``tensordot``, whose
+        reshapes dominate at tree-build sizes).
         """
         matrix = self.to_bytes_matrix(zbatch)
         n = matrix.shape[0]
@@ -141,10 +143,7 @@ class ZKernel:
             return np.empty((0, self.dimensions), dtype=np.uint32)
         bits = np.unpackbits(matrix, axis=1)[:, self.pad_bits:]
         bits = bits.reshape(n, self.bits_per_dim, self.dimensions)
-        grid = np.tensordot(
-            bits.astype(np.int64), self._decode_weights, axes=([1], [0])
-        )
-        return grid.astype(np.uint32)
+        return np.matmul(self._decode_weights, bits).astype(np.uint32)
 
     def to_bytes_matrix(self, zbatch: np.ndarray) -> np.ndarray:
         """Native batch -> ``(n, W)`` big-endian byte matrix (a view or

@@ -11,6 +11,9 @@ its points are the slice ``pstart[u] : pstart[u] + npoints[u]`` of the
 point columns (leaves in pre-order are the Z-order scan).
 :func:`build_zbtree` computes the table straight from the sorted
 Z-addresses with level arithmetic; there are no node objects.
+:func:`build_zbtrees` builds many trees with that per-call work paid
+once (one sort, one region-bounds pass, one decode), each tree a slice
+of the shared arrays; :func:`build_zbtree` is its one-block case.
 
 Deletion (Z-merge's ``UDominate``) is a keep-mask over the points:
 nodes left without points drop out and every column is recomputed by
@@ -24,22 +27,24 @@ Flat walks.  The batched dominator probe
 (:func:`repro.zorder.zsearch.zsearch`) do not visit nodes one at a time:
 each runs a few chunked passes of the grid dominance kernel
 (:func:`repro.core.point.pairwise_dominance`) over the table, on the
-narrow-int columns and row sums the tree stores once for its points
-and region corners.  Answers and
+narrow-int columns and exact integer row sums the tree stores once
+for its points and region corners.  Answers and
 :class:`OpCounter` charges are exactly those of a node-by-node walk of
 the same tree (the cost model reads the charges), computed in closed
 form: whether a walk reaches a node is a condition on its root path,
 and what it has decided by then depends only on the walk order, which
 pre-order positions encode (docs/INTERNALS.md §4).  The probe and the
-deletion both count per group of probes or rows, so
+deletion both count per group of probes or rows, so Z-merge charges
+all of a fold's frontier probes from one probe pass, and
 :meth:`ZBTree.decide_blocks` charges a run of Z-merge leaf steps, each
-a probe then a deletion, from one pass of each.
+a probe then a deletion, from that pass's leaf groups and one
+deletion pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,7 +54,9 @@ from repro.core.point import (
     grid_dtype,
     is_grid,
     pairwise_dominance,
+    row_sums,
     rows_per_chunk,
+    sum_dtype,
 )
 from repro.zorder.encoding import ZGridCodec
 
@@ -341,9 +348,10 @@ class ZBTree:
 
         Invariants: points appear in non-decreasing Z-order, stored
         Z-addresses match stored points, the grid-kernel columns and
-        row sums match the stored points and corners, every point's
-        Z-address lies inside its leaf's RZ-region, every child region
-        inside its parent's, and node point counts add up.
+        integer row sums (dtypes included) match the stored points and
+        corners, every point's Z-address lies inside its leaf's
+        RZ-region, every child region inside its parent's, and node
+        point counts add up.
         """
         for grid, rows in (
             (self.grid_points, self.leaf_points),
@@ -352,6 +360,7 @@ class ZBTree:
         ):
             if not (
                 grid.cols.dtype == self.grid_dtype
+                and grid.sums.dtype == sum_dtype(self.grid_dtype)
                 and np.array_equal(grid.cols.T, rows)
                 and np.array_equal(grid.sums, rows.sum(axis=1))
             ):
@@ -644,18 +653,24 @@ class ZBTree:
         counter.point_tests += int((npoints * rows_kept)[scanned].sum())
 
     def decide_blocks(
-        self, blocks: GridRows, sizes: np.ndarray, counter: OpCounter
+        self,
+        blocks: GridRows,
+        sizes: np.ndarray,
+        probe: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        counter: OpCounter,
     ) -> Tuple[np.ndarray, int]:
         """Alg. 4's leaf step for consecutive blocks of ``sizes`` rows,
         charged exactly as deciding them one block at a time.
 
-        Block ``j`` in turn is probed against the tree
-        (:meth:`dominated_mask_tree`); its undominated rows are accepted
-        and delete the stored points they dominate
-        (:meth:`remove_dominated_by_block`) before block ``j + 1`` is
-        probed.  Once the tree is empty, no later block is decided.
-        Returns the accepted flags of the decided blocks' rows and the
-        number of blocks decided; the tree is compacted once.
+        ``probe`` is :meth:`_probe`'s result for the blocks against the
+        tree as it stands, one group per block: the dominated flags of
+        their rows and the ``(N, len(sizes))`` ``handed`` and ``tested``
+        counts.  Block ``j`` in turn is probed against the tree; its
+        undominated rows are accepted and delete the stored points they
+        dominate (:meth:`remove_dominated_by_block`) before block
+        ``j + 1`` is probed.  Once the tree is empty, no later block is
+        decided.  Returns the accepted flags of the decided blocks' rows
+        and the number of blocks decided; the tree is compacted once.
 
         Requires a non-empty tree whose regions hold their points (every
         built or compacted tree) and non-empty blocks whose union is
@@ -672,7 +687,7 @@ class ZBTree:
         count and pop-order comparison carries over, and each walk's
         charges sum the per-group counts over the nodes still present.
         """
-        probed, handed, tested = self._probe(blocks, sizes)
+        probed, handed, tested = probe
         accepted = ~probed
         kept = np.add.reduceat(accepted, np.cumsum(sizes) - sizes, dtype=np.int64)
         *counts, kill = self._udominate(blocks[accepted], kept)
@@ -782,6 +797,17 @@ def zbatch_of(
     return zbatch
 
 
+class TreeBlock(NamedTuple):
+    """One tree's input rows for :func:`build_zbtrees`; the optional
+    fields mean what :func:`build_zbtree`'s parameters of the same
+    names do."""
+
+    points: np.ndarray
+    ids: Optional[Sequence[int]] = None
+    zaddresses: Optional[Union[Sequence[int], np.ndarray]] = None
+    grid: Optional[GridRows] = None
+
+
 def build_zbtree(
     codec: ZGridCodec,
     points: np.ndarray,
@@ -791,14 +817,8 @@ def build_zbtree(
     fanout: int = DEFAULT_FANOUT,
     grid: Optional[GridRows] = None,
 ) -> ZBTree:
-    """Bulk-build a ZB-tree bottom-up from grid points.
-
-    The build writes the pre-order table directly.  After one encode
-    (skipped when ``zaddresses`` are given) and one stable Z-sort, level
-    ``k`` (leaves are level 0) has one node per run of ``leaf_capacity *
-    fanout**k`` sorted points; per-level subtree node counts place every
-    node in pre-order; and one region-bounds pass plus one decode give
-    the corners of every node.
+    """Bulk-build a ZB-tree bottom-up from grid points: the one-block
+    case of :func:`build_zbtrees`.
 
     Parameters
     ----------
@@ -818,28 +838,144 @@ def build_zbtree(
         skips the grid check and reorders these columns instead of
         deriving new ones.  Z-merge and :func:`rebuild` pass them.
     """
+    block = TreeBlock(points, ids, zaddresses, grid)
+    return build_zbtrees(codec, (block,), leaf_capacity, fanout)[0]
+
+
+def build_zbtrees(
+    codec: ZGridCodec,
+    blocks: Iterable[TreeBlock],
+    leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
+    fanout: int = DEFAULT_FANOUT,
+) -> List[ZBTree]:
+    """Bulk-build one ZB-tree per block (a :class:`TreeBlock` or any
+    ``(points, ids, zaddresses, grid)`` 4-tuple), in order; an empty
+    block gives an empty tree.
+
+    Each tree equals :func:`build_zbtree` of its block, column for
+    column, but the per-call work is paid once for all blocks: one
+    grid check of the rows with Z-addresses but no grid columns, one
+    encode of the rows without Z-addresses, one stable Z-sort and then
+    one stable sort by block (skipped for one block), one region-bounds
+    pass and one decode for every node's corners, and one conversion
+    of the corners (and of the points, unless every block brings its
+    grid columns) to the grid kernel's layout.  The trees are slices of
+    these arrays.
+
+    A tree writes its pre-order table directly: level ``k`` (leaves are
+    level 0) has one node per run of ``leaf_capacity * fanout**k``
+    sorted points, and per-level subtree node counts place every node
+    in pre-order (:func:`_table`).  The stable sorts keep equal
+    Z-addresses (duplicate grid points) in input order.
+    """
     if leaf_capacity < 2 or fanout < 2:
         raise ZOrderError("leaf_capacity and fanout must both be >= 2")
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ZOrderError(f"points must be 2-D; got shape {pts.shape}")
-    n = pts.shape[0]
-    if ids is None:
-        id_arr = np.arange(n, dtype=np.int64)
-    else:
-        id_arr = np.asarray(ids, dtype=np.int64)
-        if id_arr.shape != (n,):
-            raise ZOrderError("ids must match points length")
-    if n == 0:
-        return ZBTree.empty(codec, leaf_capacity, fanout)
+    d = codec.dimensions
+    trees: List[Optional[ZBTree]] = []
+    # the non-empty blocks: tree index, points, ids, Z-addresses, grid
+    live, points, ids, zs, grids, sizes = [], [], [], [], [], []
+    unchecked, bare = [], []  # rows to grid-check, rows to encode
+    for pts, block_ids, zaddresses, grid in blocks:
+        pts = np.asarray(pts, dtype=np.float64)
+        if pts.ndim != 2:
+            raise ZOrderError(f"points must be 2-D; got shape {pts.shape}")
+        n = pts.shape[0]
+        if block_ids is None:
+            block_ids = np.arange(n, dtype=np.int64)
+        else:
+            block_ids = np.asarray(block_ids, dtype=np.int64)
+            if block_ids.shape != (n,):
+                raise ZOrderError("ids must match points length")
+        if n == 0:
+            trees.append(ZBTree.empty(codec, leaf_capacity, fanout))
+            continue
+        if pts.shape[1] != d:
+            raise ZOrderError(f"expected {d} grid columns; got {pts.shape[1]}")
+        if zaddresses is None:
+            bare.append(pts)
+        elif grid is None:
+            unchecked.append(pts)
+        live.append(len(trees))
+        trees.append(None)
+        points.append(pts)
+        ids.append(block_ids)
+        zs.append(zaddresses)
+        grids.append(grid)
+        sizes.append(n)
+    if not live:
+        return trees
 
     kernel = codec.kernel
-    zbatch = zbatch_of(codec, pts, zaddresses, checked=grid is not None)
-    # Stable sort keeps equal Z-addresses (duplicate grid points) in
-    # input order.
+    if unchecked:
+        codec.check_grid(_cat(unchecked))
+    encoded = codec.encode_grid_batch(_cat(bare)) if bare else None
+    taken = 0
+    for k, n in enumerate(sizes):
+        if zs[k] is None:
+            zs[k] = encoded[taken : taken + n]
+            taken += n
+            continue
+        zs[k] = codec.as_zbatch(zs[k])
+        if zs[k].shape[0] != n:
+            raise ZOrderError("zaddresses must match points length")
+    zbatch = _cat(zs)
     order = kernel.argsort(zbatch)
+    if len(live) > 1:
+        owner = np.repeat(np.arange(len(live), dtype=np.int32), sizes)
+        order = order[np.argsort(owner[order], kind="stable")]
     leaf_z = zbatch[order]
+    leaf_points = _cat(points)[order]
+    leaf_ids = _cat(ids)[order]
+    dtype = grid_dtype(codec.cells_per_dim - 1)
+    if None in grids:
+        grid_points = GridRows.of(leaf_points, dtype)
+    else:
+        grid_points = (grids[0] if len(grids) == 1 else GridRows.concat(*grids))[order]
 
+    # per tree: its table, its first point and node in the batch, and
+    # the batch offsets of its nodes' first points
+    tables, starts, nodes, firsts = [], [0], [0], []
+    for n in sizes:
+        table = _table(n, leaf_capacity, fanout)
+        tables.append(table)
+        firsts.append(table[3] + starts[-1] if firsts else table[3])
+        starts.append(starts[-1] + n)
+        nodes.append(nodes[-1] + table[0].shape[0])
+    first = _cat(firsts)
+    last = first + _cat([table[4] for table in tables]) - 1
+    minz, maxz = kernel.region_bounds(leaf_z[first], leaf_z[last])
+    decoded = codec.decode_batch(np.concatenate((minz, maxz)))
+    corners = decoded.astype(np.float64)
+    # every corner in the grid kernel's layout from one conversion of
+    # the decoded integers, sliced per tree
+    cols = np.ascontiguousarray(decoded.T, dtype=dtype)
+    sums = row_sums(cols)
+    total = nodes[-1]
+    for k, (index, table) in enumerate(zip(live, tables)):
+        span = slice(starts[k], starts[k + 1])
+        rows = slice(nodes[k], nodes[k + 1])
+        high = slice(total + nodes[k], total + nodes[k + 1])
+        trees[index] = ZBTree(
+            codec, leaf_z[span], leaf_points[span], leaf_ids[span],
+            corners[rows], corners[high], *table, leaf_capacity, fanout,
+            grid_points[span],
+            GridRows(cols[:, rows], sums[rows]),
+            GridRows(cols[:, high], sums[high]),
+        )
+    return trees
+
+
+def _cat(arrays: List[np.ndarray]) -> np.ndarray:
+    """The arrays concatenated along the first axis (one is returned as
+    it is)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _table(
+    n: int, leaf_capacity: int, fanout: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(parent, depth, end, pstart, npoints)`` pre-order columns
+    of the tree over ``n > 0`` sorted points, by level arithmetic."""
     # Bottom-up, per level: the points each node spans and its subtree
     # node count (a node plus its children's subtrees).
     spans = [leaf_capacity]
@@ -875,23 +1011,7 @@ def build_zbtree(
                 row[group] + 1 + before - before[group * fanout],
                 row[group],
             )
-
-    minz, maxz = kernel.region_bounds(leaf_z[pstart], leaf_z[pstart + npoints - 1])
-    decoded = codec.decode_batch(np.concatenate((minz, maxz)))
-    corners = decoded.astype(np.float64)
-    # both corner blocks in the grid kernel's layout from one conversion
-    # of the decoded integers, sliced
-    cols = np.ascontiguousarray(
-        decoded.T, dtype=grid_dtype(codec.cells_per_dim - 1)
-    )
-    sums = corners.sum(axis=1)
-    return ZBTree(
-        codec, leaf_z, pts[order], id_arr[order], corners[:count], corners[count:],
-        parent, depth, end, pstart, npoints, leaf_capacity, fanout,
-        None if grid is None else grid[order],
-        GridRows(cols[:, :count], sums[:count]),
-        GridRows(cols[:, count:], sums[count:]),
-    )
+    return parent, depth, end, pstart, npoints
 
 
 def rebuild(tree: ZBTree, keep: Optional[np.ndarray] = None) -> ZBTree:

@@ -12,23 +12,26 @@ traversal of the source with three-way region pruning:
   against the skyline tree and, when accepted, dominated skyline points
   are deleted (the paper's ``UDominate``).
 
-The scan runs one BFS frontier (one depth of ``src``, in pre-order) at
-a time, and every tree-side operation is a flat walk: a few kernel
-passes over the skyline tree's pre-order table instead of one numpy
-dispatch per node, with the node-by-node walk's
+Every tree-side operation is a flat walk: a few kernel passes over
+the skyline tree's pre-order table instead of one numpy dispatch per
+node, with the node-by-node walk's
 :class:`~repro.zorder.zbtree.OpCounter` charges reproduced exactly.  A
-frontier costs one min-corner probe
-(:meth:`~repro.zorder.zbtree.ZBTree.dominated_mask_tree`), one Lemma 1
-broadcast and, for all of its leaves together,
-:meth:`~repro.zorder.zbtree.ZBTree.decide_blocks`: one probe pass over
-the union of the leaf blocks, one ``UDominate`` pass that finds each
-skyline point's *kill rank* (the first leaf, in visit order, whose
-accepted points delete it) and one compaction.  Alg. 4 decides those
-leaves one at a time, each probe seeing the deletions of the leaves
-before it; the kill ranks say which points each leaf's walks would
-see, so every leaf is charged what its own walks cost.  The scan works
-on ``src`` rows: a graft is its subtree's point range and the accepted
-points are point offsets.
+fold makes one probe pass (:meth:`~repro.zorder.zbtree.ZBTree._probe`)
+over every source node's min corner and every source leaf's points,
+and one Lemma 1 broadcast; the BFS frontiers (one depth of ``src``
+each, in pre-order) are then walked arithmetically, each charged the
+min-corner probe walk Alg. 4 makes for it.  Every leaf of a built or
+compacted source sits at the last depth, so nothing is deleted before
+the last frontier, whose leaves
+:meth:`~repro.zorder.zbtree.ZBTree.decide_blocks` decides from the
+same probe pass: one ``UDominate`` pass finds each skyline point's
+*kill rank* (the first leaf, in visit order, whose accepted points
+delete it), then one compaction.  Alg. 4 decides those leaves one at
+a time, each probe seeing the deletions of the leaves before it; the
+kill ranks say which points each leaf's walks would see, so every
+leaf is charged what its own walks cost.  The scan works on ``src``
+rows: a graft is its subtree's point range and the accepted points
+are point offsets.
 
 Finally the tree is rebalanced: the surviving skyline points, the
 grafted ranges and the accepted points are gathered, native
@@ -59,6 +62,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
+from repro.core.exceptions import ZOrderError
 from repro.core.point import GridRows
 from repro.zorder.zbtree import OpCounter, ZBTree, build_zbtree, concat_ranges, rebuild
 
@@ -113,13 +117,24 @@ def _zmerge_scan(
     visit order, and the ``src`` point offsets of the accepted leaf
     points, in visit order.
 
-    The BFS runs level-batched.  Each frontier (an array of ``src``
-    rows, all at one depth, in pre-order) sends its min-corner
-    dominator probes through one :meth:`ZBTree.dominated_mask_tree`
-    walk and its Lemma 1 incomparability tests through one broadcast,
-    then decides all of its remaining leaves with one
-    :meth:`ZBTree.decide_blocks`, charged leaf by leaf in visit order
-    as Alg. 4 decides them.  Batching ahead of the deletions is exact,
+    The whole scan runs on one :meth:`ZBTree._probe` pass of ``sky``
+    over every ``src`` node's min corner (a group each) and every
+    ``src`` leaf's points (a group per leaf), then walks the BFS
+    frontiers (one depth each, in pre-order) arithmetically: a node is
+    dominated (its corner probe hits), grafted (Lemma 1: incomparable
+    with the skyline root's region) or descended, and a node is reached
+    iff every strict ancestor descended.  Each frontier is charged one
+    corner-probe walk, the per-node probe counts summed over the
+    frontier, plus a visit and two region tests per node; its leaves
+    are decided by :meth:`ZBTree.decide_blocks` from the leaf groups'
+    probe counts, charged leaf by leaf in visit order as Alg. 4 decides
+    them.
+
+    This requires every leaf of ``src`` at one depth, as in every built
+    or compacted tree (else :class:`ZOrderError`): then only the last
+    frontier holds leaves, so nothing is deleted from ``sky`` before
+    the last frontier is probed, and every probe sees the starting
+    tree.  Deciding that frontier's leaves from the one pass is exact,
     not just conservative, by three invariants of the scan:
 
     1. A deletion never moves a node's corners (they stay stale), so
@@ -132,7 +147,7 @@ def _zmerge_scan(
        source point (or every point of the region) too, contradicting
        the contract that the source tree is dominance-free.  So every
        probe's verdict, its hit leaves and its first dominating leaf
-       are those against the frontier's starting tree.
+       are those against the starting tree.
     3. Compaction keeps pre-order as a subsequence, so pop-order
        comparisons between the nodes still present are unchanged.
 
@@ -140,58 +155,77 @@ def _zmerge_scan(
     which nodes, are still present: at leaf ``j``, those whose kill
     rank is at least ``j`` (a leaf's probe runs before its own
     deletions).  Once a leaf's accepted points delete the last skyline
-    point, every later row of the frontier, and every row of later
-    frontiers, is grafted unprobed, as Alg. 4 does.
+    point, every later row of the frontier is grafted unprobed, as
+    Alg. 4 does.
     """
-    grafts = [np.empty(0, dtype=np.int64)]
-    accepted = [np.empty(0, dtype=np.int64)]
-    if not sky.is_empty:
-        # Lemma 1 case 2 against the whole skyline tree, for every source
-        # node at once: the root corners are stable for the scan's
-        # duration (deletions keep stale, conservatively-large regions).
-        rmin, rmax = sky.minpt[0], sky.maxpt[0]
-        sky_may_dominate = np.all(rmin <= src.maxpt, axis=1) & np.any(
-            rmin < src.maxpt, axis=1
+    leaves = np.flatnonzero(src.is_leaf)
+    leaf_depth = src.depth[leaves[0]]
+    if np.any(src.depth[leaves] != leaf_depth):
+        raise ZOrderError(
+            "Z-merge needs a source tree whose leaves all sit at one depth"
         )
-        src_may_dominate = np.all(src.minpt <= rmax, axis=1) & np.any(
-            src.minpt < rmax, axis=1
-        )
-        comparable = sky_may_dominate | src_may_dominate
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        counter.nodes_visited += frontier.size
-        if sky.is_empty:
-            # Every skyline point was deleted by earlier accepted points;
-            # whatever remains of the source survives untouched.
-            grafts.append(frontier)
-            break
-        counter.region_tests += frontier.size
-        dominated = sky.dominated_mask_tree(src.grid_min[frontier], counter)
-        counter.region_tests += frontier.size  # the Lemma 1 tests
-        graft = ~dominated & ~comparable[frontier]
-        descend = ~dominated & ~graft
-        leaf = descend & src.is_leaf[frontier]
-        descend &= ~leaf
-        if leaf.any():
-            # the leaf step (probe, accept, UDominate) for all of the
-            # frontier's leaves at once, charged leaf by leaf
-            leaves = frontier[leaf]
-            sizes = src.npoints[leaves]
-            offsets = concat_ranges(src.pstart[leaves], sizes)
-            keep, decided = sky.decide_blocks(src.grid_points[offsets], sizes, counter)
-            accepted.append(offsets[: keep.shape[0]][keep])
-            if sky.is_empty:
-                # the rest of the frontier is grafted, unprobed
-                after = np.flatnonzero(leaf)[decided - 1] + 1
-                graft[after:] = True
-                descend[after:] = False
-        grafts.append(frontier[graft])
-        # children of the descended rows, in pre-order
-        below = np.zeros(src.num_nodes, dtype=bool)
-        below[frontier[descend]] = True
-        frontier = np.flatnonzero(below[src.parent[1:]]) + 1
+    if sky.is_empty:
+        # Nothing can dominate or be deleted: the source survives whole.
+        counter.nodes_visited += 1
+        return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    nodes = src.num_nodes
+    sizes = np.concatenate((np.ones(nodes, dtype=np.int64), src.npoints[leaves]))
+    probed, handed, tested = sky._probe(
+        GridRows.concat(src.grid_min, src.grid_points), sizes
+    )
+    # Lemma 1 case 2 against the whole skyline tree, for every source
+    # node at once: the root corners are stable for the scan's duration
+    # (deletions keep stale, conservatively-large regions).
+    rmin, rmax = sky.minpt[0], sky.maxpt[0]
+    sky_may_dominate = np.all(rmin <= src.maxpt, axis=1) & np.any(
+        rmin < src.maxpt, axis=1
+    )
+    src_may_dominate = np.all(src.minpt <= rmax, axis=1) & np.any(
+        src.minpt < rmax, axis=1
+    )
+    comparable = sky_may_dominate | src_may_dominate
+    dominated = probed[:nodes]
+    graft = ~dominated & ~comparable
+    descend = ~dominated & comparable  # at a leaf: decide its points
+    reached = np.empty(nodes, dtype=bool)
+    reached[0] = True
+    reached[1:] = src.down(descend & ~src.is_leaf)[src.parent[1:]]
 
-    return np.concatenate(grafts), np.concatenate(accepted)
+    # the frontiers, in BFS order: reached rows by depth, pre-order within
+    rows = np.flatnonzero(reached)
+    depth = src.depth[rows]
+    rows = rows[np.argsort(depth, kind="stable")]
+    heads = np.flatnonzero(np.diff(np.sort(depth), prepend=-1))
+    counter.nodes_visited += rows.shape[0]
+    counter.region_tests += 2 * rows.shape[0]  # corner probes, Lemma 1
+    sky._charge_probe(
+        counter,
+        np.diff(np.append(heads, rows.shape[0])),
+        np.add.reduceat(handed[:, rows], heads, axis=1),
+        np.add.reduceat(tested[:, rows], heads, axis=1),
+        sky.npoints[:, None],
+    )
+
+    accepted = np.empty(0, dtype=np.int64)
+    decided_leaves = np.flatnonzero(descend & reached & src.is_leaf)
+    if decided_leaves.size:
+        # the leaf step (probe, accept, UDominate) for all of the last
+        # frontier's leaves at once, charged leaf by leaf
+        block_sizes = src.npoints[decided_leaves]
+        offsets = concat_ranges(src.pstart[decided_leaves], block_sizes)
+        groups = nodes + np.searchsorted(leaves, decided_leaves)
+        keep, decided = sky.decide_blocks(
+            src.grid_points[offsets],
+            block_sizes,
+            (probed[nodes + offsets], handed[:, groups], tested[:, groups]),
+            counter,
+        )
+        accepted = offsets[: keep.shape[0]][keep]
+        if sky.is_empty:
+            # the rest of the last frontier is grafted, unprobed
+            later = np.arange(nodes) > decided_leaves[decided - 1]
+            graft |= later & (src.depth == leaf_depth)
+    return rows[graft[rows]], accepted
 
 
 def zmerge_all(

@@ -21,6 +21,7 @@ from repro.core.point import (
     kernel_rows,
     pairwise_dominance,
     strictly_dominates,
+    sum_dtype,
 )
 
 
@@ -263,6 +264,48 @@ class TestGridKernel:
         assert len(rows) == 3
         assert np.array_equal(np.asarray(rows[1:]), pts[1:])
         assert np.array_equal(rows[np.array([True, False, True])].sums, [4.0, 8.0])
+
+
+class TestIntegerSums:
+    @pytest.mark.parametrize(
+        "cols,sums", [(np.uint16, np.uint32), (np.uint32, np.uint64)]
+    )
+    def test_dtype_survives_every_constructor(self, cols, sums):
+        assert sum_dtype(cols) == sums
+        pts = np.array([[3.0, 1.0], [0.0, 2.0], [4.0, 4.0]])
+        rows = GridRows.of(pts, cols)
+        picks = (
+            rows,
+            GridRows.concat(rows, rows[1:]),
+            rows[1:],
+            rows[np.array([True, False, True])],
+            rows[np.array([2, 0])],
+            rows[np.array([], dtype=np.int64)],
+        )
+        for got in picks:
+            assert got.cols.dtype == cols
+            assert got.sums.dtype == sums
+            assert np.array_equal(got.sums, np.asarray(got).sum(axis=1))
+
+    def test_exact_at_the_top_of_the_wide_grid(self):
+        # 40 * (2^32 - 1) needs 38 bits: exact in uint64
+        top = (1 << 32) - 1
+        pts = np.full((2, 40), float(top))
+        pts[1, 7] = top - 1
+        (rows,) = kernel_rows(pts)
+        assert rows.cols.dtype == np.uint32 and rows.sums.dtype == np.uint64
+        assert rows.sums.tolist() == [40 * top, 40 * top - 1]
+        # the sums alone decide strictness between these two rows
+        dom = _kernel_matrix(rows, rows, 2, False)
+        assert dom.tolist() == [[False, False], [True, False]]
+
+    def test_exact_at_the_top_of_the_narrow_grid(self):
+        top = (1 << 16) - 1
+        pts = np.full((2, 40), float(top))
+        pts[0, 0] = 0.0
+        (rows,) = kernel_rows(pts)
+        assert rows.cols.dtype == np.uint16 and rows.sums.dtype == np.uint32
+        assert rows.sums.tolist() == [39 * top, 40 * top]
 
 
 class TestNonGridRoute:

@@ -72,21 +72,21 @@ GOLDEN = {
 GOLDEN_COUNTERS = {
     ('fig7cd', 'Grid+ZS'): '03be7124b59a8a22',
     ('fig7cd', 'Angle+ZS'): '652e5f6450109a5d',
-    ('fig7cd', 'ZDG+ZS+ZM'): '7c1d7879584bb83a',
+    ('fig7cd', 'ZDG+ZS+ZM'): '343c3bc655de3fe8',
     ('fig8', 'ZDG+ZS+SB'): '58950c31e7cc6d12',
     ('fig8', 'ZDG+ZS+ZS'): '326b6dd3d698956a',
-    ('fig8', 'ZDG+ZS+ZM'): '53b2100ae35f49e9',
+    ('fig8', 'ZDG+ZS+ZM'): 'b41356348e6e3d91',
     ('fig9', 'Grid+ZS'): '2acf45d7b8f5d4b6',
     ('fig9', 'ZDG+ZS'): 'b2c807ce6f53966f',
     ('load_balance', 'Naive-Z+ZS'): '0c0b5684fda5118a',
     ('load_balance', 'ZDG+ZS'): '0f8dc1e94b04ae9b',
     ('fig12', 'Grid+ZS'): '79171125b6c18058',
-    ('fig12', 'ZDG+ZS+ZM'): '0aab859d12df5945',
+    ('fig12', 'ZDG+ZS+ZM'): 'c7c6b898716e19ef',
     ('fig13', 'Naive-Z+ZS'): '9f21e24c0b7342b6',
-    ('fig13', 'ZDG+ZS+ZM'): '0fc42f53c6f5fe9c',
-    ('pruning', 'ZDG+ZS+ZM'): 'e19b0b96c381dd7c',
+    ('fig13', 'ZDG+ZS+ZM'): '760cd7a2614c7fff',
+    ('pruning', 'ZDG+ZS+ZM'): 'c190605a53bc61f3',
     ('sb_local', 'Grid+SB'): '0aca6fc800900900',
-    ('sb_local', 'ZDG+SB+ZM'): 'f7da846f72841a65',
+    ('sb_local', 'ZDG+SB+ZM'): '13c299476e0ffd41',
 }
 
 

@@ -74,6 +74,29 @@ class TestInserts:
             m.insert_block(np.zeros((2, 3)), np.array([1]))
 
 
+class TestStoreSums:
+    @pytest.mark.parametrize("bits,sums", [(5, np.uint32), (20, np.uint64)])
+    def test_sums_keep_their_integer_dtype(self, bits, sums):
+        codec = ZGridCodec.grid_identity(3, bits_per_dim=bits)
+        rng = np.random.default_rng(6)
+        m = SkylineMaintainer(codec)
+        assert m._sums.dtype == sums
+        for start in range(0, 200, 50):
+            # enough inserts to grow the store, and deletes to compact it
+            pts = rng.integers(0, 1 << bits, (50, 3)).astype(float)
+            m.insert_block(pts, np.arange(start, start + 50))
+            m.delete(np.arange(start, start + 40).tolist())
+            assert m._sums.dtype == sums
+            m.verify()
+
+    def test_verify_catches_float_sums(self, codec):
+        rng = np.random.default_rng(7)
+        m, _ = fresh(codec, rng)
+        m._sums = m._sums.astype(np.float64)  # equal values, float dtype
+        with pytest.raises(DatasetError, match="grid columns"):
+            m.verify()
+
+
 class TestDeletes:
     def test_delete_non_skyline_point_keeps_skyline(self, codec):
         m = SkylineMaintainer(codec)

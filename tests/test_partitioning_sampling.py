@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dataset import Dataset
 from repro.core.exceptions import DatasetError
@@ -46,6 +48,51 @@ class TestIndices:
         assert abs(freq.mean() - k / n) < 1e-9
         assert freq.min() > 0.03
         assert freq.max() < 0.25
+
+
+def _loop_reservoir(n, k, rng):
+    """Algorithm R as one replacement per draw, in draw order (the
+    loop the vectorised replay must equal)."""
+    if k >= n:
+        return np.arange(n, dtype=np.int64)
+    reservoir = np.arange(k, dtype=np.int64)
+    slots = (rng.random(n - k) * (np.arange(k, n) + 1)).astype(np.int64)
+    for offset, slot in enumerate(slots):
+        if slot < k:
+            reservoir[slot] = k + offset
+    return np.sort(reservoir)
+
+
+@st.composite
+def _sizes(draw):
+    n = draw(st.integers(min_value=1, max_value=5_000))
+    k = draw(
+        st.one_of(
+            st.just(1),
+            st.just(max(1, n - 1)),
+            st.integers(min_value=n, max_value=n + 3),
+            st.integers(min_value=1, max_value=n),
+        )
+    )
+    return n, k
+
+
+class TestVectorisedReplay:
+    @given(_sizes(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_replacement_loop(self, sizes, seed):
+        n, k = sizes
+        got = reservoir_sample_indices(n, k, np.random.default_rng(seed))
+        want = _loop_reservoir(n, k, np.random.default_rng(seed))
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (5_000, 1), (5_000, 4_999), (10_000, 200)])
+    def test_edge_sizes_over_many_seeds(self, n, k):
+        for seed in range(25):
+            got = reservoir_sample_indices(n, k, np.random.default_rng(seed))
+            want = _loop_reservoir(n, k, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, want)
 
 
 class TestDatasetSampling:

@@ -58,7 +58,8 @@ from repro.pipeline.driver import run_plan
 from repro.zorder.encoding import ZGridCodec
 from repro.zorder.kernel import ZKernel
 from repro.zorder.rzregion import RZRegion
-from repro.zorder.zbtree import OpCounter, ZBTree, build_zbtree
+from repro.core.point import GridRows, grid_dtype
+from repro.zorder.zbtree import OpCounter, TreeBlock, ZBTree, build_zbtree, build_zbtrees
 from repro.zorder.zmerge import _zmerge_scan, zmerge, zmerge_all
 from repro.zorder.zsearch import zsearch
 
@@ -1031,6 +1032,136 @@ class TestZmergeScanMatchesReference:
         assert sorted(grafted.tolist() + src.leaf_ids[accepted].tolist()) == list(
             range(100, 110)
         )
+
+
+class TestZmergeScanNeedsOneLeafDepth:
+    def test_source_with_leaves_at_two_depths_raises(self):
+        codec = ZGridCodec.grid_identity(2, bits_per_dim=5)
+        line = np.array([[float(i), float(20 - i)] for i in range(12)])
+        shape = {"leaf_capacity": 2, "fanout": 2}
+        deep = build_zbtree(codec, line, ids=np.arange(12), **shape)
+        other = build_zbtree(codec, line[:, ::-1] + 1, ids=np.arange(12) + 50, **shape)
+        # a root over ``deep`` and a leaf of two of ``other``'s points
+        src = _composite(deep, other, np.empty(0, dtype=np.int64), np.arange(2))
+        depths = set(src.depth[src.is_leaf].tolist())
+        assert len(depths) > 1
+        sky = build_zbtree(codec, np.array([[30.0, 30.0]]), ids=[99], **shape)
+        counter = OpCounter()
+        with pytest.raises(ZOrderError, match="one depth"):
+            _zmerge_scan(sky, src, counter)
+        assert _counts(counter) == (0, 0, 0)
+        assert sky.size == 1
+
+
+@st.composite
+def build_blocks(draw):
+    """Blocks for one batched build: both kernel paths, empty blocks
+    interleaved, sizes around the default leaf capacity, duplicate rows
+    (equal Z-addresses), and per block optional ids, Z-addresses and
+    grid columns."""
+    if draw(st.booleans()):
+        d = draw(st.integers(min_value=1, max_value=6))
+        bits = draw(st.integers(min_value=1, max_value=min(12, 64 // d)))
+    else:
+        d = draw(st.integers(min_value=5, max_value=10))
+        bits = draw(st.integers(min_value=64 // d + 1, max_value=16))
+    cells = 1 << draw(st.integers(min_value=1, max_value=bits))
+    blocks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        n = draw(st.one_of(st.sampled_from([0, 1, 32, 33]), st.integers(0, 40)))
+        blocks.append({
+            "n": n,
+            "dups": draw(st.integers(min_value=0, max_value=4)) if n else 0,
+            "ids": draw(st.booleans()),
+            "z": draw(st.booleans()),
+            "grid": draw(st.booleans()),
+        })
+    return {
+        "d": d,
+        "bits": bits,
+        "cells": cells,
+        "blocks": blocks,
+        "leaf_capacity": draw(st.sampled_from([2, 3, 4, 32])),
+        "fanout": draw(st.integers(min_value=2, max_value=3)),
+        "seed": draw(st.integers(min_value=0, max_value=2**31)),
+    }
+
+
+class TestBatchedBuild:
+    @given(build_blocks())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_one_build_per_block(self, case):
+        codec = ZGridCodec.grid_identity(case["d"], bits_per_dim=case["bits"])
+        shape = {"leaf_capacity": case["leaf_capacity"], "fanout": case["fanout"]}
+        rng = np.random.default_rng(case["seed"])
+        dtype = grid_dtype(codec.cells_per_dim - 1)
+        blocks = []
+        for spec in case["blocks"]:
+            pts = rng.integers(0, case["cells"], (spec["n"], case["d"])).astype(float)
+            if spec["dups"]:
+                pts = np.vstack([pts, pts[rng.integers(0, spec["n"], spec["dups"])]])
+            n = pts.shape[0]
+            blocks.append(TreeBlock(
+                pts,
+                rng.permutation(1000)[:n].astype(np.int64) if spec["ids"] else None,
+                codec.encode_grid_batch(pts) if spec["z"] and n else None,
+                GridRows.of(pts, dtype) if spec["grid"] and spec["z"] else None,
+            ))
+        codec.kernel_stats = MetricsRegistry()
+        got = build_zbtrees(codec, blocks, **shape)
+        stats = codec.kernel_stats.counters_as_dict().get("zkernel", {})
+        want = [build_zbtree(codec, *block[:3], grid=block[3], **shape) for block in blocks]
+        assert len(got) == len(want)
+        live = sum(1 for block in blocks if block.points.shape[0])
+        # one decode of every tree's corners, and one encode of the
+        # rows that came without Z-addresses
+        path = "fast" if codec.fast_path else "wide"
+        assert stats.get(f"decode_{path}_calls", 0) == min(live, 1)
+        bare = any(b.points.shape[0] and b.zaddresses is None for b in blocks)
+        assert stats.get(f"encode_{path}_calls", 0) == int(bare)
+        for mine, theirs in zip(got, want):
+            got_cols, want_cols = _columns(mine), _columns(theirs)
+            assert got_cols.keys() == want_cols.keys()
+            for key, value in want_cols.items():
+                if key == "levels":
+                    assert len(mine.levels) == len(value)
+                    for a, b in zip(mine.levels, value):
+                        np.testing.assert_array_equal(a, b)
+                    continue
+                assert got_cols[key].dtype == value.dtype, key
+                np.testing.assert_array_equal(got_cols[key], value, err_msg=key)
+            for name in ("grid_points", "grid_min", "grid_max"):
+                a, b = getattr(mine, name), getattr(theirs, name)
+                assert a.cols.dtype == b.cols.dtype and a.sums.dtype == b.sums.dtype
+                np.testing.assert_array_equal(a.cols, b.cols, err_msg=name)
+                np.testing.assert_array_equal(a.sums, b.sums, err_msg=name)
+            assert (mine.leaf_capacity, mine.fanout) == (theirs.leaf_capacity, theirs.fanout)
+            assert pickle.dumps(mine) == pickle.dumps(theirs)
+            mine.validate()
+
+    def test_no_blocks_and_only_empty_blocks(self):
+        codec = ZGridCodec.grid_identity(3, bits_per_dim=4)
+        assert build_zbtrees(codec, []) == []
+        trees = build_zbtrees(
+            codec, [(np.empty((0, 3)), None, None, None), TreeBlock(np.empty((0, 3)))]
+        )
+        assert [tree.is_empty for tree in trees] == [True, True]
+
+    def test_bad_blocks_raise_like_one_build(self):
+        codec = ZGridCodec.grid_identity(2, bits_per_dim=4)
+        good = TreeBlock(np.array([[1.0, 2.0]]))
+        for bad, message in (
+            (TreeBlock(np.array([[1.0, 2.0, 3.0]])), "grid columns"),
+            (TreeBlock(np.array([[1.5, 2.0]])), "grid coordinates"),
+            (TreeBlock(np.array([[16.0, 2.0]]), zaddresses=[0]), "grid coordinates"),
+            (TreeBlock(np.array([[1.0, 2.0]]), ids=[1, 2]), "ids must match"),
+            (TreeBlock(np.array([[1.0, 2.0]]), zaddresses=[0, 1]), "zaddresses must match"),
+            (TreeBlock(np.array([1.0, 2.0])), "2-D"),
+        ):
+            with pytest.raises(ZOrderError, match=message):
+                build_zbtree(codec, *bad[:3], grid=bad[3])
+            with pytest.raises(ZOrderError, match=message):
+                build_zbtrees(codec, [good, bad])
 
 
 def _node_build(codec, points, ids, leaf_capacity, fanout):

@@ -177,6 +177,32 @@ class TestGridInput:
         with pytest.raises(ZOrderError, match="grid columns"):
             tree.validate()
 
+    @pytest.mark.parametrize(
+        "bits,sums", [(12, np.uint32), (16, np.uint32), (17, np.uint64), (32, np.uint64)]
+    )
+    def test_sums_are_integers_twice_the_column_width(self, rng, bits, sums):
+        codec = ZGridCodec.grid_identity(3, bits_per_dim=bits)
+        pts = rng.integers(0, 1 << bits, (40, 3)).astype(float)
+        tree = build_zbtree(codec, pts, leaf_capacity=4, fanout=3)
+        for grid in (tree.grid_points, tree.grid_min, tree.grid_max):
+            assert grid.sums.dtype == sums
+        tree.remove_dominated_by(np.full(3, float(1 << (bits - 1))))
+        for grid in (tree.grid_points, tree.grid_min, tree.grid_max):
+            assert grid.sums.dtype == sums
+        tree.validate()
+
+    def test_validate_catches_float_sums(self, codec, rng):
+        tree, _ = make_tree(codec, rng, n=50)
+        for name in ("grid_points", "grid_min", "grid_max"):
+            good = getattr(tree, name)
+            # equal values, float dtype: a compare would leave the
+            # integer path
+            setattr(tree, name, GridRows(good.cols, good.sums.astype(np.float64)))
+            with pytest.raises(ZOrderError, match="grid columns"):
+                tree.validate()
+            setattr(tree, name, good)
+        tree.validate()
+
     def test_non_grid_probes_are_rejected(self, codec, rng):
         tree, _ = make_tree(codec, rng, n=50)
         with pytest.raises(ZOrderError):
