@@ -16,13 +16,13 @@ ratios measured on the same host in the same process.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from concurrent.futures import Future
-from typing import Dict, List
+from typing import List
 
 import numpy as np
+
+from conftest import update_bench
 
 from repro.core.exceptions import OverloadedError
 from repro.serving import (
@@ -33,28 +33,10 @@ from repro.serving import (
     SkylineService,
 )
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_PATH = os.path.join(REPO_ROOT, "BENCH_serving.json")
-
 #: minimum cached-vs-uncached read throughput ratio
 MIN_CACHE_SPEEDUP = 5.0
 #: bounded p99 queue wait must be at most this fraction of unbounded
 MAX_BOUNDED_WAIT_FRACTION = 1.0 / 3.0
-
-
-def _read_recorded() -> Dict:
-    if not os.path.exists(BENCH_PATH):
-        return {}
-    with open(BENCH_PATH, "r") as handle:
-        return json.load(handle)
-
-
-def _update_bench(section: str, payload: Dict) -> None:
-    recorded = _read_recorded()
-    recorded[section] = payload
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(recorded, handle, indent=1, sort_keys=True)
-        handle.write("\n")
 
 
 def _registry(n: int = 2500, d: int = 5, seed: int = 21) -> DatasetRegistry:
@@ -113,7 +95,7 @@ class TestCacheSpeedup:
             "uncached_reads_per_s": round(reads / uncached_s),
             "speedup": round(speedup, 2),
         }
-        _update_bench("cache_speedup", payload)
+        update_bench("serving", "cache_speedup", payload)
         assert speedup >= MIN_CACHE_SPEEDUP, (
             f"cache delivers only {speedup:.2f}x read throughput "
             f"(need >= {MIN_CACHE_SPEEDUP}x)"
@@ -180,7 +162,7 @@ class TestAdmissionControl:
             },
             "p99_ratio": round(bounded_p99 / unbounded_p99, 4),
         }
-        _update_bench("admission_control", payload)
+        update_bench("serving", "admission_control", payload)
         assert bounded_p99 <= unbounded_p99 * MAX_BOUNDED_WAIT_FRACTION, (
             f"bounded p99 wait {bounded_p99:.4f}s is not well below the "
             f"unbounded control's {unbounded_p99:.4f}s"

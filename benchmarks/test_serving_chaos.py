@@ -19,12 +19,11 @@ self-relative ratio measured in the same process.
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from typing import Dict
 
 import numpy as np
+
+from conftest import update_bench
 
 from repro.serving import (
     DatasetRegistry,
@@ -37,30 +36,12 @@ from repro.serving import (
 )
 from repro.serving.faults import WRITER_PHASES
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_PATH = os.path.join(REPO_ROOT, "BENCH_serving_chaos.json")
-
 #: minimum fraction of non-shed operations that must succeed
 MIN_AVAILABILITY = 0.99
 #: chaos p99 read latency must stay within this multiple of baseline
 MAX_P99_RATIO = 3.0
 #: one scripted crash recovery must finish within this budget
 MAX_RECOVERY_SECONDS = 2.0
-
-
-def _read_recorded() -> Dict:
-    if not os.path.exists(BENCH_PATH):
-        return {}
-    with open(BENCH_PATH, "r") as handle:
-        return json.load(handle)
-
-
-def _update_bench(section: str, payload: Dict) -> None:
-    recorded = _read_recorded()
-    recorded[section] = payload
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(recorded, handle, indent=1, sort_keys=True)
-        handle.write("\n")
 
 
 def _grid(rng, n: int, d: int = 5, cells: int = 256) -> np.ndarray:
@@ -127,7 +108,7 @@ class TestAvailabilityUnderChaos:
             "chaos_read_p99_ms": round(chaos_p99 * 1e3, 3),
             "p99_ratio": round(p99_ratio, 3),
         }
-        _update_bench("availability_under_chaos", payload)
+        update_bench("serving_chaos", "availability_under_chaos", payload)
 
         assert chaos.availability >= MIN_AVAILABILITY, (
             f"availability {chaos.availability:.4f} under seeded chaos "
@@ -204,7 +185,7 @@ class TestCrashRecovery:
             },
             "worst_run_seconds": round(worst, 4),
         }
-        _update_bench("wal_recovery", payload)
+        update_bench("serving_chaos", "wal_recovery", payload)
         assert worst <= MAX_RECOVERY_SECONDS, (
             f"crash run + recovery took {worst:.3f}s "
             f"(budget {MAX_RECOVERY_SECONDS}s)"

@@ -20,11 +20,10 @@ identity, and certificate soundness, not wall-clock.
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Dict
 
 import numpy as np
+
+from conftest import update_bench
 
 from repro.core.skyline import skyline_indices_oracle
 from repro.serving import (
@@ -38,30 +37,12 @@ from repro.serving import (
 )
 from repro.zorder.encoding import ZGridCodec
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_PATH = os.path.join(REPO_ROOT, "BENCH_serving_shards.json")
-
 #: minimum fraction of non-shed operations that must succeed
 MIN_AVAILABILITY = 0.99
 
 D = 5
 CELLS = 256
 CODEC = ZGridCodec.grid_identity(D, bits_per_dim=8)
-
-
-def _read_recorded() -> Dict:
-    if not os.path.exists(BENCH_PATH):
-        return {}
-    with open(BENCH_PATH, "r") as handle:
-        return json.load(handle)
-
-
-def _update_bench(section: str, payload: Dict) -> None:
-    recorded = _read_recorded()
-    recorded[section] = payload
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(recorded, handle, indent=1, sort_keys=True)
-        handle.write("\n")
 
 
 def _grid(rng, n: int, d: int = D, cells: int = CELLS) -> np.ndarray:
@@ -127,7 +108,7 @@ class TestCrashFailoverAvailability:
             "failovers": crashed["failovers"],
             "failover_identical": crashed["last_failover_identical"],
         }
-        _update_bench("crash_failover", payload)
+        update_bench("serving_shards", "crash_failover", payload)
 
         assert report.availability >= MIN_AVAILABILITY, (
             f"availability {report.availability:.4f} with 1 of 4 shards "
@@ -219,7 +200,7 @@ class TestCertifiedPartialVerification:
             "served_certified": len(served),
             "masked_uncertain": int(cert["masked"]),
         }
-        _update_bench("certified_partial", payload)
+        update_bench("serving_shards", "certified_partial", payload)
 
         assert report.availability >= MIN_AVAILABILITY, (
             f"availability {report.availability:.4f} with a terminally "

@@ -4,9 +4,11 @@ One guarded end-to-end measurement, written to ``BENCH_streaming.json``:
 a CDC feed sustains **>= 1k records/s** of windowed ingest while
 push-notification latency (publish -> subscriber receipt) holds
 **p99 <= 50ms** and concurrent cached reads stay available — the
-serving SLO the subsystem was built around.  The diff stream is also
-re-checked for soundness (replay reconstructs the final skyline
-id-set) so a fast-but-wrong run cannot pass.
+serving SLO the subsystem was built around.  The run is
+``repro.streaming.replay_stream``, the driver behind ``repro
+stream-bench``; it re-checks the diff stream for soundness (replay
+reconstructs the final skyline id-set) so a fast-but-wrong run cannot
+pass.
 
 Absolute numbers are host-dependent; the thresholds are deliberately
 loose for CI boxes — local runs land far inside them.
@@ -14,27 +16,13 @@ loose for CI boxes — local runs land far inside them.
 
 from __future__ import annotations
 
-import json
-import os
-import threading
-import time
-from typing import Dict, List
-
 import numpy as np
 
-from repro.observability.metrics import MetricsRegistry
-from repro.serving import DatasetRegistry, DriftPolicy, Query, SkylineService
-from repro.streaming import (
-    ContinuousQueryManager,
-    FeedConfig,
-    IngestFeed,
-    SubscriptionHub,
-    WindowSpec,
-    replay,
-)
+from conftest import update_bench
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_PATH = os.path.join(REPO_ROOT, "BENCH_streaming.json")
+from repro.observability.metrics import MetricsRegistry
+from repro.serving import DatasetRegistry, DriftPolicy
+from repro.streaming import StreamSpec, replay_stream
 
 #: sustained windowed ingest floor, records/second
 MIN_INGEST_PER_SEC = 1_000.0
@@ -50,21 +38,6 @@ DIMS = 5
 BITS = 8
 
 
-def _read_recorded() -> Dict:
-    if not os.path.exists(BENCH_PATH):
-        return {}
-    with open(BENCH_PATH, "r") as handle:
-        return json.load(handle)
-
-
-def _update_bench(section: str, payload: Dict) -> None:
-    recorded = _read_recorded()
-    recorded[section] = payload
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(recorded, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-
 class TestStreamingSLO:
     def test_ingest_throughput_with_p99_notify_latency(self):
         rng = np.random.default_rng(31)
@@ -74,125 +47,54 @@ class TestStreamingSLO:
         metrics = MetricsRegistry()
         registry = DatasetRegistry(metrics=metrics, keep_versions=4)
         registry.register("stream", seed_points, drift=DriftPolicy.never())
-        hub = SubscriptionHub(metrics=metrics).attach(registry)
-        manager = ContinuousQueryManager(metrics=metrics).attach(registry)
-        manager.register("windowed", "stream", WindowSpec.count(WINDOW))
-
-        stop = threading.Event()
-        latencies: List[float] = []
-        lock = threading.Lock()
-
-        def consume(sub):
-            while True:
-                event = sub.get(timeout=0.2)
-                if event is None:
-                    if stop.is_set() and sub.pending == 0:
-                        return
-                    continue
-                if event.published_at:
-                    sample = time.perf_counter() - event.published_at
-                    with lock:
-                        latencies.append(sample)
-
-        reads = {"ok": 0, "failed": 0, "cached": 0}
-
-        def read_loop(service):
-            while not stop.is_set():
-                try:
-                    result = service.query(Query.full("stream"))
-                    reads["ok"] += 1
-                    if result.cached:
-                        reads["cached"] += 1
-                except Exception:
-                    reads["failed"] += 1
-                time.sleep(0.002)
-
-        with SkylineService(registry, metrics=metrics) as service:
-            fast = hub.subscribe("stream")
-            slow = hub.subscribe("stream", max_pending=1)
-            threads = [
-                threading.Thread(target=consume, args=(fast,), daemon=True),
-                threading.Thread(
-                    target=read_loop, args=(service,), daemon=True
-                ),
-            ]
-            for thread in threads:
-                thread.start()
-            feed = IngestFeed(
-                registry,
-                "stream",
-                admission=service.admission,
-                config=FeedConfig(batch_size=BATCH, on_overload="block"),
-                window=WindowSpec.count(WINDOW),
-                metrics=metrics,
-            )
-            stream_rows = rng.integers(
-                0, 2**BITS, size=(RECORDS, DIMS)
-            ).astype(np.float64)
-            started = time.perf_counter()
-            for row in stream_rows:
-                feed.append(row)
-            feed.flush()
-            ingest_seconds = time.perf_counter() - started
-            stop.set()
-            for thread in threads:
-                thread.join(10.0)
+        stream_rows = rng.integers(
+            0, 2**BITS, size=(RECORDS, DIMS)
+        ).astype(np.float64)
+        report = replay_stream(
+            registry,
+            "stream",
+            stream_rows,
+            StreamSpec(
+                batch_size=BATCH, window=WINDOW, subscribers=1,
+                slow_subscribers=1, readers=1, on_overload="block",
+            ),
+        )
 
         # Soundness before speed: the coalescing subscriber's surviving
         # event stream must still reconstruct the final skyline.
-        final_sky = frozenset(
-            int(i) for i in registry.snapshot("stream").sky_ids
-        )
-        events = []
-        while True:
-            event = slow.get(timeout=0.01)
-            if event is None:
-                break
-            events.append(event)
-        got, _ = replay(events, slow.start_sky_ids, slow.start_version)
-        assert got == final_sky, "coalesced diff replay diverged"
-
-        ingest_rate = RECORDS / ingest_seconds
-        with lock:
-            samples = sorted(latencies)
-        assert samples, "no notifications were observed"
-        p50 = samples[int(0.50 * (len(samples) - 1))]
-        p99 = samples[int(0.99 * (len(samples) - 1))]
-        total_reads = reads["ok"] + reads["failed"]
-        read_success = reads["ok"] / total_reads if total_reads else 0.0
+        assert report.replay_sound, "coalesced diff replay diverged"
+        assert report.notifications, "no notifications were observed"
+        total_reads = report.reads_ok + report.reads_failed
+        read_success = report.reads_ok / total_reads if total_reads else 0.0
         counters = metrics.counters_as_dict().get("streaming", {})
 
         payload = {
             "records": RECORDS,
             "batch_size": BATCH,
             "window": WINDOW,
-            "ingest_seconds": round(ingest_seconds, 4),
-            "ingest_records_per_sec": round(ingest_rate, 1),
-            "notify_p50_ms": round(p50 * 1e3, 3),
-            "notify_p99_ms": round(p99 * 1e3, 3),
-            "notifications": len(samples),
+            "ingest_seconds": round(report.ingest_seconds, 4),
+            "ingest_records_per_sec": round(
+                report.ingest_records_per_sec, 1
+            ),
+            "notify_p50_ms": round(report.notify_p50_seconds * 1e3, 3),
+            "notify_p99_ms": round(report.notify_p99_seconds * 1e3, 3),
+            "notifications": report.notifications,
             "diffs_published": counters.get("diffs_published", 0),
             "diffs_coalesced": counters.get("diffs_coalesced", 0),
             "concurrent_reads": total_reads,
             "concurrent_read_success": round(read_success, 4),
-            "concurrent_reads_cached": reads["cached"],
-            "expired_records": feed.records_expired,
+            "concurrent_reads_cached": report.reads_cached,
+            "expired_records": report.expired_records,
             "replay_sound": True,
             "min_ingest_per_sec": MIN_INGEST_PER_SEC,
             "max_notify_p99_ms": MAX_NOTIFY_P99_SECONDS * 1e3,
         }
-        _update_bench("streaming_slo", payload)
+        update_bench("streaming", "streaming_slo", payload)
 
-        assert ingest_rate >= MIN_INGEST_PER_SEC, (
-            f"sustained ingest {ingest_rate:.1f} records/s is below the "
-            f"{MIN_INGEST_PER_SEC:.0f}/s floor"
-        )
-        assert p99 <= MAX_NOTIFY_P99_SECONDS, (
-            f"publish->notify p99 {p99 * 1e3:.2f}ms exceeds "
-            f"{MAX_NOTIFY_P99_SECONDS * 1e3:.0f}ms"
-        )
+        failed = report.gate(MIN_INGEST_PER_SEC, MAX_NOTIFY_P99_SECONDS)
+        assert not failed, "; ".join(failed)
         assert total_reads > 0 and read_success >= MIN_READ_SUCCESS, (
             f"concurrent reads degraded: {read_success:.4f} success "
             f"over {total_reads}"
         )
-        assert reads["cached"] > 0, "cache never hit during ingest"
+        assert report.reads_cached > 0, "cache never hit during ingest"

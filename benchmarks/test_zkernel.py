@@ -46,13 +46,13 @@ held to.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from typing import Dict, List
 
 import numpy as np
 import pytest
+
+from conftest import read_bench, update_bench
 
 from repro.algorithms.zs import zs_skyline
 from repro.core.point import dominance_blocks, kernel_rows, pairwise_dominance
@@ -68,9 +68,6 @@ from repro.zorder.kernel import ZKernel
 from repro.zorder.zbtree import OpCounter, TreeBlock, build_zbtree, build_zbtrees
 from repro.zorder.zmerge import zmerge_all
 from repro.zorder.zsearch import zsearch
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_PATH = os.path.join(REPO_ROOT, "BENCH_zkernel.json")
 
 #: minimum kernel-vs-scalar-reference speedup (encode+decode combined)
 MIN_SPEEDUP = 5.0
@@ -126,21 +123,6 @@ def _timed(fn, repeats: int = 1):
     return result, best
 
 
-def _read_recorded() -> Dict:
-    if not os.path.exists(BENCH_PATH):
-        return {}
-    with open(BENCH_PATH, "r") as handle:
-        return json.load(handle)
-
-
-def _update_bench(section: str, payload: Dict) -> None:
-    recorded = _read_recorded()
-    recorded[section] = payload
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(recorded, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-
 # ----------------------------------------------------------------------
 # encode/decode micro-benchmark
 # ----------------------------------------------------------------------
@@ -153,7 +135,7 @@ WORKLOADS = (
 
 class TestEncodeDecodeThroughput:
     def test_kernel_beats_scalar_reference(self):
-        recorded = _read_recorded().get("encode_decode", {})
+        recorded = read_bench("zkernel").get("encode_decode", {})
         results: Dict[str, Dict] = {}
         for key, d, bits, n_kernel, n_ref in WORKLOADS:
             rng = np.random.default_rng(17)
@@ -206,7 +188,7 @@ class TestEncodeDecodeThroughput:
                     f"{key}: speedup regressed to {speedup:.2f}x from the "
                     f"recorded {prior:.2f}x (floor {floor:.2f}x)"
                 )
-        _update_bench("encode_decode", results)
+        update_bench("zkernel", "encode_decode", results)
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +220,7 @@ class TestDominanceKernel:
             f"grid dominance kernel is only {speedup:.2f}x faster than the "
             f"float reduction (need >= {MIN_DOMINANCE_SPEEDUP}x)"
         )
-        _update_bench(
+        update_bench("zkernel", 
             "dominance_kernel",
             {
                 "block": [rows, cols],
@@ -293,7 +275,7 @@ class TestPhase1Blocks:
             f"tree-free Z-search is only {speedup:.2f}x faster than build + "
             f"walk on phase-1 blocks (need >= {MIN_BLOCK_SPEEDUP}x)"
         )
-        _update_bench(
+        update_bench("zkernel", 
             "phase1_blocks",
             {
                 "blocks": count,
@@ -377,7 +359,7 @@ class TestPhase1Combine:
             f"the grouped phase-1 combine is only {speedup:.2f}x faster "
             f"than per-group calls (need >= {MIN_COMBINE_SPEEDUP}x)"
         )
-        _update_bench(
+        update_bench("zkernel", 
             "phase1_combine",
             {
                 "plan": "ZDG+ZS+ZM",
@@ -482,7 +464,7 @@ class TestZmergeFold:
             f"the batched Z-merge candidate builds are only {speedup:.2f}x "
             f"faster than one build per block (need >= {MIN_BUILD_SPEEDUP}x)"
         )
-        _update_bench(
+        update_bench("zkernel", 
             "zmerge_builds",
             {
                 "plan": "ZDG+ZS+ZM",
@@ -557,7 +539,7 @@ class TestEndToEnd:
                 f"{key}: end-to-end wall clock {seconds:.3f}s exceeds its "
                 f"{baseline:.2f}s baseline (wide-path regression gate)"
             )
-        recorded = _read_recorded().get("end_to_end", {})
+        recorded = read_bench("zkernel").get("end_to_end", {})
         recorded[key] = {
             "plan": plan,
             "distribution": dist,
@@ -567,4 +549,4 @@ class TestEndToEnd:
             "seconds": round(seconds, 3),
             "baseline_seconds": E2E_BASELINE_SECONDS[key],
         }
-        _update_bench("end_to_end", recorded)
+        update_bench("zkernel", "end_to_end", recorded)

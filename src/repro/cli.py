@@ -741,157 +741,60 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
 def _cmd_stream_bench(args: argparse.Namespace) -> int:
     import json
-    import threading
-    import time as time_mod
 
     import numpy as np
 
+    from repro.core.exceptions import ConfigurationError, ReproError
     from repro.observability.metrics import MetricsRegistry
-    from repro.serving import DatasetRegistry, DriftPolicy, Query, SkylineService
-    from repro.streaming import (
-        ContinuousQueryManager,
-        FeedConfig,
-        IngestFeed,
-        SubscriptionHub,
-        WindowSpec,
-        replay,
-    )
+    from repro.serving import DatasetRegistry, DriftPolicy
+    from repro.streaming.load import NOTIFY_LATENCY, StreamSpec, replay_stream
 
-    dataset = generate(
-        args.dist, args.num_points, args.dimensions, seed=args.seed
-    )
     metrics = MetricsRegistry()
-    registry = DatasetRegistry(metrics=metrics, keep_versions=4)
-    registry.register_dataset(
-        "stream", dataset, bits_per_dim=args.bits,
-        drift=DriftPolicy.never(),
-    )
-    hub = SubscriptionHub(metrics=metrics).attach(registry)
-    manager = ContinuousQueryManager(metrics=metrics).attach(registry)
-    window_spec = (
-        WindowSpec.count(args.window) if args.window > 0 else None
-    )
-    if window_spec is not None:
-        manager.register("windowed", "stream", window_spec)
-
-    stop = threading.Event()
-    latencies: list = []
-    latency_lock = threading.Lock()
-
-    def consume(sub):
-        while True:
-            event = sub.get(timeout=0.2)
-            if event is None:
-                if stop.is_set() and sub.pending == 0:
-                    return
-                continue
-            if event.published_at:
-                sample = time_mod.perf_counter() - event.published_at
-                with latency_lock:
-                    latencies.append(sample)
-                metrics.observe("streaming.notify_latency_seconds", sample)
-
-    read_ok = [0] * max(args.readers, 1)
-    read_fail = [0] * max(args.readers, 1)
-    read_cached = [0] * max(args.readers, 1)
-
-    def read_loop(idx, service):
-        # Paced like a dashboard poller, not a tight loop — the bench
-        # asserts reads stay *available* during ingest, not that reads
-        # can saturate the GIL against the writer.
-        while not stop.is_set():
-            try:
-                result = service.query(Query.full("stream"))
-                read_ok[idx] += 1
-                if result.cached:
-                    read_cached[idx] += 1
-            except Exception:
-                read_fail[idx] += 1
-            time_mod.sleep(0.002)
-
-    threads = []
-    with SkylineService(registry, metrics=metrics) as service:
-        subs = [
-            hub.subscribe("stream") for _ in range(max(args.subscribers, 1))
-        ]
-        slow_subs = [
-            hub.subscribe("stream", max_pending=1)
-            for _ in range(args.slow_subscribers)
-        ]
-        for sub in subs:
-            thread = threading.Thread(
-                target=consume, args=(sub,), daemon=True
-            )
-            thread.start()
-            threads.append(thread)
-        for idx in range(args.readers):
-            thread = threading.Thread(
-                target=read_loop, args=(idx, service), daemon=True
-            )
-            thread.start()
-            threads.append(thread)
-
-        feed = IngestFeed(
-            registry,
-            "stream",
-            admission=service.admission,
-            config=FeedConfig(
-                batch_size=args.batch_size, on_overload=args.on_overload
-            ),
-            window=window_spec,
-            metrics=metrics,
+    try:
+        spec = StreamSpec(
+            batch_size=args.batch_size,
+            window=args.window,
+            subscribers=args.subscribers,
+            slow_subscribers=args.slow_subscribers,
+            readers=args.readers,
+            on_overload=args.on_overload,
         )
-        rng = np.random.default_rng(args.seed)
-        top = 2**args.bits
-        records = rng.integers(
-            0, top, size=(args.records, args.dimensions)
+        if args.records < 0:
+            raise ConfigurationError("--records must be >= 0")
+        dataset = generate(
+            args.dist, args.num_points, args.dimensions, seed=args.seed
+        )
+        registry = DatasetRegistry(metrics=metrics, keep_versions=4)
+        registry.register_dataset(
+            "stream", dataset, bits_per_dim=args.bits,
+            drift=DriftPolicy.never(),
+        )
+        records = np.random.default_rng(args.seed).integers(
+            0, 2**args.bits, size=(args.records, args.dimensions)
         ).astype(np.float64)
-        started = time_mod.perf_counter()
-        for row in records:
-            feed.append(row)
-        feed.flush()
-        ingest_seconds = time_mod.perf_counter() - started
-        stop.set()
-        for thread in threads:
-            thread.join(10.0)
-    # Soundness: every slow (coalescing) subscriber's surviving events
-    # still reconstruct the final skyline id-set exactly.
-    final_sky = frozenset(int(i) for i in registry.snapshot("stream").sky_ids)
-    sound = True
-    for sub in slow_subs:
-        events = []
-        while True:
-            event = sub.get(timeout=0.01)
-            if event is None:
-                break
-            events.append(event)
-        got, _ = replay(events, sub.start_sky_ids, sub.start_version)
-        sound = sound and got == final_sky
+        report = replay_stream(registry, "stream", records, spec)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    ingest_rate = args.records / ingest_seconds if ingest_seconds else 0.0
-    summary = metrics.histogram_summary("streaming.notify_latency_seconds")
-    with latency_lock:
-        samples = sorted(latencies)
-    p99 = samples[int(0.99 * (len(samples) - 1))] if samples else 0.0
-    reads = sum(read_ok)
-    fails = sum(read_fail)
     counters = metrics.counters_as_dict().get("streaming", {})
-    print(f"records             : {args.records}")
-    print(f"batches             : {feed.batches_flushed}")
-    print(f"final_version       : {registry.version('stream')}")
-    print(f"ingest_seconds      : {ingest_seconds:.3f}")
-    print(f"ingest_records_per_s: {ingest_rate:.1f}")
-    print(f"notify_p50_ms       : {summary['p50'] * 1e3:.2f}")
-    print(f"notify_p99_ms       : {p99 * 1e3:.2f}")
-    print(f"notifications       : {len(samples)}")
+    print(f"records             : {report.records}")
+    print(f"batches             : {report.batches}")
+    print(f"final_version       : {report.final_version}")
+    print(f"ingest_seconds      : {report.ingest_seconds:.3f}")
+    print(f"ingest_records_per_s: {report.ingest_records_per_sec:.1f}")
+    print(f"notify_p50_ms       : {report.notify_p50_seconds * 1e3:.2f}")
+    print(f"notify_p99_ms       : {report.notify_p99_seconds * 1e3:.2f}")
+    print(f"notifications       : {report.notifications}")
     print(f"diffs_published     : {counters.get('diffs_published', 0)}")
     print(f"diffs_coalesced     : {counters.get('diffs_coalesced', 0)}")
     print(f"feed_batches_shed   : {counters.get('feed_batches_shed', 0)}")
-    print(f"expired_records     : {feed.records_expired}")
-    print(f"concurrent_reads    : {reads} ok, {fails} failed, "
-          f"{sum(read_cached)} cached")
-    print(f"replay_sound        : {sound}")
+    print(f"expired_records     : {report.expired_records}")
+    print(f"concurrent_reads    : {report.reads_ok} ok, "
+          f"{report.reads_failed} failed, {report.reads_cached} cached")
+    print(f"replay_sound        : {report.replay_sound}")
     if args.latency_out:
+        samples = sorted(metrics.histogram(NOTIFY_LATENCY))
         with open(args.latency_out, "w") as handle:
             for i, sample in enumerate(samples):
                 handle.write(json.dumps({
@@ -905,30 +808,14 @@ def _cmd_stream_bench(args: argparse.Namespace) -> int:
         count = metrics.export_jsonl(args.metrics_out)
         print(f"metrics             : wrote {count} records to "
               f"{args.metrics_out}")
-    exit_code = 0
-    if not sound:
-        print("GATE FAILED: diff replay did not reconstruct the final "
-              "skyline", file=sys.stderr)
-        exit_code = 1
-    if (
-        args.min_ingest_per_sec is not None
-        and ingest_rate < args.min_ingest_per_sec
-    ):
-        print(
-            f"GATE FAILED: ingest {ingest_rate:.1f} records/s < "
-            f"{args.min_ingest_per_sec:.1f}",
-            file=sys.stderr,
-        )
-        exit_code = 1
-    if args.max_p99_notify_ms is not None and samples:
-        if p99 * 1e3 > args.max_p99_notify_ms:
-            print(
-                f"GATE FAILED: notify p99 {p99 * 1e3:.2f}ms > "
-                f"{args.max_p99_notify_ms:.2f}ms",
-                file=sys.stderr,
-            )
-            exit_code = 1
-    return exit_code
+    max_p99 = args.max_p99_notify_ms
+    failures = report.gate(
+        min_ingest_per_sec=args.min_ingest_per_sec,
+        max_notify_p99_seconds=None if max_p99 is None else max_p99 / 1e3,
+    )
+    for failure in failures:
+        print(f"GATE FAILED: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def main(argv: Optional[list] = None) -> int:

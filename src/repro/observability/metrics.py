@@ -109,6 +109,10 @@ class MetricsRegistry:
         with self._lock:
             return list(self._histograms.get(name, ()))
 
+    def percentile(self, name: str, q: float) -> float:
+        """Nearest-rank ``q``-quantile of one histogram (0.0 if empty)."""
+        return _percentile(self.histogram(name), q)
+
     def histogram_summary(self, name: str) -> Dict[str, float]:
         """count/min/max/mean/total/p50/p95 of one histogram."""
         samples = self.histogram(name)

@@ -9,6 +9,7 @@ every published version; and the :class:`SubscriptionHub` pushes
 :class:`SkylineDiff` notifications (entered/exited skyline ids per
 version) to subscribers over bounded, coalescing queues — with
 resumable cursors and a :class:`FullSync` fallback.
+:func:`replay_stream` is the threaded load driver over all three.
 
 See ``docs/INTERNALS.md`` §17 for the model and invariants, and
 ``examples/streaming_subscriptions.py`` for an end-to-end tour.
@@ -28,6 +29,7 @@ from repro.streaming.diff import (
 )
 from repro.streaming.feed import BLOCK, SHED, FeedConfig, IngestFeed
 from repro.streaming.hub import Subscription, SubscriptionHub
+from repro.streaming.load import StreamReport, StreamSpec, replay_stream
 
 __all__ = [
     "BLOCK",
@@ -40,8 +42,11 @@ __all__ = [
     "IngestFeed",
     "SkylineDiff",
     "StreamEvent",
+    "StreamReport",
+    "StreamSpec",
     "Subscription",
     "SubscriptionHub",
     "WindowSpec",
     "replay",
+    "replay_stream",
 ]

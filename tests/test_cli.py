@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import threading
 
 import pytest
 
@@ -153,3 +154,21 @@ class TestCommands:
         )
         assert code == 1
         assert "GATE FAILED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch-size", "0"), ("--subscribers", "0"), ("--window", "-5"),
+        ("--records", "-1"),
+    ])
+    def test_stream_bench_bad_flag_exits_2_without_threads(
+        self, capsys, flag, value
+    ):
+        code = main(
+            ["stream-bench", "-n", "200", "-d", "3", "--bits", "8",
+             "--records", "100", flag, value]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not [
+            t.name for t in threading.enumerate()
+            if "consume" in t.name or "read_loop" in t.name
+        ]

@@ -38,10 +38,13 @@ from repro.streaming import (
     FullSync,
     IngestFeed,
     SkylineDiff,
+    StreamSpec,
     SubscriptionHub,
     WindowSpec,
     replay,
+    replay_stream,
 )
+from repro.streaming.load import NOTIFY_LATENCY
 from repro.zorder.encoding import ZGridCodec
 
 DIMS = 3
@@ -670,6 +673,73 @@ class TestClientSubscriptions:
             client = SkylineClient(service, "ds")
             with pytest.raises(ConfigurationError):
                 client.subscribe()
+
+
+# ----------------------------------------------------------------------
+# the threaded load driver behind stream-bench and the streaming SLO gate
+# ----------------------------------------------------------------------
+def _driver_threads():
+    return [
+        t.name for t in threading.enumerate()
+        if "consume" in t.name or "read_loop" in t.name
+    ]
+
+
+class TestReplayStream:
+    def test_small_run_is_sound_and_fully_counted(self):
+        rng = np.random.default_rng(23)
+        metrics = MetricsRegistry()
+        registry = _registry(_grid(rng, 100), metrics=metrics)
+        records, window = 400, 150
+        report = replay_stream(
+            registry, "ds", _grid(rng, records),
+            StreamSpec(
+                batch_size=25, window=window, subscribers=1,
+                slow_subscribers=1, readers=1,
+            ),
+        )
+        assert report.replay_sound and report.gate() == []
+        # one drained subscriber: every published diff lands in the
+        # histogram exactly once, and the report reads it from there
+        samples = metrics.histogram(NOTIFY_LATENCY)
+        assert report.notifications == len(samples) > 0
+        assert report.notifications == metrics.counter(
+            "streaming", "diffs_published"
+        )
+        assert report.notify_p99_seconds == metrics.percentile(
+            NOTIFY_LATENCY, 0.99
+        )
+        assert report.batches == records // 25
+        assert report.expired_records == records - window
+        snapshot = registry.snapshot("ds")
+        _, expected = bnl_skyline(snapshot.points, snapshot.ids)
+        assert sorted(snapshot.sky_ids.tolist()) == sorted(expected.tolist())
+        assert not _driver_threads()
+
+    @pytest.mark.parametrize("bad", [
+        {"batch_size": 0}, {"window": -5}, {"subscribers": 0},
+        {"slow_subscribers": -1}, {"readers": -1},
+        {"on_overload": "panic"},
+    ])
+    def test_spec_rejects_bad_values(self, bad):
+        with pytest.raises(ConfigurationError):
+            StreamSpec(**bad)
+
+    def test_failed_ingest_stops_and_joins_its_threads(self):
+        rng = np.random.default_rng(24)
+        registry = _registry(_grid(rng, 50), metrics=MetricsRegistry())
+        with pytest.raises(ConfigurationError):
+            replay_stream(
+                registry, "ds", _grid(rng, 10, d=DIMS + 1),
+                StreamSpec(subscribers=1, readers=1),
+            )
+        assert not _driver_threads()
+
+    def test_registry_without_metrics_is_rejected(self):
+        rng = np.random.default_rng(25)
+        registry = _registry(_grid(rng, 10))
+        with pytest.raises(ConfigurationError):
+            replay_stream(registry, "ds", _grid(rng, 5), StreamSpec())
 
 
 # ----------------------------------------------------------------------
